@@ -36,20 +36,24 @@ class ProxOperator:
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the unit simplex.
+    """Euclidean projection onto the unit simplex along the last axis.
 
-    Sort-and-threshold recipe: O(n log n), deterministic tie handling via
-    the descending sort order.
+    A vector is projected as a whole and each row of a matrix on its own,
+    all with one sort and one cumsum.  Sort-and-threshold recipe (Duchi et
+    al. 2008; Condat 2016): O(n log n) per row, deterministic tie handling
+    via the descending sort order.  The result is C-contiguous.
     """
-    v = np.asarray(v, dtype=np.float64).ravel()
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * ks > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    rows = v.reshape(-1, v.shape[-1])
+    n = rows.shape[1]
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    # rho is the last index with u_k * k > css_k; the test holds at k = 1.
+    rho = (n - 1) - np.argmax((u * np.arange(1, n + 1) > css)[:, ::-1], axis=1)
+    theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(rows - theta[:, None], 0.0).reshape(v.shape)
 
 
 def project_box01(x: np.ndarray) -> np.ndarray:
@@ -59,17 +63,12 @@ def project_box01(x: np.ndarray) -> np.ndarray:
 
 def project_row_stochastic(x: np.ndarray) -> np.ndarray:
     """Project each row onto the unit simplex."""
-    x = as_matrix(x)
-    out = np.empty_like(x)
-    for i in range(x.shape[0]):
-        out[i] = project_simplex(x[i])
-    return out
+    return project_simplex(as_matrix(x))
 
 
 def project_col_stochastic(x: np.ndarray) -> np.ndarray:
     """Project each column onto the unit simplex."""
-    x = as_matrix(x)
-    return project_row_stochastic(x.T).T
+    return project_simplex(as_matrix(x).T).T
 
 
 def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
@@ -105,8 +104,7 @@ def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray
     if iters < 1:
         raise ValueError("iters must be >= 1")
     for _ in range(iters):
-        x = project_col_stochastic(x)
-        x = project_row_stochastic(x)
+        x = project_simplex(project_simplex(x.T).T)
     return x
 
 

@@ -105,12 +105,15 @@ def load_best_known(path) -> dict[str, float]:
     """Sidecar table of lines "name value"."""
     table: dict[str, float] = {}
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, value = line.split()
-            table[name] = float(value)
+            try:
+                name, value = line.split()
+                table[name] = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
     return table
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -384,14 +384,15 @@ def run_tos_product_space(
     m = len(prox_list)
     ys = [np.array(y1, dtype=np.float64, copy=True) for _ in range(m + 1)]
     schedule = config.schedule()
-    rng = make_rng(config.seed)
-    keep = config.output == "random" and config.iters <= config.snapshot_cap
-    snapshots: dict[int, np.ndarray] = {}
+    # The iteration draws no randomness, so tau can be drawn before it runs
+    # and x_tau kept as it passes: no snapshots and no replay are needed.
+    tau: Optional[int] = None
+    if config.output == "random":
+        tau = draw_uniform_index(make_rng(config.seed), config.iters)
     trace: list[TraceRecord] = []
-    block_res: list[float] = []
 
     t_start = time.perf_counter()
-    x = ys[0]
+    x = x_tau = ys[0]
     for t in range(1, config.iters + 1):
         zs = [ys[0]] + [prox_list[i - 1](ys[i], gamma) for i in range(1, m + 1)]
         acc = sum(2.0 * zs[i] - ys[i] for i in range(m + 1))
@@ -400,11 +401,10 @@ def run_tos_product_space(
             raise DivergenceError(t)
         for i in range(m + 1):
             ys[i] = ys[i] - zs[i] + x
-        if keep:
-            snapshots[t] = x
+        if t == tau:
+            x_tau = x
         if t in schedule:
             resid = max(frobenius_norm(zs[i] - x) for i in range(m + 1))
-            block_res.append(resid)
             trace.append(TraceRecord(
                 t=t,
                 objective=oracle.value(zs[0]),
@@ -412,17 +412,10 @@ def run_tos_product_space(
                 certificate=math.nan,
                 elapsed=time.perf_counter() - t_start,
             ))
-
-    tau: Optional[int] = None
-    if config.output == "random":
-        tau = draw_uniform_index(rng, config.iters)
-        x_out = snapshots[tau] if keep else x
-    else:
-        x_out = x
     return ProductSpaceResult(
-        x_out=x_out,
+        x_out=x if tau is None else x_tau,
         tau=tau,
         trace=trace,
-        block_residuals=block_res,
+        block_residuals=[rec.coupling for rec in trace],
         wall_time=time.perf_counter() - t_start,
     )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -49,11 +49,26 @@ def test_norm_absolute_homogeneity(x, c):
 
 @settings(max_examples=50)
 @given(small_matrices(), small_matrices())
+@example(4533.0 * np.ones((3, 3)), np.diag([1.0, 0.0, 0.0]))
 def test_cosine_rule(x, y):
     lhs = frobenius_inner(x, y)
     rhs = 0.5 * frobenius_norm(x + y) ** 2 - 0.5 * frobenius_norm(x) ** 2 - 0.5 * frobenius_norm(y) ** 2
-    scale = max(1.0, frobenius_norm(x) * frobenius_norm(y))
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    # Rounding error model, with m entries, u = eps/2, gamma_k = k u / (1 - k u)
+    # and s = ||x|| + ||y||.  Each squared norm (sum of m squares, sqrt,
+    # square, plus one rounding per entry of x + y) has relative error
+    # <= gamma_{m+5}; the two subtractions add u (A + B + C) / 2, where
+    # A + B + C = ||x+y||^2 + ||x||^2 + ||y||^2 <= 2 s^2.  So the rhs is off
+    # by <= gamma_{m+7} s^2, the m-term dot product lhs by
+    # <= gamma_m ||x|| ||y|| <= gamma_m s^2 / 4, and computing s itself costs
+    # one more unit.  The rhs cancels, so the error scales with s^2, not
+    # with ||x|| ||y||.  Gradual underflow adds at most half the smallest
+    # subnormal to each of the 9m + 7 operations.
+    m = x.size
+    u = np.finfo(np.float64).eps / 2
+    k = 1.25 * m + 8
+    s = frobenius_norm(x) + frobenius_norm(y)
+    bound = k * u / (1 - k * u) * s**2 + (9 * m + 7) * np.nextafter(0.0, 1.0)
+    assert abs(lhs - rhs) <= bound
 
 
 def test_rng_golden_stream():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -43,6 +43,28 @@ def reference_simplex_projection(v):
     return np.maximum(v - best_theta, 0.0)
 
 
+def loop_simplex_projection(v):
+    """One vector at a time, with the arithmetic of project_simplex: the last
+    index passing the threshold test, then css[rho] / (rho + 1)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+
+
+#: Entries with ties (a few repeated values) and entries of order 1e4.
+batch_entries = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, -1.0]),
+    moderate,
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+)
+
+
+def matrices():
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 9))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=batch_entries))
+
+
 class TestSimplex:
     def test_already_feasible(self):
         np.testing.assert_allclose(project_simplex([0.5, 0.5]), [0.5, 0.5])
@@ -63,6 +85,17 @@ class TestSimplex:
         got = project_simplex(v)
         want = reference_simplex_projection(v)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @settings(max_examples=200)
+    @given(matrices())
+    @example(np.array([[3.0], [-2.0], [1e4]]))
+    @example(np.full((3, 5), 0.25))
+    @example(np.array([[1e4, 1e4, -1e4, 9999.5], [0.5, 0.5, 0.5, 0.5]]))
+    def test_batched_rows_match_row_by_row(self, x):
+        got = project_simplex(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, np.stack([project_simplex(row) for row in x]))
+        assert np.array_equal(got, np.stack([loop_simplex_projection(row) for row in x]))
 
     @given(arrays(np.float64, 5, elements=moderate))
     def test_feasible_output(self, v):
@@ -112,9 +145,8 @@ class TestRowColStochastic:
         z = project_col_stochastic(x)
         np.testing.assert_allclose(z.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_col_is_transposed_row(self):
-        rng = make_rng(2)
-        x = rng.standard_normal((4, 4))
+    @given(matrices())
+    def test_col_is_transposed_row(self, x):
         np.testing.assert_array_equal(
             project_col_stochastic(x), project_row_stochastic(x.T).T)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import importlib.resources
 
@@ -90,6 +91,13 @@ class TestParsing:
         side = tmp_path / "best.txt"
         side.write_text("# comment\ntiny 4\nother 12.5\n\n")
         assert load_best_known(side) == {"tiny": 4.0, "other": 12.5}
+
+    @pytest.mark.parametrize("bad", ["tiny", "tiny 4 extra", "tiny four"])
+    def test_best_known_malformed_line_names_file_and_line(self, tmp_path, bad):
+        side = tmp_path / "best.txt"
+        side.write_text(f"# comment\nother 12.5\n\n{bad}\n")
+        with pytest.raises(ValueError, match=f"best.txt:4: expected 'name value', got '{bad}'"):
+            load_best_known(side)
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -277,6 +285,13 @@ class TestInitialPoint:
 
     def test_seed_changes_point(self):
         assert not np.array_equal(initial_point(5, 3), initial_point(5, 4))
+
+    def test_golden_digest(self):
+        # Pins the bytes of the shared start: sort, cumsum and elementwise
+        # arithmetic only, so the digest does not depend on BLAS threads.
+        x = initial_point(12, 0)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == (
+            "6b4e6c01763c5adcbe6a4eb3e1b8583f2fc0b670689c4b7661c28e1bc6f17e35")
 
     def test_near_doubly_stochastic(self):
         x = initial_point(8, 0)

@@ -319,6 +319,22 @@ class TestProductSpace:
             SolverConfig(iters=512, step=StepRule.fixed(0.5)), y1)
         assert res.block_residuals[-1] < res.block_residuals[0]
 
+    def test_random_output_past_snapshot_cap(self):
+        y1 = make_rng(31).standard_normal((3, 3))
+        proxes = [prox_box01(), ProxOperator(
+            "affine", lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))]
+
+        def run(iters, **kw):
+            cfg = SolverConfig(iters=iters, step=StepRule.fixed(0.5), **kw)
+            return run_tos_product_space(zero_oracle(), proxes, cfg, y1)
+
+        res = run(40, output="random", seed=5, snapshot_cap=8)
+        assert 1 <= res.tau < 40
+        # The iteration is deterministic, so x_tau is the last iterate of a
+        # tau-iteration run.
+        np.testing.assert_array_equal(res.x_out, run(res.tau).x_out)
+        assert not np.array_equal(res.x_out, run(40).x_out)
+
     def test_empty_prox_list_rejected(self):
         with pytest.raises(ValueError):
             run_tos_product_space(zero_oracle(), [],
