@@ -5,30 +5,30 @@ Subcommands:
 
 * ``solve``   -- run one solver on one instance, writing a CSV trace and
   a JSON summary;
-* ``bench``   -- run a manifest of (instance, solver) cells, all solvers
-  sharing the per-instance initial point, and tally pairwise wins;
+* ``bench``   -- run a manifest of (instance, solver) cells one after
+  another in manifest order, all solvers sharing the per-instance initial
+  point, and tally pairwise wins;
 * ``selftest`` -- fast invariant suite (projections, certificates,
   assignment solver vs enumeration, gradient checks).
 
-Environment: ``TOSQAP_OUT_DIR`` overrides the output directory,
-``TOSQAP_NO_PARALLEL`` forces sequential bench execution.  Everything
-algorithmic comes from flags or the manifest.
+Environment: ``TOSQAP_OUT_DIR`` overrides the output directory.
+Everything algorithmic comes from flags or the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import qap
 from .fw import FwConfig, run_fw
-from .lap import permutation_to_matrix, solve_lap_min
+from .lap import solve_lap_min
 from .linalg import frobenius_inner, frobenius_norm, make_rng
 from .prox import project_affine_doubly_stochastic, project_row_stochastic, prox_box01
 from .solver import (
@@ -89,34 +89,25 @@ def _resolve_best_known(inst: qap.QapInstance, override):
 def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
               step: StepRule, tol, y1):
     if solver == "fw":
-        res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0, seed=seed))
-        return {
-            "solver": solver,
-            "instance": inst.name,
-            "iterations": res.iterations_run,
-            "relaxed_value": res.relaxed_value,
-            "rounded_value": res.rounded_value,
-            "infeasibility": res.infeasibility,
-            "nonstationarity": res.nonstationarity,
-            "assignment_error": res.assignment_err,
-            "permutation": list(res.permutation.mapping),
-            "wall_time": res.wall_time,
-        }, res.trace, res.iterate
-    split = solver.split("-", 1)[1]
-    config = SolverConfig(iters=iters, step=step, seed=seed)
-    res = qap.relax_and_round(inst, split, config, tol=tol, y1=y1)
+        res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
+        run, iterate = res, res.iterate
+    else:
+        config = SolverConfig(iters=iters, step=step, seed=seed)
+        res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
+        run, iterate = res.run, res.relaxed_iterate
     return {
         "solver": solver,
         "instance": inst.name,
-        "iterations": res.run.iterations_run,
+        "iterations": run.iterations_run,
         "relaxed_value": res.relaxed_value,
         "rounded_value": res.rounded_value,
         "infeasibility": res.infeasibility,
         "nonstationarity": res.nonstationarity,
         "assignment_error": res.assignment_err,
         "permutation": list(res.permutation.mapping),
-        "wall_time": res.run.wall_time,
-    }, res.run.trace, res.relaxed_iterate
+        "wall_time": run.wall_time,
+        "y1_digest": hashlib.sha256(y1.tobytes()).hexdigest()[:16],
+    }, run.trace, iterate
 
 
 def cmd_solve(args) -> int:
@@ -134,12 +125,6 @@ def cmd_solve(args) -> int:
         json.dump(summary, f, indent=2, sort_keys=True)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
-
-
-def _y1_digest(y1: np.ndarray) -> str:
-    import hashlib
-
-    return hashlib.sha256(y1.tobytes()).hexdigest()[:16]
 
 
 def cmd_bench(args) -> int:
@@ -162,29 +147,26 @@ def cmd_bench(args) -> int:
     out = _out_dir(manifest.get("out_dir", args.out))
 
     cells = []
+    paths = {}
     for entry in instances:
         inst = qap.load_instance(entry["path"])
-        inst = _resolve_best_known(inst, entry.get("best_known"))
-        y1 = qap.initial_point(inst.n, seed)
+        if inst.name in paths:
+            print(f"manifest error: duplicate instance name {inst.name!r} "
+                  f"({paths[inst.name]} and {entry['path']})", file=sys.stderr)
+            return 2
+        paths[inst.name] = entry["path"]
+        cells.append((_resolve_best_known(inst, entry.get("best_known")),
+                      qap.initial_point(inst.n, seed)))
+
+    rows = []
+    for inst, y1 in cells:
         for solver in solvers:
-            cells.append((inst, solver, y1))
-
-    def run_one(cell):
-        inst, solver, y1 = cell
-        try:
-            summary, trace, _ = _run_cell(inst, solver, iters, seed, step, tol, y1)
-            summary["y1_digest"] = _y1_digest(y1)
-            stem = f"{inst.name}_{solver}_seed{seed}"
-            write_trace(os.path.join(out, stem + ".trace.csv"), trace)
-            return summary
-        except Exception as exc:  # cell failures are recorded, the sweep continues
-            return {"solver": solver, "instance": inst.name, "error": str(exc)}
-
-    if os.environ.get("TOSQAP_NO_PARALLEL"):
-        rows = [run_one(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=min(4, len(cells))) as pool:
-            rows = list(pool.map(run_one, cells))
+            try:
+                summary, trace, _ = _run_cell(inst, solver, iters, seed, step, tol, y1)
+                write_trace(os.path.join(out, f"{inst.name}_{solver}_seed{seed}.trace.csv"), trace)
+                rows.append(summary)
+            except Exception as exc:  # cell failures are recorded, the sweep continues
+                rows.append({"solver": solver, "instance": inst.name, "error": str(exc)})
 
     tally = pairwise_tally(rows, solvers)
     report = {"rows": rows, "tally": tally}

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .lap import permutation_to_matrix, solve_lap_min
-from .linalg import frobenius_inner, frobenius_norm
+from .linalg import frobenius_inner
 from .qap import (
     QapInstance,
     assignment_error,
@@ -31,7 +31,6 @@ from .solver import TraceRecord, power_of_two_schedule
 class FwConfig:
     max_iters: int
     gap_tolerance: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -78,12 +77,16 @@ def exact_line_step(inst: QapInstance, x: np.ndarray, direction: np.ndarray) -> 
     return 1.0 if a + b <= 0.0 else 0.0
 
 
-def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig,
-           feas_tol: float = 1e-6) -> FwResult:
+#: How far the start point's marginals and entries may stray from doubly
+#: stochastic.
+FEAS_TOL = 1e-6
+
+
+def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     """Frank-Wolfe with exact line search, started from a doubly
-    stochastic (to ``feas_tol``) point."""
+    stochastic (to ``FEAS_TOL``) point."""
     x = np.array(y1, dtype=np.float64, copy=True)
-    _check_feasible(x, feas_tol)
+    _check_feasible(x, FEAS_TOL)
     schedule = power_of_two_schedule(config.max_iters)
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
@@ -117,14 +120,15 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig,
     perm = round_to_permutation(x)
     rounded = qap_objective(inst, permutation_to_matrix(perm))
     final_gap = fw_gap(inst, x)
+    relaxed = qap_objective(inst, x)
     return FwResult(
         instance=inst.name,
         iterate=x,
         permutation=perm,
-        relaxed_value=qap_objective(inst, x),
+        relaxed_value=relaxed,
         rounded_value=rounded,
         infeasibility=0.0,
-        nonstationarity=abs(final_gap) / max(qap_objective(inst, x), 1.0),
+        nonstationarity=abs(final_gap) / max(relaxed, 1.0),
         assignment_err=assignment_error(rounded, inst.best_known),
         trace=trace,
         iterations_run=iterations,

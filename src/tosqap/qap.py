@@ -18,7 +18,7 @@ and reports the infeasibility / nonstationarity / assignment errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -142,7 +142,13 @@ def permutation_objective(inst: QapInstance, perm: Permutation) -> float:
     return float(sum(inst.a[i, j] * inst.b[p[i], p[j]] for i in range(inst.n) for j in range(inst.n)))
 
 
-def estimate_smoothness(inst: QapInstance, tol: float = 1e-6, max_iters: int = 10000) -> float:
+#: Relative change of the power-iteration estimate at which
+#: ``estimate_smoothness`` stops, and its iteration cap.
+SMOOTHNESS_TOL = 1e-6
+SMOOTHNESS_MAX_ITERS = 10000
+
+
+def estimate_smoothness(inst: QapInstance) -> float:
     """Smoothness constant of the objective: spectral norm of its Hessian map.
 
     The Hessian is the symmetric linear map D -> A D B^T + A^T D B on
@@ -156,7 +162,7 @@ def estimate_smoothness(inst: QapInstance, tol: float = 1e-6, max_iters: int = 1
     d = rng.standard_normal((inst.n, inst.n))
     d /= frobenius_norm(d)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(SMOOTHNESS_MAX_ITERS):
         nxt = inst.a @ d @ inst.b.T + inst.a.T @ d @ inst.b
         lam_next = frobenius_norm(nxt)
         if lam_next == 0.0:
@@ -165,7 +171,7 @@ def estimate_smoothness(inst: QapInstance, tol: float = 1e-6, max_iters: int = 1
             d /= frobenius_norm(d)
             continue
         d = nxt / lam_next
-        if abs(lam_next - lam) <= tol * max(lam_next, 1e-300):
+        if abs(lam_next - lam) <= SMOOTHNESS_TOL * max(lam_next, 1e-300):
             return lam_next
         lam = lam_next
     return lam
@@ -243,11 +249,16 @@ def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optio
     return (rounded_value - best_known) / max(best_known, 1.0)
 
 
-def initial_point(n: int, seed: int, iters: int = 1000) -> np.ndarray:
+#: Alternating-projection rounds of ``initial_point``.
+INITIAL_POINT_ROUNDS = 1000
+
+
+def initial_point(n: int, seed: int) -> np.ndarray:
     """Near-doubly-stochastic start: project a seeded Gaussian matrix onto
-    the Birkhoff polytope with 1000 alternating-projection rounds."""
+    the Birkhoff polytope with ``INITIAL_POINT_ROUNDS`` alternating-projection
+    rounds."""
     rng = make_rng(seed)
-    return project_birkhoff_alternating(rng.standard_normal((n, n)), iters)
+    return project_birkhoff_alternating(rng.standard_normal((n, n)), INITIAL_POINT_ROUNDS)
 
 
 def build_problem(inst: QapInstance, split: str) -> CompositeProblem:
@@ -292,17 +303,8 @@ def relax_and_round(
     instance's own smoothness constant.
     """
     problem = build_problem(inst, split)
-    step = config.step
-    if step.kind == "inv_smoothness" and step.l_smooth == 0.0:
-        step = StepRule.inv_smoothness(estimate_smoothness(inst))
-        config = SolverConfig(
-            iters=config.iters,
-            step=step,
-            output=config.output,
-            seed=config.seed,
-            trace_schedule=config.trace_schedule,
-            snapshot_cap=config.snapshot_cap,
-        )
+    if config.step.kind == "inv_smoothness" and config.step.l_smooth == 0.0:
+        config = replace(config, step=StepRule.inv_smoothness(estimate_smoothness(inst)))
     if y1 is None:
         y1 = initial_point(inst.n, config.seed)
 

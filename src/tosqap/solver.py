@@ -28,8 +28,12 @@ from .prox import ProxOperator
 
 def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total: int) -> float:
     """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) for Lipschitz g and h."""
-    _check_positive(d_g=d_g, denom=g_f + l_g + l_h, t_total=t_total)
-    return d_g / (2.0 * (g_f + l_g + l_h) * t_total ** (2.0 / 3.0))
+    _check_positive(d_g=d_g, t_total=t_total)
+    bound = g_f + l_g + l_h
+    if bound <= 0:
+        raise ValueError(f"gradient bound plus Lipschitz constants g_f + l_g + l_h "
+                         f"must be positive, got {bound}")
+    return d_g / (2.0 * bound * t_total ** (2.0 / 3.0))
 
 
 def step_size_mixed(d_set: float, g_f: float, l_h: float, t_total: int) -> float:
@@ -126,19 +130,12 @@ class SolverConfig:
     step: StepRule
     output: str = "last"  # 'last' or 'random'
     seed: int = 0
-    trace_schedule: Optional[frozenset[int]] = None
-    snapshot_cap: int = SNAPSHOT_CAP
 
     def __post_init__(self):
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.output not in ("last", "random"):
             raise ValueError(f"output policy must be 'last' or 'random', got {self.output!r}")
-
-    def schedule(self) -> frozenset[int]:
-        if self.trace_schedule is not None:
-            return self.trace_schedule
-        return power_of_two_schedule(self.iters)
 
 
 def power_of_two_schedule(t_total: int) -> frozenset[int]:
@@ -170,8 +167,6 @@ class RunResult:
     trace: list[TraceRecord]
     wall_time: float
     iterations_run: int
-    z_last: np.ndarray
-    x_last: np.ndarray
     y_last: np.ndarray
 
 
@@ -266,19 +261,18 @@ def run_tos(
 
     t_total = config.iters
     gamma = config.step.resolve(problem, t_total)
-    schedule = config.schedule()
+    schedule = power_of_two_schedule(t_total)
     rng = make_rng(config.seed)
 
-    keep_snapshots = config.output == "random" and t_total <= config.snapshot_cap
+    keep_snapshots = config.output == "random" and t_total <= SNAPSHOT_CAP
     snapshots: dict[int, np.ndarray] = {}
 
     t_start = time.perf_counter()
-    state = _iterate(
+    z, y, trace, t_done = _iterate(
         problem, gamma, y1, t_total, rng, schedule,
         metric_fn, stop_when, iteration_hook,
         snapshots if keep_snapshots else None,
     )
-    z, x, y, trace, t_done = state
 
     tau: Optional[int] = None
     if config.output == "random":
@@ -301,8 +295,6 @@ def run_tos(
         trace=trace,
         wall_time=time.perf_counter() - t_start,
         iterations_run=t_done,
-        z_last=z,
-        x_last=x,
         y_last=y,
     )
 
@@ -310,7 +302,7 @@ def run_tos(
 def _iterate(problem, gamma, y1, t_total, rng, schedule,
              metric_fn, stop_when, iteration_hook, snapshots):
     y = np.array(y1, dtype=np.float64, copy=True)
-    z = x = y
+    z = y
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
     t_done = 0
@@ -350,7 +342,7 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
                 y = y_next
                 break
         y = y_next
-    return z, x, y, trace, t_done
+    return z, y, trace, t_done
 
 
 @dataclass
@@ -383,7 +375,7 @@ def run_tos_product_space(
     gamma = config.step.resolve(None, config.iters)  # type: ignore[arg-type]
     m = len(prox_list)
     ys = [np.array(y1, dtype=np.float64, copy=True) for _ in range(m + 1)]
-    schedule = config.schedule()
+    schedule = power_of_two_schedule(config.iters)
     # The iteration draws no randomness, so tau can be drawn before it runs
     # and x_tau kept as it passes: no snapshots and no replay are needed.
     tau: Optional[int] = None

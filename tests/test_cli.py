@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from tosqap import make_rng, qap_objective, solve_lap_min
+from tosqap import initial_point, make_rng, qap_objective, solve_lap_min
 from tosqap.cli import main, pairwise_tally, selftest
 from tosqap.lap import LapSolution, Permutation
 from tosqap.qap import QapInstance
@@ -37,6 +38,8 @@ class TestSolve:
         summary = json.loads((out / f"{stem}.summary.json").read_text())
         assert summary["solver"] == "tos-split2"
         assert summary["instance"] == "small"
+        assert summary["y1_digest"] == hashlib.sha256(
+            initial_point(5, 3).tobytes()).hexdigest()[:16]
         # summary round-trip: the saved iterate reproduces the metrics
         iterate = np.loadtxt(out / f"{stem}.iterate.txt")
         assert qap_objective(inst, iterate) == pytest.approx(
@@ -61,6 +64,25 @@ class TestSolve:
         rc = main(["solve", str(bad), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "token 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["tos-split1", "tos-split2", "fw"])
+    def test_one_by_one_instance(self, tmp_path, capsys, solver):
+        inst_path = tmp_path / "one.dat"
+        inst_path.write_text("1\n3\n5\n")
+        rc = main(["solve", str(inst_path), "--solver", solver, "--iters", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["permutation"] == [0]
+
+    @pytest.mark.parametrize("step, message", [
+        ("invL", "all-zero"), ("theory", "g_f + l_g + l_h")], ids=["invL", "theory"])
+    def test_all_zero_a_names_the_fault(self, tmp_path, capsys, step, message):
+        inst_path = tmp_path / "zero.dat"
+        inst_path.write_text("2\n0 0\n0 0\n1 2\n3 4\n")
+        rc = main(["solve", str(inst_path), "--step", step, "--iters", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat"), "--out", str(tmp_path / "o")])
@@ -96,8 +118,7 @@ class TestBench:
         mp.write_text(json.dumps(manifest))
         return mp, tmp_path / "bench_out"
 
-    def test_single_instance_three_solvers_shared_start(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOSQAP_NO_PARALLEL", "1")
+    def test_single_instance_three_solvers_shared_start(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "tos-split2", "fw"])
         assert main(["bench", str(mp)]) == 0
         report = json.loads((out / "bench_summary.json").read_text())
@@ -109,32 +130,34 @@ class TestBench:
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
 
-    def test_five_instances_tally_sums(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TOSQAP_NO_PARALLEL", "1")
+    def test_five_instances_tally_sums(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 5, ["tos-split2", "fw"], iters=100)
         assert main(["bench", str(mp)]) == 0
         report = json.loads((out / "bench_summary.json").read_text())
         t = report["tally"]["tos-split2_vs_fw"]
         assert t["win"] + t["tie"] + t["loss"] == 5
 
-    def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
-        mp, out = self.make_manifest(tmp_path, 2, ["tos-split2", "fw"], iters=100)
-        monkeypatch.setenv("TOSQAP_NO_PARALLEL", "1")
-        assert main(["bench", str(mp)]) == 0
-        seq = json.loads((out / "bench_summary.json").read_text())
-        monkeypatch.delenv("TOSQAP_NO_PARALLEL")
-        assert main(["bench", str(mp)]) == 0
-        par = json.loads((out / "bench_summary.json").read_text())
-        strip = lambda rows: sorted(
-            [{k: v for k, v in r.items() if k != "wall_time"} for r in rows],
-            key=lambda r: (r["instance"], r["solver"]))
-        assert strip(seq["rows"]) == strip(par["rows"])
-
     def test_empty_manifest_is_config_error(self, tmp_path, capsys):
         mp = tmp_path / "empty.json"
         mp.write_text(json.dumps({"instances": [], "solvers": ["fw"]}))
         assert main(["bench", str(mp)]) == 2
         assert "manifest error" in capsys.readouterr().err
+
+    def test_duplicate_instance_name_rejected(self, tmp_path, capsys):
+        for sub, n in (("a", 4), ("b", 3)):
+            (tmp_path / sub).mkdir()
+            write_instance(tmp_path / sub / "x.dat", n, 0)
+        mp = tmp_path / "m.json"
+        mp.write_text(json.dumps({
+            "instances": [{"path": str(tmp_path / "a" / "x.dat")},
+                          {"path": str(tmp_path / "b" / "x.dat")}],
+            "solvers": ["tos-split2", "fw"],
+            "out_dir": str(tmp_path / "o"),
+        }))
+        assert main(["bench", str(mp)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest error" in err and "'x'" in err
+        assert not list((tmp_path / "o").iterdir())
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):
         p = tmp_path / "i.dat"
@@ -145,8 +168,7 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         assert "unknown solver" in capsys.readouterr().err
 
-    def test_broken_instance_recorded_not_fatal(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TOSQAP_NO_PARALLEL", "1")
+    def test_broken_instance_recorded_not_fatal(self, tmp_path, capsys):
         good = tmp_path / "good.dat"
         write_instance(good, 3, 1)
         mp = tmp_path / "m.json"

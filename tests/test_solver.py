@@ -24,7 +24,7 @@ from tosqap import (
     step_size_mixed,
 )
 from tosqap.prox import ProxOperator, prox_box01, prox_zero
-from tosqap.solver import power_of_two_schedule
+from tosqap.solver import SNAPSHOT_CAP, power_of_two_schedule
 
 
 def zero_oracle():
@@ -94,7 +94,7 @@ class TestRunTos:
                       np.array([[0.5]]))
         assert abs(float(res.z_out[0, 0]) - expected) <= 1e-3
 
-    def test_exact_iteration_count_and_trace_schedule(self):
+    def test_exact_iteration_count_and_power_of_two_trace(self):
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
         res = run_tos(problem, SolverConfig(iters=37, step=StepRule.fixed(1.0)),
@@ -190,8 +190,8 @@ class TestRunTos:
 
     def test_random_iterate_policy_replay(self):
         problem = scalar_problem(lambda v: (v - 2) ** 2, lambda v: 2 * (v - 2))
-        cfg = SolverConfig(iters=30, step=StepRule.fixed(0.1), output="random",
-                           seed=9, snapshot_cap=4)
+        cfg = SolverConfig(iters=SNAPSHOT_CAP + 30, step=StepRule.fixed(0.1),
+                           output="random", seed=9)
         zs = {}
         res = run_tos(problem, cfg, np.array([[0.5]]),
                       iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, np.array(z)))
@@ -319,7 +319,7 @@ class TestProductSpace:
             SolverConfig(iters=512, step=StepRule.fixed(0.5)), y1)
         assert res.block_residuals[-1] < res.block_residuals[0]
 
-    def test_random_output_past_snapshot_cap(self):
+    def test_random_output_returns_x_tau(self):
         y1 = make_rng(31).standard_normal((3, 3))
         proxes = [prox_box01(), ProxOperator(
             "affine", lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))]
@@ -328,7 +328,7 @@ class TestProductSpace:
             cfg = SolverConfig(iters=iters, step=StepRule.fixed(0.5), **kw)
             return run_tos_product_space(zero_oracle(), proxes, cfg, y1)
 
-        res = run(40, output="random", seed=5, snapshot_cap=8)
+        res = run(40, output="random", seed=5)
         assert 1 <= res.tau < 40
         # The iteration is deterministic, so x_tau is the last iterate of a
         # tau-iteration run.
