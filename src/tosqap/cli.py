@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -41,6 +42,10 @@ from .solver import (
 
 SOLVERS = ("tos-split1", "tos-split2", "fw")
 
+#: Environment variables that set the BLAS thread count; the bytes of a
+#: relaxed iterate can change with it.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 TRACE_COLUMNS = ("t", "f", "coupling", "certificate", "infeasibility", "nonstationarity")
 
 
@@ -58,6 +63,17 @@ def write_trace(path, records) -> None:
                 str(r.t), _fmt(r.objective), _fmt(r.coupling), _fmt(r.certificate),
                 _fmt(r.infeasibility), _fmt(r.nonstationarity),
             ]) + "\n")
+
+
+def environment() -> dict:
+    """What besides the seed decides a run's bytes: interpreter and numpy
+    versions, CPU count and the BLAS thread variables (None when unset)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in THREAD_VARS},
+    }
 
 
 def _out_dir(flag_value) -> str:
@@ -118,6 +134,7 @@ def cmd_solve(args) -> int:
     y1 = qap.initial_point(inst.n, args.seed)
     summary, trace, iterate = _run_cell(
         inst, args.solver, args.iters, args.seed, step, args.tol, y1)
+    summary["env"] = environment()
     stem = f"{inst.name}_{args.solver}_seed{args.seed}"
     write_trace(os.path.join(out, stem + ".trace.csv"), trace)
     np.savetxt(os.path.join(out, stem + ".iterate.txt"), iterate, fmt="%.17g")
@@ -169,7 +186,7 @@ def cmd_bench(args) -> int:
                 rows.append({"solver": solver, "instance": inst.name, "error": str(exc)})
 
     tally = pairwise_tally(rows, solvers)
-    report = {"rows": rows, "tally": tally}
+    report = {"rows": rows, "tally": tally, "env": environment()}
     with open(os.path.join(out, "bench_summary.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -61,8 +61,9 @@ def fw_gap(inst: QapInstance, x: np.ndarray) -> float:
     return frobenius_inner(grad, x - s)
 
 
-def exact_line_step(inst: QapInstance, x: np.ndarray, direction: np.ndarray) -> float:
-    """Minimizer over [0, 1] of the objective along x + eta * direction.
+def exact_line_step(inst: QapInstance, grad: np.ndarray, direction: np.ndarray) -> float:
+    """Minimizer over [0, 1] of the objective along x + eta * direction,
+    given ``grad`` = grad f(x).
 
     The restriction is the quadratic a eta^2 + b eta + const with
     a = trace(A D B^T D^T) and b = <grad f(x), D>.  For a <= 0 the
@@ -70,7 +71,7 @@ def exact_line_step(inst: QapInstance, x: np.ndarray, direction: np.ndarray) -> 
     eta = 1.
     """
     a = float(np.trace(inst.a @ direction @ inst.b.T @ direction.T))
-    b = frobenius_inner(qap_gradient(inst, x), direction)
+    b = frobenius_inner(grad, direction)
     if a > 0.0:
         return min(1.0, max(0.0, -b / (2.0 * a)))
     # endpoint comparison: q(1) - q(0) = a + b
@@ -114,7 +115,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         if gap <= 0.0 or (config.gap_tolerance > 0.0
                           and abs(gap) / max(f_x, 1.0) <= config.gap_tolerance):
             break
-        eta = exact_line_step(inst, x, direction)
+        eta = exact_line_step(inst, grad, direction)
         x = x + eta * direction
 
     perm = round_to_permutation(x)

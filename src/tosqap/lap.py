@@ -7,6 +7,7 @@ nonnegative reduced costs, which the test suite checks explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,40 +52,50 @@ def solve_lap_min(cost: np.ndarray) -> LapSolution:
     if n != m:
         raise ValueError(f"cost matrix must be square, got {c.shape}")
 
-    inf = np.inf
-    # 1-based arrays; index 0 is the virtual unmatched column.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j]: row matched to column j
-    way = np.zeros(n + 1, dtype=np.int64)
+    # Python floats and lists, not numpy arrays: indexing an array boxes a
+    # scalar on every access.  Each step is one IEEE double operation in a
+    # fixed order, so the result matches a numpy-scalar loop bit for bit.
+    inf = math.inf
+    # 1-based lists; index 0 is the virtual unmatched column.  Each row of
+    # costs gets a leading pad so that column j sits at index j.
+    rows = [[0.0] + r for r in c.tolist()]
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j]: row matched to column j
+    way = [0] * (n + 1)
 
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        # Columns off the alternating tree, kept in ascending order so the
+        # strict < below keeps the lowest index on a tie; columns on it, in
+        # the order they joined (each is updated once per step, so the
+        # order changes no bit).
+        free = list(range(1, n + 1))
+        used = [0]
         while True:
-            used[j0] = True
             i0 = p[j0]
+            row = rows[i0 - 1]
+            u_i0 = u[i0]
             delta = inf
             j1 = 0
-            cur_row = c[i0 - 1] - u[i0] - v[1:]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cur_row[j - 1]
-                if cur < minv[j]:
-                    minv[j] = cur
+            for j in free:
+                cur = row[j] - u_i0 - v[j]
+                low = minv[j]
+                if cur < low:
+                    minv[j] = low = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                if low < delta:
+                    delta = low
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            used.append(j1)
             j0 = j1
             if p[j0] == 0:
                 break
@@ -101,8 +112,8 @@ def solve_lap_min(cost: np.ndarray) -> LapSolution:
     return LapSolution(
         permutation=perm,
         value=value,
-        dual_row=u[1:].copy(),
-        dual_col=v[1:].copy(),
+        dual_row=np.array(u[1:]),
+        dual_col=np.array(v[1:]),
     )
 
 

@@ -18,6 +18,7 @@ and reports the infeasibility / nonstationarity / assignment errors.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -154,7 +155,8 @@ def estimate_smoothness(inst: QapInstance) -> float:
     The Hessian is the symmetric linear map D -> A D B^T + A^T D B on
     n x n matrices; power iteration on that map converges to the largest
     absolute eigenvalue, which equals the Lipschitz constant of the
-    gradient.
+    gradient.  Emits a ``RuntimeWarning`` and returns the last estimate
+    when ``SMOOTHNESS_MAX_ITERS`` iterations pass without converging.
     """
     if not (np.any(inst.a) and np.any(inst.b)):
         raise ValueError("smoothness constant is zero for an all-zero instance")
@@ -162,6 +164,7 @@ def estimate_smoothness(inst: QapInstance) -> float:
     d = rng.standard_normal((inst.n, inst.n))
     d /= frobenius_norm(d)
     lam = 0.0
+    change = math.inf
     for _ in range(SMOOTHNESS_MAX_ITERS):
         nxt = inst.a @ d @ inst.b.T + inst.a.T @ d @ inst.b
         lam_next = frobenius_norm(nxt)
@@ -173,7 +176,13 @@ def estimate_smoothness(inst: QapInstance) -> float:
         d = nxt / lam_next
         if abs(lam_next - lam) <= SMOOTHNESS_TOL * max(lam_next, 1e-300):
             return lam_next
+        change = abs(lam_next - lam) / lam_next
         lam = lam_next
+    warnings.warn(
+        f"estimate_smoothness did not converge within SMOOTHNESS_MAX_ITERS = "
+        f"{SMOOTHNESS_MAX_ITERS} power iterations: last relative change {change:.3g}, "
+        f"SMOOTHNESS_TOL = {SMOOTHNESS_TOL:g}",
+        RuntimeWarning, stacklevel=2)
     return lam
 
 

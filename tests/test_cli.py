@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -88,6 +90,26 @@ class TestSolve:
         rc = main(["solve", str(tmp_path / "nope.dat"), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_summary_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        inst_path = tmp_path / "env.dat"
+        write_instance(inst_path, 4, 6)
+        out = tmp_path / "out"
+        assert main(["solve", str(inst_path), "--iters", "20", "--out", str(out)]) == 0
+        summary = json.loads((out / "env_tos-split2_seed0.summary.json").read_text())
+        assert summary["env"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": None,
+            "MKL_NUM_THREADS": "3",
+        }
+        header = (out / "env_tos-split2_seed0.trace.csv").read_text().splitlines()[0]
+        assert header == "t,f,coupling,certificate,infeasibility,nonstationarity"
+
     def test_byte_identical_traces_same_seed(self, tmp_path):
         inst_path = tmp_path / "rep.dat"
         write_instance(inst_path, 5, 4)
@@ -129,6 +151,15 @@ class TestBench:
         assert len(digests) == 1  # every solver saw the same initial point
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
+
+    def test_report_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        assert main(["bench", str(mp)]) == 0
+        report = json.loads((out / "bench_summary.json").read_text())
+        assert report["env"]["OMP_NUM_THREADS"] == "2"
+        assert report["env"]["numpy"] == np.__version__
+        assert "env" not in report["rows"][0]  # one record per report, not per row
 
     def test_five_instances_tally_sums(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 5, ["tos-split2", "fw"], iters=100)

@@ -6,13 +6,16 @@ import pytest
 
 from tosqap import (
     QapInstance,
+    frobenius_inner,
     frobenius_norm,
     load_instance,
     make_rng,
     permutation_to_matrix,
     qap_gradient,
     qap_objective,
+    solve_lap_min,
 )
+from tosqap import fw
 from tosqap.fw import FwConfig, exact_line_step, fw_gap, run_fw
 from tosqap.lap import Permutation
 
@@ -66,20 +69,20 @@ class TestLineSearch:
         d = uniform_start(3) - x
         # analytic: q(eta) = ||x + eta d||^2, minimized where <x + eta d, d> = 0
         eta_analytic = -float(np.sum(x * d)) / float(np.sum(d * d))
-        eta = exact_line_step(inst, x, d)
+        eta = exact_line_step(inst, qap_gradient(inst, x), d)
         assert eta == pytest.approx(min(1.0, eta_analytic))
 
     def test_clamped_to_unit(self):
         inst = QapInstance("q", 0.5 * np.eye(2), np.eye(2))
         x = np.eye(2)
         d = 0.1 * (uniform_start(2) - x)  # unconstrained minimizer beyond 1
-        assert exact_line_step(inst, x, d) == 1.0
+        assert exact_line_step(inst, qap_gradient(inst, x), d) == 1.0
 
     def test_concave_picks_better_endpoint(self):
         inst = QapInstance("c", -0.5 * np.eye(2), np.eye(2))  # f = -||X||^2
         x = uniform_start(2)
         d = np.eye(2) - x
-        assert exact_line_step(inst, x, d) == 1.0  # vertex has larger norm
+        assert exact_line_step(inst, qap_gradient(inst, x), d) == 1.0  # vertex has larger norm
 
     def test_grid_search_oracle(self):
         inst = random_instance(4, 5)
@@ -87,7 +90,7 @@ class TestLineSearch:
         x = rng.dirichlet(np.ones(4), size=4)
         s = permutation_to_matrix(Permutation(4, tuple(int(i) for i in rng.permutation(4))))
         d = s - x
-        eta = exact_line_step(inst, x, d)
+        eta = exact_line_step(inst, qap_gradient(inst, x), d)
         grid = np.linspace(0, 1, 20001)
         vals = [qap_objective(inst, x + e * d) for e in grid]
         assert qap_objective(inst, x + eta * d) <= min(vals) + 1e-9
@@ -123,7 +126,7 @@ class TestRun:
             gap = float(np.sum(grad * (x - s)))
             if gap <= 0:
                 break
-            eta = exact_line_step(inst, x, s - x)
+            eta = exact_line_step(inst, grad, s - x)
             x = x + eta * (s - x)
             cur = qap_objective(inst, x)
             assert cur <= prev + 1e-9
@@ -150,6 +153,36 @@ class TestRun:
         run_min = np.minimum.accumulate([r.nonstationarity for r in res.trace])
         assert all(m <= v + 1e-15 for m, v in
                    zip(run_min, [r.nonstationarity for r in res.trace]))
+
+    def test_one_gradient_per_iteration(self, monkeypatch):
+        calls = []
+
+        def counting_gradient(inst, x):
+            calls.append(1)
+            return qap_gradient(inst, x)
+
+        monkeypatch.setattr(fw, "qap_gradient", counting_gradient)
+        res = run_fw(random_instance(6, 11), uniform_start(6), FwConfig(max_iters=40))
+        # one per iteration plus one for the final gap
+        assert len(calls) == res.iterations_run + 1
+
+    def test_iterate_matches_recomputed_gradient_loop(self):
+        # Reference loop that computes grad f(x) afresh for the line step:
+        # passing run_fw's gradient must not change a bit.
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        x = uniform_start(12)
+        res = run_fw(inst, x, FwConfig(max_iters=200))
+        for _ in range(res.iterations_run):
+            grad = qap_gradient(inst, x)
+            s = permutation_to_matrix(solve_lap_min(grad).permutation)
+            d = s - x
+            if frobenius_inner(grad, -d) <= 0.0:
+                break
+            a = float(np.trace(inst.a @ d @ inst.b.T @ d.T))
+            b = frobenius_inner(qap_gradient(inst, x), d)
+            eta = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0.0 else float(a + b <= 0.0)
+            x = x + eta * d
+        assert res.iterate.tobytes() == x.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

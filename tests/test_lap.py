@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import time
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 
 from tosqap import (
+    initial_point,
+    load_instance,
     make_rng,
     matrix_to_permutation,
     permutation_to_matrix,
+    qap_gradient,
     solve_lap_max,
     solve_lap_min,
 )
@@ -24,6 +28,95 @@ def brute_force_min(cost):
             best_val = v
             best_perm = p
     return best_perm, best_val
+
+
+def reference_lap_min(c):
+    """The Hungarian loop on numpy arrays and scalars, which solve_lap_min
+    must match byte for byte: (mapping, value, dual_row, dual_col)."""
+    n = c.shape[0]
+    inf = np.inf
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = 0
+            cur_row = c[i0 - 1] - u[i0] - v[1:]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cur_row[j - 1]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    mapping = [0] * n
+    for j in range(1, n + 1):
+        mapping[p[j] - 1] = j - 1
+    value = float(sum(c[i, mapping[i]] for i in range(n)))
+    return tuple(mapping), value, u[1:].copy(), v[1:].copy()
+
+
+def identity_costs():
+    """Costs with ties, tiny and large n, large and negative entries, and
+    FW gradients of chr12a."""
+    rng = make_rng(11)
+    costs = [np.ones((n, n)) for n in (1, 2, 5, 12)]
+    costs += [np.zeros((4, 4)), np.array([[-0.0, 0.0], [0.0, -0.0]])]
+    for n in (1, 2, 3, 5, 12, 30):
+        for _ in range(3):
+            costs.append(rng.integers(0, 3, (n, n)).astype(float))
+            costs.append(rng.standard_normal((n, n)))
+            costs.append(rng.uniform(0, 1e4, (n, n)))
+            costs.append(-rng.uniform(0, 1, (n, n)))
+    inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+    costs += [qap_gradient(inst, initial_point(12, seed)) for seed in range(5)]
+    return costs
+
+
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("cost", identity_costs())
+    def test_same_bytes_as_numpy_scalar_loop(self, cost):
+        mapping, value, dual_row, dual_col = reference_lap_min(cost)
+        sol = solve_lap_min(cost)
+        assert sol.permutation.mapping == mapping
+        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+        for got, want in ((sol.dual_row, dual_row), (sol.dual_col, dual_col)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestScipy:
+    @pytest.mark.parametrize("n", [30, 100, 300])
+    def test_value_matches_linear_sum_assignment(self, n):
+        from scipy.optimize import linear_sum_assignment  # test extra only
+
+        cost = make_rng(100 + n).standard_normal((n, n)) * 10
+        rows, cols = linear_sum_assignment(cost)
+        want = float(cost[rows, cols].sum())
+        assert solve_lap_min(cost).value == pytest.approx(want, rel=1e-9)
 
 
 class TestMin:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import importlib.resources
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tosqap import (
     round_to_permutation,
     split_diameter,
 )
+from tosqap import qap
 from tosqap.lap import Permutation
 from tosqap.qap import SPLIT1, SPLIT2, build_problem, qap_oracle, split_proxes
 
@@ -186,6 +188,18 @@ class TestSmoothness:
     def test_zero_instance_rejected(self):
         with pytest.raises(ValueError):
             estimate_smoothness(QapInstance("z", np.zeros((2, 2)), np.zeros((2, 2))))
+
+    def test_cap_reached_warns(self, monkeypatch):
+        monkeypatch.setattr(qap, "SMOOTHNESS_MAX_ITERS", 2)
+        with pytest.warns(RuntimeWarning,
+                          match=r"SMOOTHNESS_MAX_ITERS = 2 .*last relative change \d"):
+            lam = estimate_smoothness(random_instance(6, 10))
+        assert np.isfinite(lam) and lam > 0
+
+    def test_chr12a_converges_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate_smoothness(load_instance(chr12a_path()))
 
 
 class TestSplitGeometry:
