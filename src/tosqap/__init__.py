@@ -60,9 +60,7 @@ from .solver import (
     run_tos,
     run_tos_product_space,
     stationarity_gap,
-    step_size_indicators,
     step_size_lipschitz,
-    step_size_mixed,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

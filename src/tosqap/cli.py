@@ -1,5 +1,4 @@
-"""Command-line harness: solve single instances, run benchmark sweeps,
-and self-check the core numerical invariants.
+"""Command-line harness: solve single instances and run benchmark sweeps.
 
 Subcommands:
 
@@ -7,9 +6,7 @@ Subcommands:
   a JSON summary;
 * ``bench``   -- run a manifest of (instance, solver) cells one after
   another in manifest order, all solvers sharing the per-instance initial
-  point, and tally pairwise wins;
-* ``selftest`` -- fast invariant suite (projections, certificates,
-  assignment solver vs enumeration, gradient checks).
+  point, and tally pairwise wins.
 
 Environment: ``TOSQAP_OUT_DIR`` overrides the output directory.
 Everything algorithmic comes from flags or the manifest.
@@ -24,21 +21,13 @@ import json
 import os
 import platform
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import qap
 from .fw import FwConfig, run_fw
-from .lap import solve_lap_min
-from .linalg import frobenius_inner, frobenius_norm, make_rng
-from .prox import project_affine_doubly_stochastic, project_row_stochastic, prox_box01
-from .solver import (
-    CompositeProblem,
-    SolverConfig,
-    StepRule,
-    certificate_residual,
-    run_tos,
-)
+from .solver import SolverConfig, StepRule
 
 SOLVERS = ("tos-split1", "tos-split2", "fw")
 
@@ -82,24 +71,42 @@ def _out_dir(flag_value) -> str:
     return out
 
 
-def _step_rule(spec: str) -> StepRule:
+def _step_rule(spec, where: str) -> StepRule:
+    """Parse theory | invL | fixed:<gamma>; an error names ``where``."""
     if spec == "theory":
-        return StepRule(kind="indicators")
+        return StepRule(kind="theory")
     if spec == "invL":
         return StepRule(kind="inv_smoothness")
-    if spec.startswith("fixed:"):
-        return StepRule.fixed(float(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown step rule {spec!r}; use theory | invL | fixed:<gamma>")
+    if isinstance(spec, str) and spec.startswith("fixed:"):
+        try:
+            return StepRule.fixed(float(spec[len("fixed:"):]))
+        except ValueError:
+            pass
+    raise ValueError(f"{where}: expected theory | invL | fixed:<gamma> with gamma "
+                     f"a positive number, got {spec!r}")
+
+
+def _valid_tol(tol) -> bool:
+    """None (no early stop) or a number >= 0; TOS never meets a negative tol."""
+    return tol is None or (isinstance(tol, (int, float)) and tol >= 0)
+
+
+class ManifestError(ValueError):
+    """A fault in a bench manifest, found before any cell runs (exit 2)."""
+
+
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ManifestError(f"config.{key}: expected an integer, got {cfg[key]!r}") from None
 
 
 def _resolve_best_known(inst: qap.QapInstance, override):
-    if override is not None:
-        return qap.QapInstance(inst.name, inst.a, inst.b, best_known=float(override))
-    table_path = os.path.join(os.path.dirname(__file__), "data", "best_known.txt")
-    table = qap.load_best_known(table_path)
-    if inst.name in table:
-        return qap.QapInstance(inst.name, inst.a, inst.b, best_known=table[inst.name])
-    return inst
+    if override is None:
+        table_path = os.path.join(os.path.dirname(__file__), "data", "best_known.txt")
+        override = qap.load_best_known(table_path).get(inst.name)
+    return inst if override is None else replace(inst, best_known=float(override))
 
 
 def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
@@ -127,10 +134,12 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
 
 
 def cmd_solve(args) -> int:
+    step = _step_rule(args.step, "--step")
+    if not _valid_tol(args.tol):
+        raise ValueError(f"--tol: expected a number >= 0, got {args.tol}")
     inst = qap.load_instance(args.instance)
     inst = _resolve_best_known(inst, args.best_known)
     out = _out_dir(args.out)
-    step = _step_rule(args.step)
     y1 = qap.initial_point(inst.n, args.seed)
     summary, trace, iterate = _run_cell(
         inst, args.solver, args.iters, args.seed, step, args.tol, y1)
@@ -150,27 +159,28 @@ def cmd_bench(args) -> int:
     instances = manifest.get("instances", [])
     solvers = manifest.get("solvers", [])
     if not instances or not solvers:
-        print("manifest error: need at least one instance and one solver", file=sys.stderr)
-        return 2
+        raise ManifestError("need at least one instance and one solver")
     for s in solvers:
         if s not in SOLVERS:
-            print(f"manifest error: unknown solver {s!r}", file=sys.stderr)
-            return 2
+            raise ManifestError(f"unknown solver {s!r}")
     cfg = manifest.get("config", {})
-    iters = int(cfg.get("iters", 1000))
-    seed = int(cfg.get("seed", 0))
+    iters = _config_int(cfg, "iters", 1000)
+    seed = _config_int(cfg, "seed", 0)
     tol = cfg.get("tol")
-    step = _step_rule(cfg.get("step", "invL"))
+    if not _valid_tol(tol):
+        raise ManifestError(f"config.tol: expected a number >= 0, got {tol!r}")
+    step = _step_rule(cfg.get("step", "invL"), "config.step")
     out = _out_dir(manifest.get("out_dir", args.out))
 
     cells = []
     paths = {}
-    for entry in instances:
+    for k, entry in enumerate(instances):
+        if not isinstance(entry, dict) or "path" not in entry:
+            raise ManifestError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
         inst = qap.load_instance(entry["path"])
         if inst.name in paths:
-            print(f"manifest error: duplicate instance name {inst.name!r} "
-                  f"({paths[inst.name]} and {entry['path']})", file=sys.stderr)
-            return 2
+            raise ManifestError(f"duplicate instance name {inst.name!r} "
+                                f"({paths[inst.name]} and {entry['path']})")
         paths[inst.name] = entry["path"]
         cells.append((_resolve_best_known(inst, entry.get("best_known")),
                       qap.initial_point(inst.n, seed)))
@@ -194,7 +204,8 @@ def cmd_bench(args) -> int:
 
 
 def pairwise_tally(rows, solvers):
-    """Win/tie/loss counts on assignment error for each solver pair."""
+    """Win/tie/loss counts on the rounded objective value (lower wins) for
+    each solver pair."""
     by_key = {(r["instance"], r["solver"]): r for r in rows if "error" not in r}
     instances = sorted({r["instance"] for r in rows})
     tally = {}
@@ -213,97 +224,6 @@ def pairwise_tally(rows, solvers):
                 ties += 1
         tally[f"{a}_vs_{b}"] = {"win": wins, "tie": ties, "loss": losses}
     return tally
-
-
-def selftest(lap_solver=solve_lap_min, verbose: bool = True) -> int:
-    """Fast invariant suite; returns the number of failing groups.
-
-    ``lap_solver`` is injectable so tests can verify that a corrupted
-    assignment solver is detected.
-    """
-    import itertools as it
-
-    rng = make_rng(2024)
-    failures = 0
-
-    def report(group: str, ok: bool):
-        nonlocal failures
-        if not ok:
-            failures += 1
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {group}")
-
-    # Prox characterization for the box projection.
-    ok = True
-    box = prox_box01()
-    for _ in range(20):
-        x = rng.standard_normal((4, 4)) * 2
-        z = rng.uniform(0, 1, (4, 4))
-        p = box(x, 1.0)
-        ok &= frobenius_inner(x - p, z - p) <= 1e-9
-    report("prox characterization (box)", ok)
-
-    # Certificate nonpositivity on a random convex quadratic instance.
-    from .oracles import GradientOracle
-
-    m = rng.standard_normal((3, 3))
-    oracle = GradientOracle(
-        value=lambda x: 0.5 * frobenius_norm(x - m) ** 2,
-        gradient=lambda x: x - m,
-    )
-    problem = CompositeProblem(
-        oracle=oracle, prox_g=box, prox_h=box, shape=(3, 3))
-    residuals = []
-
-    def hook(t, gamma, u, z, x, y, y_next):
-        x_ref = np.full((3, 3), 0.5)
-        residuals.append(certificate_residual(
-            gamma, u, x, z, y, y_next, x_ref, box.value, box.value))
-
-    run_tos(problem, SolverConfig(iters=50, step=StepRule.fixed(0.3)),
-            np.zeros((3, 3)), iteration_hook=hook)
-    report("certificate nonpositivity", max(residuals) <= 1e-9)
-
-    # Assignment solver vs enumeration at n <= 6.
-    ok = True
-    for n in (3, 4, 5, 6):
-        cost = rng.standard_normal((n, n))
-        best = min(sum(cost[i, p[i]] for i in range(n))
-                   for p in it.permutations(range(n)))
-        ok &= abs(lap_solver(cost).value - best) <= 1e-9
-    report("assignment solver vs enumeration", ok)
-
-    # Gradient vs central finite differences.
-    inst = qap.QapInstance("selftest", rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
-    x = rng.uniform(0, 1, (4, 4))
-    grad = qap.qap_gradient(inst, x)
-    fd = np.zeros_like(x)
-    eps = 1e-6
-    for i in range(4):
-        for j in range(4):
-            e = np.zeros_like(x)
-            e[i, j] = eps
-            fd[i, j] = (qap.qap_objective(inst, x + e) - qap.qap_objective(inst, x - e)) / (2 * eps)
-    report("gradient finite differences",
-           frobenius_norm(grad - fd) <= 1e-6 * max(1.0, frobenius_norm(grad)))
-
-    # Affine projection satisfies both marginals.
-    y = project_affine_doubly_stochastic(rng.standard_normal((5, 5)))
-    ok = (np.max(np.abs(y.sum(axis=1) - 1)) <= 1e-10
-          and np.max(np.abs(y.sum(axis=0) - 1)) <= 1e-10)
-    report("affine doubly stochastic projection", ok)
-
-    # Row projection lands on the simplex.
-    y = project_row_stochastic(rng.standard_normal((6, 6)))
-    report("row-stochastic projection",
-           bool(np.all(y >= 0) and np.max(np.abs(y.sum(axis=1) - 1)) <= 1e-12))
-
-    return failures
-
-
-def cmd_selftest(args) -> int:
-    failures = selftest()
-    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out", default="runs", help="fallback output directory")
     pb.set_defaults(func=cmd_bench)
 
-    pt = sub.add_parser("selftest", help="run the fast invariant suite")
-    pt.set_defaults(func=cmd_selftest)
     return p
 
 
@@ -338,6 +256,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ManifestError as exc:
+        print(f"manifest error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

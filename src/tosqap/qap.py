@@ -86,7 +86,9 @@ def parse_qaplib(text: str, name: str = "instance") -> QapInstance:
         try:
             values[k - 2] = float(tok)
         except ValueError:
-            raise QaplibParseError(f"token {k}: expected number, got {tok!r}") from None
+            values[k - 2] = math.nan
+        if not math.isfinite(values[k - 2]):
+            raise QaplibParseError(f"token {k}: expected a finite number, got {tok!r}")
     a = values[: n * n].reshape(n, n)
     b = values[n * n:].reshape(n, n)
     return QapInstance(name=name, a=a, b=b)
@@ -97,9 +99,7 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
 
     with open(path) as f:
         inst = parse_qaplib(f.read(), name=os.path.splitext(os.path.basename(path))[0])
-    if best_known is not None:
-        inst = QapInstance(name=inst.name, a=inst.a, b=inst.b, best_known=best_known)
-    return inst
+    return inst if best_known is None else replace(inst, best_known=best_known)
 
 
 def load_best_known(path) -> dict[str, float]:
@@ -157,9 +157,11 @@ def estimate_smoothness(inst: QapInstance) -> float:
     absolute eigenvalue, which equals the Lipschitz constant of the
     gradient.  Emits a ``RuntimeWarning`` and returns the last estimate
     when ``SMOOTHNESS_MAX_ITERS`` iterations pass without converging.
+
+    Raises ``ValueError`` when the map is all-zero (A or B all-zero, or A
+    antisymmetric with B = I): a nonzero symmetric map sends neither its
+    random first draw (almost surely) nor an iterate in its range to zero.
     """
-    if not (np.any(inst.a) and np.any(inst.b)):
-        raise ValueError("smoothness constant is zero for an all-zero instance")
     rng = make_rng(0)
     d = rng.standard_normal((inst.n, inst.n))
     d /= frobenius_norm(d)
@@ -169,10 +171,8 @@ def estimate_smoothness(inst: QapInstance) -> float:
         nxt = inst.a @ d @ inst.b.T + inst.a.T @ d @ inst.b
         lam_next = frobenius_norm(nxt)
         if lam_next == 0.0:
-            # Restart away from the null space.
-            d = rng.standard_normal((inst.n, inst.n))
-            d /= frobenius_norm(d)
-            continue
+            raise ValueError("smoothness constant is zero: the Hessian map "
+                             "D -> A D B^T + A^T D B is all-zero")
         d = nxt / lam_next
         if abs(lam_next - lam) <= SMOOTHNESS_TOL * max(lam_next, 1e-300):
             return lam_next

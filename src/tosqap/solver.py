@@ -27,7 +27,9 @@ from .prox import ProxOperator
 
 
 def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total: int) -> float:
-    """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) for Lipschitz g and h."""
+    """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) of the paper's three
+    cases: g and h Lipschitz; g an indicator (l_g = 0); both indicators
+    (l_g = l_h = 0), with D_g the diameter of the set."""
     _check_positive(d_g=d_g, t_total=t_total)
     bound = g_f + l_g + l_h
     if bound <= 0:
@@ -36,28 +38,18 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     return d_g / (2.0 * bound * t_total ** (2.0 / 3.0))
 
 
-def step_size_mixed(d_set: float, g_f: float, l_h: float, t_total: int) -> float:
-    """Fixed step D / (2 (G_f + L_h) T^(2/3)) when g is an indicator."""
-    return step_size_lipschitz(d_set, g_f, 0.0, l_h, t_total)
-
-
-def step_size_indicators(d_set: float, g_f: float, t_total: int) -> float:
-    """Fixed step D / (2 G_f T^(2/3)) when both g and h are indicators."""
-    return step_size_lipschitz(d_set, g_f, 0.0, 0.0, t_total)
-
-
 def _check_positive(**kwargs: float) -> None:
     for name, v in kwargs.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
 class StepRule:
     """Step-size policy for a solver run.
 
-    kind is one of 'lipschitz', 'mixed', 'indicators' (theory rules using
-    the problem constants), 'fixed' (explicit gamma), or 'inv_smoothness'
+    kind is one of 'theory' (``step_size_lipschitz`` on the problem's
+    d_g, g_f, l_g and l_h), 'fixed' (explicit gamma), or 'inv_smoothness'
     (gamma = 1 / L with L the smoothness constant of f).
     """
 
@@ -82,12 +74,8 @@ class StepRule:
             return self.gamma
         if self.kind == "inv_smoothness":
             return 1.0 / self.l_smooth
-        if self.kind == "lipschitz":
+        if self.kind == "theory":
             return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
-        if self.kind == "mixed":
-            return step_size_mixed(problem.d_g, problem.g_f, problem.l_h, t_total)
-        if self.kind == "indicators":
-            return step_size_indicators(problem.d_g, problem.g_f, t_total)
         raise ValueError(f"unknown step rule kind: {self.kind}")
 
 
@@ -219,22 +207,13 @@ def stationarity_gap(
     grad: np.ndarray,
     z: np.ndarray,
     linear_minimizer: Callable[[np.ndarray], np.ndarray],
-    g_value: Optional[Callable[[np.ndarray], float]] = None,
-    h_value: Optional[Callable[[np.ndarray], float]] = None,
 ) -> float:
-    """Variational-inequality residual max_x <grad, z - x> (+ g + h terms).
+    """Variational-inequality residual max_x <grad, z - x> for indicator g, h.
 
     ``linear_minimizer`` must return the exact minimizer of <grad, x>
-    over the feasible set; for indicator g, h the gap then reduces to
-    <grad, z> - min_x <grad, x>.
+    over the feasible set, so the gap is <grad, z> - min_x <grad, x>.
     """
-    s = linear_minimizer(grad)
-    gap = frobenius_inner(grad, z - s)
-    if g_value is not None:
-        gap += g_value(z) - g_value(s)
-    if h_value is not None:
-        gap += h_value(z) - h_value(s)
-    return gap
+    return frobenius_inner(grad, z - linear_minimizer(grad))
 
 
 IterationHook = Callable[[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]

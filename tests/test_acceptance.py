@@ -91,7 +91,7 @@ def test_criterion_1_averaged_stationarity_bound():
                 gaps.append(stationarity_gap(g, z, birkhoff_lmo))
 
             run_tos(problem,
-                    SolverConfig(iters=t_total, step=StepRule(kind="indicators")),
+                    SolverConfig(iters=t_total, step=StepRule(kind="theory")),
                     np.full((8, 8), 1.0 / 8), iteration_hook=hook)
             avg = float(np.mean(gaps))
             bound = 4.0 * max(grad_norms) * d_g / t_total ** (1.0 / 3.0)

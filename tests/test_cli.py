@@ -6,9 +6,8 @@ import platform
 import numpy as np
 import pytest
 
-from tosqap import initial_point, make_rng, qap_objective, solve_lap_min
-from tosqap.cli import main, pairwise_tally, selftest
-from tosqap.lap import LapSolution, Permutation
+from tosqap import initial_point, make_rng, qap_objective
+from tosqap.cli import main, pairwise_tally
 from tosqap.qap import QapInstance
 
 
@@ -85,6 +84,33 @@ class TestSolve:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+    def test_all_zero_hessian_map_names_the_fault(self, tmp_path, capsys):
+        # A antisymmetric and B = I: the Hessian map is zero although A is not.
+        inst_path = tmp_path / "antisym.dat"
+        inst_path.write_text("3\n0 1 2\n-1 0 3\n-2 -3 0\n1 0 0\n0 1 0\n0 0 1\n")
+        rc = main(["solve", str(inst_path), "--step", "invL", "--iters", "20",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "all-zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["fixed:abc", "fixed:nan", "fixed:inf", "fixed:0", "bogus"])
+    def test_bad_step_names_the_flag(self, tmp_path, capsys, spec):
+        inst_path = tmp_path / "s.dat"
+        write_instance(inst_path, 3, 0)
+        rc = main(["solve", str(inst_path), "--step", spec, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--step: expected theory | invL | fixed:<gamma>" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("solver", ["tos-split2", "fw"])
+    def test_negative_tol_names_the_flag(self, tmp_path, capsys, solver):
+        inst_path = tmp_path / "t.dat"
+        write_instance(inst_path, 3, 0)
+        rc = main(["solve", str(inst_path), "--solver", solver, "--tol", "-0.5",
+                   "--iters", "20", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "--tol: expected a number >= 0, got -0.5" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat"), "--out", str(tmp_path / "o")])
@@ -190,6 +216,26 @@ class TestBench:
         assert "manifest error" in err and "'x'" in err
         assert not list((tmp_path / "o").iterdir())
 
+    def test_instance_without_path_names_its_index(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 1, ["tos-split2"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"].append({"file": "other.dat"})
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        err = capsys.readouterr().err
+        assert "manifest error: instances[1]" in err and '"path"' in err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("key, value", [("iters", "ten"), ("seed", None), ("tol", -1.0)])
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, value):
+        mp, out = self.make_manifest(tmp_path, 1, ["tos-split2", "fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["config"][key] = value
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert f"manifest error: config.{key}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_solver_rejected(self, tmp_path, capsys):
         p = tmp_path / "i.dat"
         write_instance(p, 3, 0)
@@ -233,26 +279,3 @@ class TestPairwiseTally:
         ]
         assert pairwise_tally(rows, ["a", "b"]) == {
             "a_vs_b": {"win": 0, "tie": 0, "loss": 0}}
-
-
-class TestSelftest:
-    def test_passes(self, capsys):
-        assert selftest(verbose=True) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 5
-
-    def test_detects_corrupted_assignment_solver(self):
-        def corrupted(cost):
-            sol = solve_lap_min(cost)
-            return LapSolution(
-                permutation=sol.permutation,
-                value=sol.value + 1.0,
-                dual_row=sol.dual_row,
-                dual_col=sol.dual_col,
-            )
-
-        assert selftest(lap_solver=corrupted, verbose=False) >= 1
-
-    def test_cli_entry(self):
-        assert main(["selftest"]) == 0

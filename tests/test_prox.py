@@ -200,6 +200,32 @@ class TestAffineDoublyStochastic:
         np.testing.assert_allclose(y.sum(axis=0), 1.0, atol=1e-12)
 
 
+    @settings(max_examples=200)
+    @given(st.integers(1, 12).flatmap(lambda n: arrays(
+        np.float64, (n, n), elements=st.floats(-1e4, 1e4, allow_nan=False))))
+    @example(1e4 * np.where(np.arange(144).reshape(12, 12) % 2, 1.0, -1.0))
+    def test_marginals_at_large_magnitudes(self, x):
+        # Rounding error model, with u = eps/2, gamma_k = k u / (1 - k u) and
+        # M = max |x_ij|.  The row and column sums of x are off by
+        # <= gamma_{n-1} n M, the total by <= gamma_{2n-2} n^2 M; so the
+        # constant 1/n + s/n^2 is off by <= gamma_{2n} (M + 1) and each r_i/n,
+        # c_j/n by <= gamma_n M.  The three additions forming an entry add
+        # gamma_3 (4M + 1)(1 + gamma_{2n}); each entry is then off by
+        # <= gamma_{2n+3} (7M + 2) and bounded by (4M + 1)(1 + gamma_{2n+3}).
+        # Summing n entries costs gamma_{n-1} n (4M + 1)(1 + gamma_{2n+3}), so
+        # every marginal is within n gamma_{3n+2} (11M + 3) of 1.  Underflow
+        # in the three divisions adds at most half the smallest subnormal
+        # each per entry.
+        n = x.shape[0]
+        y = project_affine_doubly_stochastic(x)
+        u = np.finfo(np.float64).eps / 2
+        k = 3 * n + 2
+        bound = (n * k * u / (1 - k * u) * (11 * np.max(np.abs(x)) + 3)
+                 + 3 * n * np.nextafter(0.0, 1.0))
+        assert np.max(np.abs(y.sum(axis=1) - 1)) <= bound
+        assert np.max(np.abs(y.sum(axis=0) - 1)) <= bound
+
+
 class TestAlternatingProjections:
     def test_permutation_fixed_point(self):
         p = np.eye(4)[[2, 0, 3, 1]]

@@ -84,6 +84,11 @@ class TestParsing:
         with pytest.raises(QaplibParseError, match="token 5"):
             parse_qaplib("2 0 1 1 x 0 2 2 0")
 
+    @pytest.mark.parametrize("tok", ["nan", "inf", "-Infinity"])
+    def test_non_finite_entry_names_position(self, tok):
+        with pytest.raises(QaplibParseError, match=f"token 7: expected a finite number, got '{tok}'"):
+            parse_qaplib(f"2 0 1 1 0 0 {tok} 2 0")
+
     def test_load_instance_and_best_known(self, tmp_path):
         p = tmp_path / "tiny.dat"
         p.write_text("2 0 1 1 0 0 2 2 0")
@@ -188,6 +193,12 @@ class TestSmoothness:
     def test_zero_instance_rejected(self):
         with pytest.raises(ValueError):
             estimate_smoothness(QapInstance("z", np.zeros((2, 2)), np.zeros((2, 2))))
+
+    def test_all_zero_hessian_map_rejected(self):
+        # A antisymmetric, B = I: A D + A^T D = 0 for every D, though A != 0.
+        a = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
+        with pytest.raises(ValueError, match="D -> A D B\\^T \\+ A\\^T D B is all-zero"):
+            estimate_smoothness(QapInstance("antisym", a, np.eye(3)))
 
     def test_cap_reached_warns(self, monkeypatch):
         monkeypatch.setattr(qap, "SMOOTHNESS_MAX_ITERS", 2)
@@ -374,5 +385,5 @@ class TestPipeline:
     def test_theory_step_rule_runs(self):
         inst = random_instance(4, 18)
         res = relax_and_round(inst, SPLIT1,
-                              SolverConfig(iters=64, step=StepRule(kind="indicators")))
+                              SolverConfig(iters=64, step=StepRule(kind="theory")))
         assert res.run.iterations_run == 64

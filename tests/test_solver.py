@@ -19,9 +19,7 @@ from tosqap import (
     run_tos_product_space,
     solve_lap_min,
     stationarity_gap,
-    step_size_indicators,
     step_size_lipschitz,
-    step_size_mixed,
 )
 from tosqap.prox import ProxOperator, prox_box01, prox_zero
 from tosqap.solver import SNAPSHOT_CAP, power_of_two_schedule
@@ -54,17 +52,12 @@ class TestStepSizes:
         g2 = step_size_lipschitz(2.0, 2.0, 1.0, 1.0, 100)
         assert g2 == pytest.approx(2 * g1)
 
-    def test_mixed_equals_lipschitz_without_lg(self):
-        assert step_size_mixed(2.0, 0.7, 0.3, 8) == step_size_lipschitz(2.0, 0.7, 0.0, 0.3, 8)
-        assert step_size_mixed(2.0, 0.5, 0.5, 8) == pytest.approx(0.25)
-        assert step_size_mixed(2.0, 0.5, 0.5, 1) == pytest.approx(1.0)
-
     def test_indicators_examples(self):
-        assert step_size_indicators(2.0, 1.0, 8) == pytest.approx(0.25)
-        assert step_size_indicators(1.0, 1.0, 1) == pytest.approx(0.5)
+        assert step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8) == pytest.approx(0.25)
+        assert step_size_lipschitz(1.0, 1.0, 0.0, 0.0, 1) == pytest.approx(0.5)
 
     def test_indicators_decreasing_in_horizon(self):
-        gammas = [step_size_indicators(1.0, 1.0, t) for t in (1, 10, 100, 1000)]
+        gammas = [step_size_lipschitz(1.0, 1.0, 0.0, 0.0, t) for t in (1, 10, 100, 1000)]
         assert gammas == sorted(gammas, reverse=True)
         assert len(set(gammas)) == len(gammas)
 
@@ -72,7 +65,7 @@ class TestStepSizes:
         with pytest.raises(ValueError):
             step_size_lipschitz(0.0, 1.0, 0.0, 0.0, 10)
         with pytest.raises(ValueError):
-            step_size_indicators(1.0, -1.0, 10)
+            step_size_lipschitz(1.0, -1.0, 0.0, 0.0, 10)
 
 
 class TestRunTos:
