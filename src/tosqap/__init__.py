@@ -4,7 +4,6 @@ from .fw import FwConfig, FwResult, fw_gap, run_fw
 from .lap import (
     LapSolution,
     Permutation,
-    matrix_to_permutation,
     permutation_to_matrix,
     solve_lap_max,
     solve_lap_min,
@@ -13,7 +12,6 @@ from .linalg import draw_uniform_index, frobenius_inner, frobenius_norm, make_rn
 from .oracles import (
     GradientOracle,
     StochasticGradientOracle,
-    batch_schedule_indicator,
     batch_schedule_lipschitz,
     gaussian_noise_oracle,
     minibatch_gradient,

@@ -71,8 +71,8 @@ def _out_dir(flag_value) -> str:
     return out
 
 
-def _step_rule(spec, where: str) -> StepRule:
-    """Parse theory | invL | fixed:<gamma>; an error names ``where``."""
+def _step_rule(spec, where: str, error=ValueError) -> StepRule:
+    """Parse theory | invL | fixed:<gamma>; an ``error`` names ``where``."""
     if spec == "theory":
         return StepRule(kind="theory")
     if spec == "invL":
@@ -82,8 +82,8 @@ def _step_rule(spec, where: str) -> StepRule:
             return StepRule.fixed(float(spec[len("fixed:"):]))
         except ValueError:
             pass
-    raise ValueError(f"{where}: expected theory | invL | fixed:<gamma> with gamma "
-                     f"a positive number, got {spec!r}")
+    raise error(f"{where}: expected theory | invL | fixed:<gamma> with gamma "
+                f"a positive number, got {spec!r}")
 
 
 def _valid_tol(tol) -> bool:
@@ -169,7 +169,7 @@ def cmd_bench(args) -> int:
     tol = cfg.get("tol")
     if not _valid_tol(tol):
         raise ManifestError(f"config.tol: expected a number >= 0, got {tol!r}")
-    step = _step_rule(cfg.get("step", "invL"), "config.step")
+    step = _step_rule(cfg.get("step", "invL"), "config.step", ManifestError)
     out = _out_dir(manifest.get("out_dir", args.out))
 
     cells = []
@@ -177,12 +177,15 @@ def cmd_bench(args) -> int:
     for k, entry in enumerate(instances):
         if not isinstance(entry, dict) or "path" not in entry:
             raise ManifestError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
+        best_known = entry.get("best_known")
+        if best_known is not None and not isinstance(best_known, (int, float)):
+            raise ManifestError(f"instances[{k}].best_known: expected a number, got {best_known!r}")
         inst = qap.load_instance(entry["path"])
         if inst.name in paths:
             raise ManifestError(f"duplicate instance name {inst.name!r} "
                                 f"({paths[inst.name]} and {entry['path']})")
         paths[inst.name] = entry["path"]
-        cells.append((_resolve_best_known(inst, entry.get("best_known")),
+        cells.append((_resolve_best_known(inst, best_known),
                       qap.initial_point(inst.n, seed)))
 
     rows = []

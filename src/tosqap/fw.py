@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .lap import permutation_to_matrix, solve_lap_min
-from .linalg import frobenius_inner
+from .linalg import as_matrix, frobenius_inner
 from .qap import (
     QapInstance,
     assignment_error,
@@ -86,7 +86,9 @@ FEAS_TOL = 1e-6
 def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     """Frank-Wolfe with exact line search, started from a doubly
     stochastic (to ``FEAS_TOL``) point."""
-    x = np.array(y1, dtype=np.float64, copy=True)
+    x = as_matrix(y1, "y1").copy()
+    if x.shape != (inst.n, inst.n):
+        raise ValueError(f"y1 shape {x.shape} != instance shape {(inst.n, inst.n)}")
     _check_feasible(x, FEAS_TOL)
     schedule = power_of_two_schedule(config.max_iters)
     trace: list[TraceRecord] = []

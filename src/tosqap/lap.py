@@ -26,12 +26,6 @@ class Permutation:
         if len(self.mapping) != self.n or sorted(self.mapping) != list(range(self.n)):
             raise ValueError(f"mapping is not a bijection on 0..{self.n - 1}: {self.mapping}")
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(self.n, tuple(inv))
-
 
 @dataclass(frozen=True)
 class LapSolution:
@@ -47,11 +41,30 @@ def solve_lap_min(cost: np.ndarray) -> LapSolution:
     Rows are assigned in index order, which fixes the tie-breaking among
     equally optimal assignments deterministically.
     """
-    c = as_matrix(cost, "cost")
-    n, m = c.shape
-    if n != m:
-        raise ValueError(f"cost matrix must be square, got {c.shape}")
+    return _hungarian(_square(cost, "cost"))
 
+
+def solve_lap_max(profit: np.ndarray) -> LapSolution:
+    """Maximize sum_i profit[i, pi(i)]; solved as minimization on -profit."""
+    sol = _hungarian(-_square(profit, "profit"))
+    return LapSolution(
+        permutation=sol.permutation,
+        value=-sol.value,
+        dual_row=-sol.dual_row,
+        dual_col=-sol.dual_col,
+    )
+
+
+def _square(x, name: str) -> np.ndarray:
+    c = as_matrix(x, name)
+    if c.shape[0] != c.shape[1]:
+        raise ValueError(f"{name} matrix must be square, got {c.shape}")
+    return c
+
+
+def _hungarian(c: np.ndarray) -> LapSolution:
+    """Minimum-cost assignment of a checked square cost matrix."""
+    n = c.shape[0]
     # Python floats and lists, not numpy arrays: indexing an array boxes a
     # scalar on every access.  Each step is one IEEE double operation in a
     # fixed order, so the result matches a numpy-scalar loop bit for bit.
@@ -117,30 +130,9 @@ def solve_lap_min(cost: np.ndarray) -> LapSolution:
     )
 
 
-def solve_lap_max(profit: np.ndarray) -> LapSolution:
-    """Maximize sum_i profit[i, pi(i)]; solved as minimization on -profit."""
-    sol = solve_lap_min(-as_matrix(profit, "profit"))
-    return LapSolution(
-        permutation=sol.permutation,
-        value=-sol.value,
-        dual_row=-sol.dual_row,
-        dual_col=-sol.dual_col,
-    )
-
-
 def permutation_to_matrix(perm: Permutation) -> np.ndarray:
     """0/1 matrix with a one at (i, mapping[i]) for each row i."""
     out = np.zeros((perm.n, perm.n))
     out[np.arange(perm.n), list(perm.mapping)] = 1.0
     return out
 
-
-def matrix_to_permutation(x: np.ndarray) -> Permutation:
-    """Inverse of permutation_to_matrix on exact permutation matrices."""
-    x = as_matrix(x)
-    n = x.shape[0]
-    mapping = tuple(int(np.argmax(x[i])) for i in range(n))
-    perm = Permutation(n, mapping)
-    if not np.array_equal(x, permutation_to_matrix(perm)):
-        raise ValueError("input is not a permutation matrix")
-    return perm

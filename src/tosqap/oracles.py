@@ -85,12 +85,3 @@ def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -
     q = t_total ** (2.0 / 3.0) / (2.0 * s**2)
     return max(1, math.ceil(q - 1e-8))
 
-
-def batch_schedule_indicator(t_total: int, g_f: float) -> int:
-    """Batch size ceil(T^(2/3) / (2 G_f^2)), floored at 1."""
-    if t_total < 1:
-        raise ValueError("t_total must be >= 1")
-    if g_f <= 0:
-        raise ValueError("g_f must be positive")
-    q = t_total ** (2.0 / 3.0) / (2.0 * g_f**2)
-    return max(1, math.ceil(q - 1e-8))

@@ -24,10 +24,11 @@ class ProxOperator:
     indicator functions the scale is irrelevant and the map is the
     Euclidean projection onto the underlying set.  ``value`` evaluates
     the function itself (0 on the set for indicators; callers are
-    expected to query it only at feasible points).
+    expected to query it only at feasible points).  The operators below
+    do not check their input: the solvers check the start point once and
+    every iterate for finiteness.
     """
 
-    tag: str
     apply: Callable[[np.ndarray, float], np.ndarray]
     value: Callable[[np.ndarray], float] = field(default=lambda x: 0.0)
 
@@ -79,9 +80,14 @@ def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
     least-squares problem; verified against a dense solve in the tests.
     """
     x = as_matrix(x)
-    n = x.shape[0]
-    if x.shape[1] != n:
+    if x.shape[1] != x.shape[0]:
         raise ValueError(f"expected square matrix, got {x.shape}")
+    return _affine_closed_form(x)
+
+
+def _affine_closed_form(x: np.ndarray) -> np.ndarray:
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[0]
     row_sums = x.sum(axis=1)
     col_sums = x.sum(axis=0)
     total = float(row_sums.sum())
@@ -108,26 +114,17 @@ def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray
     return x
 
 
-def _indicator(tag: str, proj: Callable[[np.ndarray], np.ndarray]) -> ProxOperator:
-    return ProxOperator(tag=tag, apply=lambda p, scale: proj(p))
-
-
 def prox_row_stochastic() -> ProxOperator:
-    return _indicator("indicator:row-stochastic", project_row_stochastic)
+    return ProxOperator(lambda p, scale: project_simplex(p))
 
 
 def prox_col_stochastic() -> ProxOperator:
-    return _indicator("indicator:col-stochastic", project_col_stochastic)
+    return ProxOperator(lambda p, scale: project_simplex(p.T).T)
 
 
 def prox_box01() -> ProxOperator:
-    return _indicator("indicator:box01", project_box01)
+    return ProxOperator(lambda p, scale: project_box01(p))
 
 
 def prox_affine_doubly_stochastic() -> ProxOperator:
-    return _indicator("indicator:affine-ds", project_affine_doubly_stochastic)
-
-
-def prox_zero() -> ProxOperator:
-    """Prox of the zero function: the identity map."""
-    return ProxOperator(tag="zero", apply=lambda p, scale: np.asarray(p, dtype=np.float64))
+    return ProxOperator(lambda p, scale: _affine_closed_form(p))

@@ -98,7 +98,11 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
     import os
 
     with open(path) as f:
-        inst = parse_qaplib(f.read(), name=os.path.splitext(os.path.basename(path))[0])
+        text = f.read()
+    try:
+        inst = parse_qaplib(text, name=os.path.splitext(os.path.basename(path))[0])
+    except QaplibParseError as exc:
+        raise QaplibParseError(f"{path}: {exc}") from None
     return inst if best_known is None else replace(inst, best_known=best_known)
 
 
@@ -224,12 +228,9 @@ def split_proxes(split: str):
 def infeasibility_error(x: np.ndarray, split: str) -> float:
     """dist(X, second set of the split) / sqrt(n)."""
     _check_split(split)
-    x = as_matrix(x)
-    if split == SPLIT1:
-        proj = project_col_stochastic(x)
-    else:
-        proj = project_affine_doubly_stochastic(x)
-    return frobenius_norm(x - proj) / math.sqrt(x.shape[0])
+    project = project_col_stochastic if split == SPLIT1 else project_affine_doubly_stochastic
+    proj = project(x)  # checks x
+    return frobenius_norm(np.asarray(x, dtype=np.float64) - proj) / math.sqrt(proj.shape[0])
 
 
 def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
@@ -248,7 +249,7 @@ def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
 
 def round_to_permutation(x: np.ndarray) -> Permutation:
     """Frobenius-nearest permutation matrix, via maximizing <X, P>."""
-    return solve_lap_max(as_matrix(x)).permutation
+    return solve_lap_max(x).permutation
 
 
 def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optional[float]:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
+from .linalg import as_matrix, draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
 from .prox import ProxOperator
 
@@ -233,8 +233,11 @@ def run_tos(
     if ``stop_when(metrics)`` returns True at one of those checkpoints
     the loop exits early.  ``iteration_hook`` receives the full tuple
     (t, gamma, u_t, z_t, x_t, y_t, y_{t+1}) of every iteration.
+
+    ``y1`` is checked here, once; inside the loop only the finiteness of
+    each y_{t+1} is, and a non-finite one raises ``DivergenceError(t)``.
     """
-    y1 = np.asarray(y1, dtype=np.float64)
+    y1 = as_matrix(y1, "y1")
     if y1.shape != problem.shape:
         raise ValueError(f"y1 shape {y1.shape} != problem shape {problem.shape}")
 
@@ -345,8 +348,9 @@ def run_tos_product_space(
     the identity), blocks 1..m the nonsmooth terms.  Each iteration
     computes all block proxes, averages the reflected blocks minus a
     gradient step at z^(0), and moves every dual variable toward the
-    consensus point.  All blocks start from ``y1``.
+    consensus point.  All blocks start from ``y1``, checked here once.
     """
+    y1 = as_matrix(y1, "y1")
     if len(prox_list) == 0:
         raise ValueError("prox_list must contain at least one operator")
     if config.step.kind not in ("fixed", "inv_smoothness"):

@@ -29,7 +29,7 @@ from tosqap import (
     QapInstance,
     SolverConfig,
     StepRule,
-    batch_schedule_indicator,
+    batch_schedule_lipschitz,
     build_problem,
     certificate_residual,
     estimate_smoothness,
@@ -297,7 +297,7 @@ def test_criterion_7_stochastic_deterministic_collapse():
     inst = random_uniform_instance(6, 707)
     det = build_problem(inst, SPLIT1)
     t_total = 64
-    batch = batch_schedule_indicator(t_total, det.g_f)
+    batch = batch_schedule_lipschitz(t_total, det.g_f, 0.0, 0.0)
     sto = CompositeProblem(
         oracle=det.oracle, prox_g=det.prox_g, prox_h=det.prox_h,
         shape=det.shape, d_g=det.d_g, g_f=det.g_f,

@@ -245,7 +245,7 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         assert "unknown solver" in capsys.readouterr().err
 
-    def test_broken_instance_recorded_not_fatal(self, tmp_path, capsys):
+    def test_bad_step_is_manifest_error(self, tmp_path, capsys):
         good = tmp_path / "good.dat"
         write_instance(good, 3, 1)
         mp = tmp_path / "m.json"
@@ -255,8 +255,31 @@ class TestBench:
             "config": {"iters": 50, "step": "bogus"},
             "out_dir": str(tmp_path / "o"),
         }))
-        # a bad step spec fails before any cell runs -> top-level error
+        # a bad step spec fails before any cell runs, like every manifest fault
+        assert main(["bench", str(mp)]) == 2
+        assert "manifest error: config.step: expected" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_numeric_best_known_names_its_entry(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 2, ["tos-split2"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"][1]["best_known"] = "abc"
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert ("manifest error: instances[1].best_known: expected a number, got 'abc'"
+                in capsys.readouterr().err)
+        assert not list(out.iterdir())
+
+    def test_bad_instance_file_is_named(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 2, ["tos-split2"], iters=20)
+        manifest = json.loads(mp.read_text())
+        bad = tmp_path / "bad.dat"
+        bad.write_text("2\n1 2 3 4\n5 6 x 8\n")
+        manifest["instances"][1]["path"] = str(bad)
+        mp.write_text(json.dumps(manifest))
         assert main(["bench", str(mp)]) == 1
+        assert (f"error: {bad}: token 8: expected a finite number, got 'x'"
+                in capsys.readouterr().err)
 
 
 class TestPairwiseTally:

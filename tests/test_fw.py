@@ -142,6 +142,16 @@ class TestRun:
         with pytest.raises(ValueError, match="doubly stochastic"):
             run_fw(inst, np.ones((3, 3)), FwConfig(max_iters=10))
 
+    def test_non_finite_start_named(self):
+        y1 = uniform_start(3)
+        y1[2, 2] = np.nan
+        with pytest.raises(ValueError, match="y1 contains non-finite entries"):
+            run_fw(random_instance(3, 8), y1, FwConfig(max_iters=10))
+
+    def test_wrong_shape_start_named(self):
+        with pytest.raises(ValueError, match=r"y1 shape \(3, 3\) != instance shape \(4, 4\)"):
+            run_fw(random_instance(4, 8), uniform_start(3), FwConfig(max_iters=10))
+
     def test_chr12a_desk_run(self):
         path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
         inst = load_instance(path, best_known=9552.0)

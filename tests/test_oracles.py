@@ -3,7 +3,6 @@ import pytest
 
 from tosqap import (
     GradientOracle,
-    batch_schedule_indicator,
     batch_schedule_lipschitz,
     frobenius_norm,
     gaussian_noise_oracle,
@@ -94,16 +93,17 @@ def test_batch_schedule_lipschitz_examples():
 
 
 def test_batch_schedule_indicator_examples():
-    assert batch_schedule_indicator(8, 1.0) == 2
-    assert batch_schedule_indicator(8, 10.0) == 1
-    assert batch_schedule_indicator(10**6, 1.0) == 5000
+    # Both terms indicators: L_g = L_h = 0.
+    assert batch_schedule_lipschitz(8, 1.0, 0.0, 0.0) == 2
+    assert batch_schedule_lipschitz(8, 10.0, 0.0, 0.0) == 1
+    assert batch_schedule_lipschitz(10**6, 1.0, 0.0, 0.0) == 5000
 
 
 def test_batch_schedule_rejects_bad_constants():
     with pytest.raises(ValueError):
         batch_schedule_lipschitz(10, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        batch_schedule_indicator(10, -1.0)
+        batch_schedule_lipschitz(10, -1.0, 0.0, 0.0)
 
 
 def test_gradient_matches_finite_differences(exact):

@@ -103,6 +103,42 @@ class TestSimplex:
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=300)
+    @given(st.integers(1, 30).flatmap(lambda n: arrays(
+        np.float64, st.tuples(st.integers(1, 4), st.just(n)), elements=batch_entries)))
+    @example(np.full((1, 30), 1e4))
+    @example(np.array([[1e4] + [-1e4] * 29]))
+    @example(np.array([[1e4, 1e4 - 0.5, 9999.75, -1e4], [1.0, 1.0, 1.0, 1.0]]))
+    @example(np.full((2, 3), 1.0 / 3.0))
+    def test_rows_sum_to_one_within_derived_bound(self, x):
+        # Rounding error model, with u = eps/2, gamma_k = k u / (1 - k u),
+        # n entries per row, M = max |v_i| and k = rho + 1 the count the code
+        # picks; C_k is the exact sum of the k largest entries and
+        # theta_k = (C_k - 1) / k.  The first test passes (|v| < 2^53).  The
+        # sequential cumsum minus 1 is off by <= gamma_k (kM + 1) and u_k k by
+        # <= u k M, so the test passing at k and failing at k + 1 puts u_k
+        # above theta_k - gamma_{n+1} (M + 1) and u_{k+1} below
+        # theta_k + gamma_{n+1} (2M + 1); theta = css_k / k is within
+        # gamma_{n+1} (M + 1) of theta_k.  The k largest entries less theta
+        # then sum to 1 within gamma_{n+1} (nM + 1), and each of the n
+        # entries is clipped or kept wrongly by at most gamma_{n+1} (3M + 2):
+        # F = sum_i max(v_i - theta, 0) is within
+        # G = gamma_{n+1} (4nM + 2n + 1) of 1.  The n rounded subtractions
+        # (relative u, sign kept) and the n-term row sum below add
+        # gamma_n (1 + G).  Underflow in the division moves theta by half the
+        # smallest subnormal, which moves F by at most n of them.
+        w = project_simplex(x)
+        assert np.all(w >= 0.0)
+        n = x.shape[1]
+        u = np.finfo(np.float64).eps / 2
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        g = gamma(n + 1) * (4 * n * np.max(np.abs(x), axis=1) + 2 * n + 1)
+        bound = gamma(n) * (1 + g) + g + n * np.nextafter(0.0, 1.0)
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= bound)
+
     @settings(max_examples=50)
     @given(arrays(np.float64, 6, elements=moderate))
     def test_nearest_point(self, v):

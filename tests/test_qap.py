@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tosqap import (
+    DivergenceError,
     QapInstance,
     QaplibParseError,
     SolverConfig,
@@ -30,9 +31,9 @@ from tosqap import (
     round_to_permutation,
     split_diameter,
 )
-from tosqap import qap
+from tosqap import fw, lap, linalg, prox, qap, solver
 from tosqap.lap import Permutation
-from tosqap.qap import SPLIT1, SPLIT2, build_problem, qap_oracle, split_proxes
+from tosqap.qap import SPLIT1, SPLIT2, SPLITS, build_problem, qap_oracle, split_proxes
 
 
 def random_instance(n, seed, best_known=None):
@@ -98,6 +99,13 @@ class TestParsing:
         side = tmp_path / "best.txt"
         side.write_text("# comment\ntiny 4\nother 12.5\n\n")
         assert load_best_known(side) == {"tiny": 4.0, "other": 12.5}
+
+    def test_load_instance_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.dat"
+        p.write_text("2 0 x 1 0 0 2 2 0")
+        with pytest.raises(QaplibParseError) as err:
+            load_instance(p)
+        assert str(err.value) == f"{p}: token 3: expected a finite number, got 'x'"
 
     @pytest.mark.parametrize("bad", ["tiny", "tiny 4 extra", "tiny four"])
     def test_best_known_malformed_line_names_file_and_line(self, tmp_path, bad):
@@ -243,9 +251,18 @@ class TestSplitGeometry:
                 assert frobenius_norm(qap_gradient(inst, feas())) <= bound + 1e-9
 
     def test_split_proxes_tags(self):
+        # The two splittings project onto different sets: a fixed matrix
+        # goes to the row- and column-stochastic sets under split1, to the
+        # box and the affine subspace under split2.
+        x = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [-2.0, 0.5, 0.25]])
         g1, h1 = split_proxes(SPLIT1)
         g2, h2 = split_proxes(SPLIT2)
-        assert (g1.tag, h1.tag) != (g2.tag, h2.tag)
+        np.testing.assert_allclose(g1(x).sum(axis=1), 1.0)
+        np.testing.assert_allclose(h1(x).sum(axis=0), 1.0)
+        np.testing.assert_array_equal(g2(x), np.clip(x, 0.0, 1.0))
+        np.testing.assert_allclose(h2(x).sum(axis=0), 1.0)
+        assert not np.allclose(g1(x), g2(x))
+        assert not np.allclose(h1(x), h2(x))
         with pytest.raises(ValueError):
             split_proxes("split3")
 
@@ -387,3 +404,72 @@ class TestPipeline:
         res = relax_and_round(inst, SPLIT1,
                               SolverConfig(iters=64, step=StepRule(kind="theory")))
         assert res.run.iterations_run == 64
+
+
+def trace_digest(trace):
+    rows = [[r.t, r.objective, r.coupling, r.certificate, r.infeasibility, r.nonstationarity]
+            for r in trace]
+    return hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestIterationPath:
+    """Inputs are checked once where they enter; the loop only checks that
+    each iterate is finite.  Neither changes a bit of the iteration."""
+
+    # chr12a, start initial_point(12, 0), step 1/L, 512 iterations, no
+    # early stop: sha256 of the relaxed iterate and of the trace rows.  At
+    # n = 12 they hold at one and two OpenBLAS threads.
+    GOLDEN = {
+        SPLIT1: ("007b4e8e72255dbc095457607019db5176435f0a9a96b8705acfa8ddec0c57e9",
+                 "218d30a0bb946f380c025d34931d77657f032f775f962e19dc9d1c3a721964eb"),
+        SPLIT2: ("a140d40f4b2ab7750f7b320a7353521e23b5eae290f5ffc791efba5c16af5963",
+                 "bd6fe7a70c79bca0f196ede45a7fa4aee67076822efb3b3f3c9008e255e9d58d"),
+    }
+    GOLDEN_CONSENSUS = "56767d1b605d75d95dbfb860929f0f32579fe801b96acb23d192495cedb6922d"
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_golden_relax_and_round(self, split):
+        res = relax_and_round(load_instance(chr12a_path()), split,
+                              SolverConfig(iters=512, step=StepRule.inv_smoothness()))
+        assert res.run.iterations_run == 512
+        digest = hashlib.sha256(res.relaxed_iterate.tobytes()).hexdigest()
+        assert (digest, trace_digest(res.run.trace)) == self.GOLDEN[split]
+
+    def test_golden_product_space(self):
+        inst = load_instance(chr12a_path())
+        step = StepRule.inv_smoothness(estimate_smoothness(inst))
+        res = solver.run_tos_product_space(
+            qap_oracle(inst),
+            [prox.prox_row_stochastic(), prox.prox_col_stochastic(), prox.prox_box01()],
+            SolverConfig(iters=512, step=step), initial_point(inst.n, 0))
+        assert hashlib.sha256(res.x_out.tobytes()).hexdigest() == self.GOLDEN_CONSENSUS
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("iters", [64, 128])
+    def test_run_tos_checks_only_y1(self, monkeypatch, split, iters):
+        inst = load_instance(chr12a_path())
+        problem = build_problem(inst, split)
+        config = SolverConfig(iters=iters, step=StepRule.inv_smoothness(estimate_smoothness(inst)))
+        y1 = initial_point(inst.n, 0)
+        names = []
+        original = linalg.as_matrix
+
+        def counting(x, name="matrix"):
+            names.append(name)
+            return original(x, name)
+
+        for mod in (linalg, prox, solver, lap, qap, fw):
+            monkeypatch.setattr(mod, "as_matrix", counting, raising=False)
+        res = solver.run_tos(problem, config, y1)
+        assert res.iterations_run == iters
+        assert names == ["y1"]
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_overflow_is_divergence_at_its_iteration(self, split):
+        # The gradient 2e400 X overflows at once; the first iterate is not
+        # finite, and the loop says so, not a projection.
+        big = 1e200 * np.ones((4, 4))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            relax_and_round(QapInstance("big", big, big), split,
+                            SolverConfig(iters=10, step=StepRule.fixed(1.0)))
+        assert err.value.iteration == 1

@@ -21,7 +21,7 @@ from tosqap import (
     stationarity_gap,
     step_size_lipschitz,
 )
-from tosqap.prox import ProxOperator, prox_box01, prox_zero
+from tosqap.prox import ProxOperator, prox_box01
 from tosqap.solver import SNAPSHOT_CAP, power_of_two_schedule
 
 
@@ -101,8 +101,8 @@ class TestRunTos:
     def test_step_order_per_iteration(self):
         calls = []
         base = prox_box01()
-        prox_g = ProxOperator("g", lambda p, s: calls.append("g") or base(p, s))
-        prox_h = ProxOperator("h", lambda p, s: calls.append("h") or base(p, s))
+        prox_g = ProxOperator(lambda p, s: calls.append("g") or base(p, s))
+        prox_h = ProxOperator(lambda p, s: calls.append("h") or base(p, s))
         seen_grad_args = []
 
         def gradient(x):
@@ -197,10 +197,12 @@ class TestRunTos:
                 return np.sign(x) * np.inf
             return 4.0 * x**3
 
+        identity = ProxOperator(lambda p, s: p)  # prox of the zero function
+
         problem = CompositeProblem(
             oracle=GradientOracle(value=lambda x: float(np.sum(x**2)),
                                   gradient=cubic_gradient),
-            prox_g=prox_zero(), prox_h=prox_zero(), shape=(1, 1))
+            prox_g=identity, prox_h=identity, shape=(1, 1))
         with pytest.raises(DivergenceError) as err:
             run_tos(problem, SolverConfig(iters=100, step=StepRule.fixed(10.0)),
                     np.array([[2.0]]))
@@ -210,6 +212,14 @@ class TestRunTos:
         problem = scalar_problem(lambda v: 0.0, lambda v: 0.0)
         with pytest.raises(ValueError):
             run_tos(problem, SolverConfig(iters=1, step=StepRule.fixed(1.0)), np.ones((2, 2)))
+
+    def test_non_finite_start_named(self):
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        y1 = np.full((2, 2), 0.5)
+        y1[1, 0] = np.nan
+        with pytest.raises(ValueError, match="y1 contains non-finite entries"):
+            run_tos(problem, SolverConfig(iters=5, step=StepRule.fixed(0.5)), y1)
 
 
 class TestCertificate:
@@ -308,14 +318,14 @@ class TestProductSpace:
         y1 = rng.standard_normal((3, 3))
         res = run_tos_product_space(
             zero_oracle(), [prox_box01(), ProxOperator(
-                "affine", lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))],
+                lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))],
             SolverConfig(iters=512, step=StepRule.fixed(0.5)), y1)
         assert res.block_residuals[-1] < res.block_residuals[0]
 
     def test_random_output_returns_x_tau(self):
         y1 = make_rng(31).standard_normal((3, 3))
         proxes = [prox_box01(), ProxOperator(
-            "affine", lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))]
+            lambda p, s: __import__("tosqap").project_affine_doubly_stochastic(p))]
 
         def run(iters, **kw):
             cfg = SolverConfig(iters=iters, step=StepRule.fixed(0.5), **kw)
@@ -327,6 +337,13 @@ class TestProductSpace:
         # tau-iteration run.
         np.testing.assert_array_equal(res.x_out, run(res.tau).x_out)
         assert not np.array_equal(res.x_out, run(40).x_out)
+
+    def test_non_finite_start_named(self):
+        y1 = np.full((2, 2), 0.5)
+        y1[0, 1] = np.nan
+        with pytest.raises(ValueError, match="y1 contains non-finite entries"):
+            run_tos_product_space(zero_oracle(), [prox_box01(), prox_box01()],
+                                  SolverConfig(iters=5, step=StepRule.fixed(0.5)), y1)
 
     def test_empty_prox_list_rejected(self):
         with pytest.raises(ValueError):
