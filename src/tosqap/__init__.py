@@ -1,6 +1,6 @@
 """Nonconvex three-operator splitting and relax-and-round QAP solvers."""
 
-from .fw import FwConfig, FwResult, fw_gap, run_fw
+from .fw import FwConfig, FwResult, run_fw
 from .lap import (
     LapSolution,
     Permutation,

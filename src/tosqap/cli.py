@@ -8,7 +8,6 @@ Subcommands:
   another in manifest order, all solvers sharing the per-instance initial
   point, and tally pairwise wins.
 
-Environment: ``TOSQAP_OUT_DIR`` overrides the output directory.
 Everything algorithmic comes from flags or the manifest.
 """
 
@@ -65,8 +64,7 @@ def environment() -> dict:
     }
 
 
-def _out_dir(flag_value) -> str:
-    out = os.environ.get("TOSQAP_OUT_DIR", flag_value)
+def _out_dir(out) -> str:
     os.makedirs(out, exist_ok=True)
     return out
 

@@ -33,7 +33,6 @@ class StochasticGradientOracle:
 
     sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     sigma2: float
-    exact: GradientOracle
 
 
 def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGradientOracle:
@@ -53,7 +52,7 @@ def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGrad
         noise = rng.standard_normal(g.shape)
         return g + (sigma / math.sqrt(g.size)) * noise
 
-    return StochasticGradientOracle(sample=sample, sigma2=sigma**2, exact=exact)
+    return StochasticGradientOracle(sample=sample, sigma2=sigma**2)
 
 
 def minibatch_gradient(

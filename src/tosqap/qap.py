@@ -311,36 +311,37 @@ def relax_and_round(
     at the power-of-two trace schedule.  A step rule of kind
     'inv_smoothness' with an unset constant is completed with the
     instance's own smoothness constant.
+
+    It returns the last iterate, always a checkpoint, and reports that
+    checkpoint's objective and errors, so ``config.output`` must be 'last'.
     """
+    if config.output != "last":
+        raise ValueError(f"relax_and_round reports the last iterate: output must be "
+                         f"'last', got {config.output!r}")
     problem = build_problem(inst, split)
     if config.step.kind == "inv_smoothness" and config.step.l_smooth == 0.0:
         config = replace(config, step=StepRule.inv_smoothness(estimate_smoothness(inst)))
     if y1 is None:
         y1 = initial_point(inst.n, config.seed)
 
-    def metrics(z: np.ndarray) -> dict:
-        return {
-            "infeasibility": infeasibility_error(z, split),
-            "nonstationarity": nonstationarity_error(inst, z),
-        }
-
+    metrics = lambda z: (infeasibility_error(z, split), nonstationarity_error(inst, z))
     stop = None
     if tol is not None:
-        stop = lambda m: m["infeasibility"] < tol and m["nonstationarity"] < tol
+        stop = lambda rec: rec.infeasibility < tol and rec.nonstationarity < tol
 
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
-    z = run.z_out
-    perm = round_to_permutation(z)
+    last = run.trace[-1]
+    perm = round_to_permutation(run.z_out)
     rounded_value = qap_objective(inst, permutation_to_matrix(perm))
     return QapResult(
         instance=inst.name,
         split=split,
-        relaxed_iterate=z,
+        relaxed_iterate=run.z_out,
         permutation=perm,
-        relaxed_value=qap_objective(inst, z),
+        relaxed_value=last.objective,
         rounded_value=rounded_value,
-        infeasibility=infeasibility_error(z, split),
-        nonstationarity=nonstationarity_error(inst, z),
+        infeasibility=last.infeasibility,
+        nonstationarity=last.nonstationarity,
         assignment_err=assignment_error(rounded_value, inst.best_known),
         run=run,
     )

@@ -145,7 +145,6 @@ class TraceRecord:
     certificate: float
     infeasibility: Optional[float] = None
     nonstationarity: Optional[float] = None
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -155,7 +154,6 @@ class RunResult:
     trace: list[TraceRecord]
     wall_time: float
     iterations_run: int
-    y_last: np.ndarray
 
 
 class DivergenceError(RuntimeError):
@@ -223,15 +221,16 @@ def run_tos(
     problem: CompositeProblem,
     config: SolverConfig,
     y1: np.ndarray,
-    metric_fn: Optional[Callable[[np.ndarray], dict]] = None,
-    stop_when: Optional[Callable[[dict], bool]] = None,
+    metric_fn: Optional[Callable[[np.ndarray], tuple[float, float]]] = None,
+    stop_when: Optional[Callable[[TraceRecord], bool]] = None,
     iteration_hook: Optional[IterationHook] = None,
 ) -> RunResult:
     """Run the three-operator splitting iteration from ``y1``.
 
-    Metrics from ``metric_fn(z_t)`` are recorded at the trace schedule;
-    if ``stop_when(metrics)`` returns True at one of those checkpoints
-    the loop exits early.  ``iteration_hook`` receives the full tuple
+    At each point of the trace schedule ``metric_fn(z_t)`` returns the
+    (infeasibility, nonstationarity) pair stored in that checkpoint's
+    ``TraceRecord``; if ``stop_when(record)`` returns True the loop exits
+    there.  ``iteration_hook`` receives the full tuple
     (t, gamma, u_t, z_t, x_t, y_t, y_{t+1}) of every iteration.
 
     ``y1`` is checked here, once; inside the loop only the finiteness of
@@ -250,7 +249,7 @@ def run_tos(
     snapshots: dict[int, np.ndarray] = {}
 
     t_start = time.perf_counter()
-    z, y, trace, t_done = _iterate(
+    z, trace, t_done = _iterate(
         problem, gamma, y1, t_total, rng, schedule,
         metric_fn, stop_when, iteration_hook,
         snapshots if keep_snapshots else None,
@@ -277,7 +276,6 @@ def run_tos(
         trace=trace,
         wall_time=time.perf_counter() - t_start,
         iterations_run=t_done,
-        y_last=y,
     )
 
 
@@ -286,7 +284,6 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
     y = np.array(y1, dtype=np.float64, copy=True)
     z = y
     trace: list[TraceRecord] = []
-    t_start = time.perf_counter()
     t_done = 0
     for t in range(1, t_total + 1):
         z = problem.prox_g(y, gamma)
@@ -313,18 +310,14 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
                 objective=problem.oracle.value(z),
                 coupling=frobenius_norm(x - z),
                 certificate=cert,
-                elapsed=time.perf_counter() - t_start,
             )
-            metrics = metric_fn(z) if metric_fn is not None else None
-            if metrics is not None:
-                rec.infeasibility = metrics.get("infeasibility")
-                rec.nonstationarity = metrics.get("nonstationarity")
+            if metric_fn is not None:
+                rec.infeasibility, rec.nonstationarity = metric_fn(z)
             trace.append(rec)
-            if stop_when is not None and metrics is not None and stop_when(metrics):
-                y = y_next
+            if stop_when is not None and stop_when(rec):
                 break
         y = y_next
-    return z, y, trace, t_done
+    return z, trace, t_done
 
 
 @dataclass
@@ -385,7 +378,6 @@ def run_tos_product_space(
                 objective=oracle.value(zs[0]),
                 coupling=resid,
                 certificate=math.nan,
-                elapsed=time.perf_counter() - t_start,
             ))
     return ProductSpaceResult(
         x_out=x if tau is None else x_tau,

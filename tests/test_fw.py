@@ -1,4 +1,3 @@
-import itertools
 import importlib.resources
 
 import numpy as np
@@ -8,15 +7,17 @@ from tosqap import (
     QapInstance,
     frobenius_inner,
     frobenius_norm,
+    initial_point,
     load_instance,
     make_rng,
+    nonstationarity_error,
     permutation_to_matrix,
     qap_gradient,
     qap_objective,
     solve_lap_min,
 )
 from tosqap import fw
-from tosqap.fw import FwConfig, exact_line_step, fw_gap, run_fw
+from tosqap.fw import FwConfig, exact_line_step, run_fw
 from tosqap.lap import Permutation
 
 
@@ -32,32 +33,6 @@ def random_instance(n, seed, best_known=None):
 
 def uniform_start(n):
     return np.full((n, n), 1.0 / n)
-
-
-class TestGap:
-    def test_zero_at_linear_minimizer(self):
-        inst = QapInstance("eye", np.eye(3), np.eye(3))
-        # f(X) = ||X||^2; at the uniform matrix the gradient is constant,
-        # so every vertex ties and the gap vanishes.
-        assert fw_gap(inst, uniform_start(3)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonnegative_on_polytope(self):
-        inst = random_instance(4, 1)
-        rng = make_rng(2)
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(4))
-            x = sum(w[k] * np.eye(4)[rng.permutation(4)] for k in range(4))
-            assert fw_gap(inst, x) >= -1e-10
-
-    def test_matches_enumeration(self):
-        inst = random_instance(5, 3)
-        rng = make_rng(4)
-        x = rng.dirichlet(np.ones(5), size=5)
-        grad = qap_gradient(inst, x)
-        want = max(
-            float(np.sum(grad * (x - permutation_to_matrix(Permutation(5, p)))))
-            for p in itertools.permutations(range(5)))
-        assert fw_gap(inst, x) == pytest.approx(want, rel=1e-12)
 
 
 class TestLineSearch:
@@ -164,7 +139,11 @@ class TestRun:
         assert all(m <= v + 1e-15 for m, v in
                    zip(run_min, [r.nonstationarity for r in res.trace]))
 
-    def test_one_gradient_per_iteration(self, monkeypatch):
+    # From the uniform start this instance reaches a vertex, gap <= 0, at
+    # iteration 4; a cap of 3 stops it first.
+    @pytest.mark.parametrize("max_iters, stop, extra", [(40, 4, 0), (3, 3, 1)],
+                             ids=["gap", "cap"])
+    def test_one_gradient_per_iteration(self, monkeypatch, max_iters, stop, extra):
         calls = []
 
         def counting_gradient(inst, x):
@@ -172,9 +151,41 @@ class TestRun:
             return qap_gradient(inst, x)
 
         monkeypatch.setattr(fw, "qap_gradient", counting_gradient)
-        res = run_fw(random_instance(6, 11), uniform_start(6), FwConfig(max_iters=40))
-        # one per iteration plus one for the final gap
-        assert len(calls) == res.iterations_run + 1
+        res = run_fw(random_instance(6, 11), uniform_start(6), FwConfig(max_iters=max_iters))
+        assert res.iterations_run == stop
+        # A gap exit has already evaluated its point; a cap exit evaluates
+        # the point of the last step once more.
+        assert len(calls) == res.iterations_run + extra
+
+    # chr12a from initial_point(12, 0): the 64-iteration cap ends on a
+    # point the trace never saw; the 1e-3 gap exit comes at 463, between
+    # checkpoints.
+    @pytest.mark.parametrize("max_iters, tol, stop", [(64, 0.0, 64), (4096, 1e-3, 463)],
+                             ids=["cap", "gap"])
+    def test_reported_numbers_are_the_iterates(self, max_iters, tol, stop):
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        res = run_fw(inst, initial_point(12, 0), FwConfig(max_iters=max_iters, gap_tolerance=tol))
+        assert res.iterations_run == stop
+        x = res.iterate
+        grad = qap_gradient(inst, x)
+        s = permutation_to_matrix(solve_lap_min(grad).permutation)
+        f_x = qap_objective(inst, x)
+        gap_error = abs(frobenius_inner(grad, x - s)) / max(f_x, 1.0)
+        assert res.relaxed_value.hex() == f_x.hex()
+        assert res.nonstationarity.hex() == gap_error.hex()
+        # the same error as nonstationarity_error, summed in another order
+        assert res.nonstationarity == pytest.approx(nonstationarity_error(inst, x), rel=1e-9)
+
+    def test_gap_nonnegative_on_trace(self):
+        # Every start is a convex combination of permutations, so each
+        # iterate stays in the polytope, where max_S <grad, X - S> >= 0.
+        inst = random_instance(4, 1)
+        rng = make_rng(2)
+        for _ in range(20):
+            w = rng.dirichlet(np.ones(4))
+            x = sum(w[k] * np.eye(4)[rng.permutation(4)] for k in range(4))
+            res = run_fw(inst, x, FwConfig(max_iters=16))
+            assert all(r.coupling >= -1e-10 for r in res.trace)
 
     def test_iterate_matches_recomputed_gradient_loop(self):
         # Reference loop that computes grad f(x) afresh for the line step:

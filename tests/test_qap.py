@@ -399,6 +399,27 @@ class TestPipeline:
         assert res.nonstationarity < 1e-5
         assert res.assignment_err is not None and res.assignment_err < 1.0
 
+    # random_instance(6, 17) meets tol 1e-3 at checkpoint 512 on both splits;
+    # a 300 cap ends on a checkpoint that is not a power of two.
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("iters, tol, stop", [(1000, 1e-3, 512), (300, None, 300)],
+                             ids=["tol", "cap"])
+    def test_reported_numbers_are_the_iterates(self, split, iters, tol, stop):
+        inst = random_instance(6, 17)
+        res = relax_and_round(inst, split,
+                              SolverConfig(iters=iters, step=StepRule.inv_smoothness()), tol=tol)
+        assert res.run.iterations_run == stop
+        x = res.relaxed_iterate
+        got = (res.relaxed_value, res.infeasibility, res.nonstationarity)
+        want = (qap_objective(inst, x), infeasibility_error(x, split),
+                nonstationarity_error(inst, x))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_random_output_rejected(self):
+        config = SolverConfig(iters=10, step=StepRule.fixed(0.1), output="random")
+        with pytest.raises(ValueError, match="output must be 'last'"):
+            relax_and_round(random_instance(4, 18), SPLIT1, config)
+
     def test_theory_step_rule_runs(self):
         inst = random_instance(4, 18)
         res = relax_and_round(inst, SPLIT1,
@@ -426,6 +447,11 @@ class TestIterationPath:
                  "bd6fe7a70c79bca0f196ede45a7fa4aee67076822efb3b3f3c9008e255e9d58d"),
     }
     GOLDEN_CONSENSUS = "56767d1b605d75d95dbfb860929f0f32579fe801b96acb23d192495cedb6922d"
+    # run_fw, same start and cap: iterate, trace rows, and float.hex of the
+    # relaxed value and nonstationarity.
+    GOLDEN_FW = ("7b733a0047f22d938abffe31733c35df9a177a14ef8b529b88b68521327810eb",
+                 "51db44481a055b1550d865d92f71ebd33c6abad3061aa02fa19f103bae04fe66",
+                 "0x1.4e1f729a114b3p+13", "0x1.4c6ae982d7391p-10")
 
     @pytest.mark.parametrize("split", SPLITS)
     def test_golden_relax_and_round(self, split):
@@ -443,6 +469,14 @@ class TestIterationPath:
             [prox.prox_row_stochastic(), prox.prox_col_stochastic(), prox.prox_box01()],
             SolverConfig(iters=512, step=step), initial_point(inst.n, 0))
         assert hashlib.sha256(res.x_out.tobytes()).hexdigest() == self.GOLDEN_CONSENSUS
+
+    def test_golden_run_fw(self):
+        res = fw.run_fw(load_instance(chr12a_path()), initial_point(12, 0),
+                        fw.FwConfig(max_iters=512))
+        assert res.iterations_run == 512
+        digest = hashlib.sha256(res.iterate.tobytes()).hexdigest()
+        assert (digest, trace_digest(res.trace), res.relaxed_value.hex(),
+                res.nonstationarity.hex()) == self.GOLDEN_FW
 
     @pytest.mark.parametrize("split", SPLITS)
     @pytest.mark.parametrize("iters", [64, 128])

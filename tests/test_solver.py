@@ -73,9 +73,27 @@ class TestRunTos:
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
         y1 = np.full((2, 2), 0.5)
-        res = run_tos(problem, SolverConfig(iters=20, step=StepRule.fixed(0.5)), y1)
+        ys = []
+        res = run_tos(problem, SolverConfig(iters=20, step=StepRule.fixed(0.5)), y1,
+                      iteration_hook=lambda t, gamma, u, z, x, y, y_next: ys.append(y_next))
         np.testing.assert_array_equal(res.z_out, y1)
-        np.testing.assert_array_equal(res.y_last, y1)
+        np.testing.assert_array_equal(ys[-1], y1)
+
+    def test_stop_when_sees_the_checkpoint_record(self):
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        seen = []
+
+        def stop(rec):
+            seen.append(rec)
+            return rec.t == 8
+
+        res = run_tos(problem, SolverConfig(iters=37, step=StepRule.fixed(1.0)),
+                      np.full((2, 2), 0.5), metric_fn=lambda z: (0.25, 0.5), stop_when=stop)
+        assert res.iterations_run == 8
+        assert [id(r) for r in seen] == [id(r) for r in res.trace]
+        assert [(r.t, r.infeasibility, r.nonstationarity) for r in res.trace] == [
+            (1, 0.25, 0.5), (2, 0.25, 0.5), (4, 0.25, 0.5), (8, 0.25, 0.5)]
 
     def test_scalar_constrained_minimum(self):
         # f(x) = (x - 2)^2 on [0, 1]; grid search pins the boundary optimum.
