@@ -1,3 +1,4 @@
+import itertools
 import importlib.resources
 
 import numpy as np
@@ -33,6 +34,35 @@ def random_instance(n, seed, best_known=None):
 
 def uniform_start(n):
     return np.full((n, n), 1.0 / n)
+
+
+def start_gap(inst, x):
+    """The FW gap max_S <grad f(x), x - S> that run_fw records at its
+    start point, the trace row of t = 1."""
+    row = run_fw(inst, x, FwConfig(max_iters=1)).trace[0]
+    assert row.t == 1
+    return row.coupling
+
+
+class TestGap:
+    def test_zero_at_linear_minimizer(self):
+        inst = QapInstance("eye", np.eye(3), np.eye(3))
+        # f(X) = ||X||^2; at the uniform matrix the gradient is constant,
+        # so every vertex ties and the gap vanishes.
+        assert start_gap(inst, uniform_start(3)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_matches_enumeration(self):
+        inst = random_instance(5, 3)
+        rng = make_rng(4)
+        # run_fw takes only doubly stochastic starts: a convex combination
+        # of permutations.
+        w = rng.dirichlet(np.ones(5))
+        x = sum(w[k] * np.eye(5)[rng.permutation(5)] for k in range(5))
+        grad = qap_gradient(inst, x)
+        want = max(
+            float(np.sum(grad * (x - permutation_to_matrix(Permutation(5, p)))))
+            for p in itertools.permutations(range(5)))
+        assert start_gap(inst, x) == pytest.approx(want, rel=1e-12)
 
 
 class TestLineSearch:
