@@ -93,11 +93,14 @@ class ManifestError(ValueError):
     """A fault in a bench manifest, found before any cell runs (exit 2)."""
 
 
-def _config_int(cfg: dict, key: str, default: int) -> int:
+def _int_at_least(value, least: int, where: str, error=ValueError) -> int:
+    """``value`` as an integer >= ``least``; an ``error`` names ``where``."""
     try:
-        return int(cfg.get(key, default))
+        if int(value) >= least:
+            return int(value)
     except (TypeError, ValueError):
-        raise ManifestError(f"config.{key}: expected an integer, got {cfg[key]!r}") from None
+        pass
+    raise error(f"{where}: expected an integer >= {least}, got {value!r}")
 
 
 def _resolve_best_known(inst: qap.QapInstance, override):
@@ -133,6 +136,8 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
 
 def cmd_solve(args) -> int:
     step = _step_rule(args.step, "--step")
+    _int_at_least(args.iters, 1, "--iters")
+    _int_at_least(args.seed, 0, "--seed")
     if not _valid_tol(args.tol):
         raise ValueError(f"--tol: expected a number >= 0, got {args.tol}")
     inst = qap.load_instance(args.instance)
@@ -162,8 +167,8 @@ def cmd_bench(args) -> int:
         if s not in SOLVERS:
             raise ManifestError(f"unknown solver {s!r}")
     cfg = manifest.get("config", {})
-    iters = _config_int(cfg, "iters", 1000)
-    seed = _config_int(cfg, "seed", 0)
+    iters = _int_at_least(cfg.get("iters", 1000), 1, "config.iters", ManifestError)
+    seed = _int_at_least(cfg.get("seed", 0), 0, "config.seed", ManifestError)
     tol = cfg.get("tol")
     if not _valid_tol(tol):
         raise ManifestError(f"config.tol: expected a number >= 0, got {tol!r}")

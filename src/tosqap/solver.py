@@ -9,7 +9,8 @@ Implements the splitting iteration
 with u_t either the exact gradient at z_t or a minibatch estimator,
 together with the fixed step-size rules that back the convergence
 guarantees, per-iteration certificates, and a product-space variant for
-an arbitrary number of nonsmooth terms.
+an arbitrary number of nonsmooth terms, which runs the same iteration on
+stacked copies of the variable.
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ class StepRule:
     gamma: float = 0.0
     l_smooth: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("theory", "fixed", "inv_smoothness"):
+            raise ValueError(f"step rule kind must be 'theory', 'fixed' or "
+                             f"'inv_smoothness', got {self.kind!r}")
+
     @staticmethod
     def fixed(gamma: float) -> "StepRule":
         _check_positive(gamma=gamma)
@@ -73,10 +79,10 @@ class StepRule:
         if self.kind == "fixed":
             return self.gamma
         if self.kind == "inv_smoothness":
+            if self.l_smooth == 0.0:
+                raise ValueError("step 1/L needs the smoothness constant L, which is unset")
             return 1.0 / self.l_smooth
-        if self.kind == "theory":
-            return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
-        raise ValueError(f"unknown step rule kind: {self.kind}")
+        return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class CompositeProblem:
     oracle: GradientOracle
     prox_g: ProxOperator
     prox_h: ProxOperator
-    shape: tuple[int, int]
+    shape: tuple[int, ...]
     d_g: float = 0.0
     g_f: float = 0.0
     l_g: float = 0.0
@@ -233,12 +239,13 @@ def run_tos(
     there.  ``iteration_hook`` receives the full tuple
     (t, gamma, u_t, z_t, x_t, y_t, y_{t+1}) of every iteration.
 
-    ``y1`` is checked here, once; inside the loop only the finiteness of
-    each y_{t+1} is, and a non-finite one raises ``DivergenceError(t)``.
+    ``y1``, of any shape equal to ``problem.shape``, is checked here, once;
+    inside the loop only the finiteness of each y_{t+1} is, and a non-finite
+    one raises ``DivergenceError(t)``.
     """
-    y1 = as_matrix(y1, "y1")
-    if y1.shape != problem.shape:
-        raise ValueError(f"y1 shape {y1.shape} != problem shape {problem.shape}")
+    if np.shape(y1) != problem.shape:
+        raise ValueError(f"y1 shape {np.shape(y1)} != problem shape {problem.shape}")
+    y1 = as_matrix(np.reshape(y1, (-1, problem.shape[-1])), "y1").reshape(problem.shape)
 
     t_total = config.iters
     gamma = config.step.resolve(problem, t_total)
@@ -335,54 +342,40 @@ def run_tos_product_space(
     config: SolverConfig,
     y1: np.ndarray,
 ) -> ProductSpaceResult:
-    """Consensus splitting over m nonsmooth terms plus one smooth term.
+    """Consensus splitting over m nonsmooth terms plus one smooth term: ``run_tos``
+    on m + 1 stacked copies of the variable, all starting from ``y1``.
 
-    Maintains m + 1 blocks: block 0 carries the smooth term (its prox is
-    the identity), blocks 1..m the nonsmooth terms.  Each iteration
-    computes all block proxes, averages the reflected blocks minus a
-    gradient step at z^(0), and moves every dual variable toward the
-    consensus point.  All blocks start from ``y1``, checked here once.
+    g projects onto the consensus diagonal, so z_t and ``x_out`` are the
+    consensus point, where the gradient is taken; h is the identity on block
+    0 and ``prox_list[i - 1]`` on block i; f is ``oracle`` on block 0.
+    ``block_residuals`` holds each checkpoint's stacked ||x_t - z_t||.
     """
     y1 = as_matrix(y1, "y1")
     if len(prox_list) == 0:
         raise ValueError("prox_list must contain at least one operator")
     if config.step.kind not in ("fixed", "inv_smoothness"):
         raise ValueError("product-space runs require a fixed or 1/L step rule")
-    gamma = config.step.resolve(None, config.iters)  # type: ignore[arg-type]
     m = len(prox_list)
-    ys = [np.array(y1, dtype=np.float64, copy=True) for _ in range(m + 1)]
-    schedule = power_of_two_schedule(config.iters)
-    # The iteration draws no randomness, so tau can be drawn before it runs
-    # and x_tau kept as it passes: no snapshots and no replay are needed.
-    tau: Optional[int] = None
-    if config.output == "random":
-        tau = draw_uniform_index(make_rng(config.seed), config.iters)
-    trace: list[TraceRecord] = []
+    zero = np.zeros_like(y1)
 
-    t_start = time.perf_counter()
-    x = x_tau = ys[0]
-    for t in range(1, config.iters + 1):
-        zs = [ys[0]] + [prox_list[i - 1](ys[i], gamma) for i in range(1, m + 1)]
-        acc = sum(2.0 * zs[i] - ys[i] for i in range(m + 1))
-        x = (acc - gamma * oracle.gradient(zs[0])) / (m + 1)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(t)
-        for i in range(m + 1):
-            ys[i] = ys[i] - zs[i] + x
-        if t == tau:
-            x_tau = x
-        if t in schedule:
-            resid = max(frobenius_norm(zs[i] - x) for i in range(m + 1))
-            trace.append(TraceRecord(
-                t=t,
-                objective=oracle.value(zs[0]),
-                coupling=resid,
-                certificate=math.nan,
-            ))
+    def blockwise(p, scale):
+        return np.array([p[0]] + [prox(p[i], scale) for i, prox in enumerate(prox_list, 1)])
+
+    problem = CompositeProblem(
+        oracle=GradientOracle(
+            value=lambda z: oracle.value(z[0]),
+            gradient=lambda z: np.array([oracle.gradient(z[0])] + [zero] * m)),
+        # The block mean as one (1, n, n) block, which broadcasts against the stack.
+        prox_g=ProxOperator(lambda p, scale: p.sum(axis=0, keepdims=True) / len(p)),
+        prox_h=ProxOperator(blockwise, lambda x: sum(
+            prox.value(x[i]) for i, prox in enumerate(prox_list, 1))),
+        shape=(m + 1,) + y1.shape,
+    )
+    run = run_tos(problem, config, np.array([y1] * (m + 1)))
     return ProductSpaceResult(
-        x_out=x if tau is None else x_tau,
-        tau=tau,
-        trace=trace,
-        block_residuals=[rec.coupling for rec in trace],
-        wall_time=time.perf_counter() - t_start,
+        x_out=run.z_out[0],
+        tau=run.tau,
+        trace=run.trace,
+        block_residuals=[rec.coupling for rec in run.trace],
+        wall_time=run.wall_time,
     )

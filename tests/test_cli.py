@@ -103,6 +103,16 @@ class TestSolve:
         assert "--step: expected theory | invL | fixed:<gamma>" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, least", [("--iters", "0", 1), ("--seed", "-1", 0)])
+    def test_out_of_range_int_names_the_flag(self, tmp_path, capsys, flag, value, least):
+        inst_path = tmp_path / "r.dat"
+        write_instance(inst_path, 3, 0)
+        rc = main(["solve", str(inst_path), flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert (f"{flag}: expected an integer >= {least}, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("solver", ["tos-split2", "fw"])
     def test_negative_tol_names_the_flag(self, tmp_path, capsys, solver):
         inst_path = tmp_path / "t.dat"
@@ -226,14 +236,16 @@ class TestBench:
         assert "manifest error: instances[1]" in err and '"path"' in err
         assert not list(out.iterdir())
 
-    @pytest.mark.parametrize("key, value", [("iters", "ten"), ("seed", None), ("tol", -1.0)])
+    @pytest.mark.parametrize("key, value", [
+        ("iters", "ten"), ("seed", None), ("tol", -1.0), ("iters", 0), ("seed", -1)])
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, value):
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split2", "fw"], iters=20)
         manifest = json.loads(mp.read_text())
         manifest["config"][key] = value
         mp.write_text(json.dumps(manifest))
         assert main(["bench", str(mp)]) == 2
-        assert f"manifest error: config.{key}: expected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"manifest error: config.{key}: expected" in err and " >= " in err
         assert not out.exists()
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):

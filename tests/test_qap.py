@@ -446,7 +446,9 @@ class TestIterationPath:
         SPLIT2: ("a140d40f4b2ab7750f7b320a7353521e23b5eae290f5ffc791efba5c16af5963",
                  "bd6fe7a70c79bca0f196ede45a7fa4aee67076822efb3b3f3c9008e255e9d58d"),
     }
-    GOLDEN_CONSENSUS = "56767d1b605d75d95dbfb860929f0f32579fe801b96acb23d192495cedb6922d"
+    # run_tos_product_space over the row, column and box proxes, same start,
+    # step and cap: sha256 of x_out, at one and two OpenBLAS threads.
+    GOLDEN_CONSENSUS = "058be8445ea0bb30e5e8de63bc0228ddc0a8a0f9d0cc2972c2bd26d9e43583ab"
     # run_fw, same start and cap: iterate, trace rows, and float.hex of the
     # relaxed value and nonstationarity.
     GOLDEN_FW = ("7b733a0047f22d938abffe31733c35df9a177a14ef8b529b88b68521327810eb",

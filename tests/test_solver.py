@@ -21,7 +21,8 @@ from tosqap import (
     stationarity_gap,
     step_size_lipschitz,
 )
-from tosqap.prox import ProxOperator, prox_box01
+from tosqap.prox import ProxOperator, prox_box01, prox_col_stochastic, prox_row_stochastic
+from tosqap.qap import QapInstance, estimate_smoothness, qap_oracle
 from tosqap.solver import SNAPSHOT_CAP, power_of_two_schedule
 
 
@@ -66,6 +67,20 @@ class TestStepSizes:
             step_size_lipschitz(0.0, 1.0, 0.0, 0.0, 10)
         with pytest.raises(ValueError):
             step_size_lipschitz(1.0, -1.0, 0.0, 0.0, 10)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be .* got 'bogus'"):
+            StepRule(kind="bogus")
+
+    def test_unset_smoothness_constant_named(self):
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        config = SolverConfig(iters=5, step=StepRule.inv_smoothness())
+        y1 = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError, match="smoothness constant L, which is unset"):
+            run_tos(problem, config, y1)
+        with pytest.raises(ValueError, match="smoothness constant L, which is unset"):
+            run_tos_product_space(zero_oracle(), [prox_box01()], config, y1)
 
 
 class TestRunTos:
@@ -350,11 +365,26 @@ class TestProductSpace:
             return run_tos_product_space(zero_oracle(), proxes, cfg, y1)
 
         res = run(40, output="random", seed=5)
-        assert 1 <= res.tau < 40
+        assert res.tau == 27  # the draw of make_rng(5) over 1..40
         # The iteration is deterministic, so x_tau is the last iterate of a
         # tau-iteration run.
         np.testing.assert_array_equal(res.x_out, run(res.tau).x_out)
         assert not np.array_equal(res.x_out, run(40).x_out)
+
+    def test_certificate_nonpositive_from_feasible_start(self):
+        # ones/n lies in the row, column and box sets, so the stacked start
+        # is in dom(g + h) and every certificate is <= 0 up to rounding.
+        n = 4
+        proxes = [prox_row_stochastic(), prox_col_stochastic(), prox_box01()]
+        for seed in range(5):
+            rng = make_rng(300 + seed)
+            inst = QapInstance("r", rng.uniform(0, 1, (n, n)), rng.uniform(0, 1, (n, n)))
+            step = StepRule.inv_smoothness(estimate_smoothness(inst))
+            res = run_tos_product_space(qap_oracle(inst), proxes,
+                                        SolverConfig(iters=64, step=step), np.ones((n, n)) / n)
+            certs = [r.certificate for r in res.trace]
+            assert len(certs) == 7
+            assert all(np.isfinite(c) and c <= 1e-9 for c in certs), certs
 
     def test_non_finite_start_named(self):
         y1 = np.full((2, 2), 0.5)
