@@ -94,12 +94,10 @@ class ManifestError(ValueError):
 
 
 def _int_at_least(value, least: int, where: str, error=ValueError) -> int:
-    """``value`` as an integer >= ``least``; an ``error`` names ``where``."""
-    try:
-        if int(value) >= least:
-            return int(value)
-    except (TypeError, ValueError):
-        pass
+    """``value``, an integer >= ``least``; anything else (a bool, a float,
+    a string) raises an ``error`` that names ``where``."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
     raise error(f"{where}: expected an integer >= {least}, got {value!r}")
 
 
@@ -173,7 +171,6 @@ def cmd_bench(args) -> int:
     if not _valid_tol(tol):
         raise ManifestError(f"config.tol: expected a number >= 0, got {tol!r}")
     step = _step_rule(cfg.get("step", "invL"), "config.step", ManifestError)
-    out = _out_dir(manifest.get("out_dir", args.out))
 
     cells = []
     paths = {}
@@ -190,6 +187,7 @@ def cmd_bench(args) -> int:
         paths[inst.name] = entry["path"]
         cells.append((_resolve_best_known(inst, best_known),
                       qap.initial_point(inst.n, seed)))
+    out = _out_dir(manifest.get("out_dir", args.out))
 
     rows = []
     for inst, y1 in cells:

@@ -35,13 +35,31 @@ class LapSolution:
     dual_col: np.ndarray
 
 
-def solve_lap_min(cost: np.ndarray) -> LapSolution:
+def solve_lap_min(cost: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
     """Minimize sum_i cost[i, pi(i)] over permutations pi.
 
     Rows are assigned in index order, which fixes the tie-breaking among
     equally optimal assignments deterministically.
+
+    ``dual_col``, the column duals of an earlier solve (``sol.dual_col``),
+    warm-starts the solve: each row takes its cheapest column under those
+    duals when that column is free, and only the rows left over run the
+    augmenting search.  When the optimum is unique, the warm and cold
+    solves return the same permutation.  On a tie, the warm solve may
+    return another optimal permutation of the same value.  Either solve
+    is deterministic for a given sequence of costs and duals.
     """
-    return _hungarian(_square(cost, "cost"))
+    c = _square(cost, "cost")
+    if dual_col is not None:
+        try:
+            v = np.asarray(dual_col, dtype=float)
+        except (TypeError, ValueError):
+            v = None
+        if v is None or v.shape != (c.shape[0],) or not np.isfinite(v).all():
+            raise ValueError(f"dual_col must be a finite vector of length {c.shape[0]}, "
+                             f"got {dual_col!r}")
+        dual_col = v
+    return _hungarian(c, dual_col)
 
 
 def solve_lap_max(profit: np.ndarray) -> LapSolution:
@@ -62,8 +80,9 @@ def _square(x, name: str) -> np.ndarray:
     return c
 
 
-def _hungarian(c: np.ndarray) -> LapSolution:
-    """Minimum-cost assignment of a checked square cost matrix."""
+def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
+    """Minimum-cost assignment of a checked square cost matrix, warm-started
+    from checked column duals ``dual_col`` when given."""
     n = c.shape[0]
     # Python floats and lists, not numpy arrays: indexing an array boxes a
     # scalar on every access.  Each step is one IEEE double operation in a
@@ -76,8 +95,23 @@ def _hungarian(c: np.ndarray) -> LapSolution:
     v = [0.0] * (n + 1)
     p = [0] * (n + 1)  # p[j]: row matched to column j
     way = [0] * (n + 1)
+    pending = range(1, n + 1)
+    if dual_col is not None:
+        # u_i = min_j (c_ij - v_j) keeps every reduced cost >= 0 and makes
+        # each row's argmin edge tight; argmin keeps the lowest index on a
+        # tie.  A row whose argmin column is still free takes it.
+        reduced = c - dual_col
+        best = reduced.argmin(axis=1)
+        v = [0.0] + dual_col.tolist()
+        u = [0.0] + reduced[np.arange(n), best].tolist()
+        pending = []
+        for i, j in enumerate(best.tolist(), 1):
+            if p[j + 1] == 0:
+                p[j + 1] = i
+            else:
+                pending.append(i)
 
-    for i in range(1, n + 1):
+    for i in pending:
         p[0] = i
         j0 = 0
         minv = [inf] * (n + 1)
@@ -121,7 +155,7 @@ def _hungarian(c: np.ndarray) -> LapSolution:
     for j in range(1, n + 1):
         mapping[p[j] - 1] = j - 1
     perm = Permutation(n, tuple(mapping))
-    value = float(sum(c[i, perm.mapping[i]] for i in range(n)))
+    value = float(sum(rows[i][mapping[i] + 1] for i in range(n)))
     return LapSolution(
         permutation=perm,
         value=value,

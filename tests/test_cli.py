@@ -224,7 +224,7 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         err = capsys.readouterr().err
         assert "manifest error" in err and "'x'" in err
-        assert not list((tmp_path / "o").iterdir())
+        assert not (tmp_path / "o").exists()
 
     def test_instance_without_path_names_its_index(self, tmp_path, capsys):
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split2"], iters=20)
@@ -234,7 +234,7 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         err = capsys.readouterr().err
         assert "manifest error: instances[1]" in err and '"path"' in err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("iters", "ten"), ("seed", None), ("tol", -1.0), ("iters", 0), ("seed", -1)])
@@ -246,6 +246,18 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         err = capsys.readouterr().err
         assert f"manifest error: config.{key}: expected" in err and " >= " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, least", [("iters", 1), ("seed", 0)])
+    @pytest.mark.parametrize("value", [2.5, True, "10", 10.0])
+    def test_config_int_must_be_a_json_integer(self, tmp_path, capsys, key, least, value):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["config"][key] = value
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert (f"manifest error: config.{key}: expected an integer >= {least}, "
+                f"got {value!r}" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_solver_rejected(self, tmp_path, capsys):
@@ -280,7 +292,7 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         assert ("manifest error: instances[1].best_known: expected a number, got 'abc'"
                 in capsys.readouterr().err)
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_bad_instance_file_is_named(self, tmp_path, capsys):
         mp, out = self.make_manifest(tmp_path, 2, ["tos-split2"], iters=20)
@@ -292,6 +304,19 @@ class TestBench:
         assert main(["bench", str(mp)]) == 1
         assert (f"error: {bad}: token 8: expected a finite number, got 'x'"
                 in capsys.readouterr().err)
+
+    def test_bad_instance_file_creates_no_out_dir(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_text("2\n1 2 3 4\n5 6 x 8\n")
+        mp = tmp_path / "m.json"
+        mp.write_text(json.dumps({
+            "instances": [{"path": str(bad)}],
+            "solvers": ["fw"],
+            "out_dir": str(tmp_path / "o"),
+        }))
+        assert main(["bench", str(mp)]) == 1
+        assert f"error: {bad}: token 8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestPairwiseTally:

@@ -235,6 +235,33 @@ class TestRun:
             x = x + eta * d
         assert res.iterate.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("start", range(5))
+    def test_warm_lap_iterates_match_cold_loop(self, monkeypatch, start):
+        # chr12a's gradients have a unique optimal assignment, so solving
+        # each LAP cold walks through the same iterates bit for bit.
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        config = FwConfig(max_iters=1024, gap_tolerance=1e-5)
+        warm = run_fw(inst, initial_point(12, start), config)
+        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, dual_col=None: solve_lap_min(cost))
+        cold = run_fw(inst, initial_point(12, start), config)
+        assert warm.iterations_run == cold.iterations_run
+        assert warm.iterate.tobytes() == cold.iterate.tobytes()
+        assert warm.trace == cold.trace
+
+    def test_each_lap_starts_from_the_previous_duals(self, monkeypatch):
+        passed, returned = [], []
+
+        def spy(cost, dual_col=None):
+            sol = solve_lap_min(cost, dual_col)
+            passed.append(dual_col)
+            returned.append(sol.dual_col)
+            return sol
+
+        monkeypatch.setattr(fw, "solve_lap_min", spy)
+        run_fw(random_instance(6, 7), uniform_start(6), FwConfig(max_iters=20))
+        assert passed[0] is None and len(passed) > 2
+        assert all(p is r for p, r in zip(passed[1:], returned))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FwConfig(max_iters=0)

@@ -107,6 +107,51 @@ class TestReferenceIdentity:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def warm_cases():
+    """(kind, cost, dual_col): Gaussian costs with the column duals of a
+    perturbed copy, and integer costs in -2..2 and all-ones costs with the
+    duals of an integer-perturbed copy, whose ties let a warm solve pick
+    another optimum."""
+    rng = make_rng(21)
+    cases = []
+    for n in (1, 2, 3, 5, 12, 30):
+        for _ in range(4):
+            c = rng.standard_normal((n, n))
+            cases.append(("gauss", c, solve_lap_min(c + 0.1 * rng.standard_normal((n, n))).dual_col))
+            for c in (rng.integers(-2, 3, (n, n)).astype(float), np.ones((n, n))):
+                cases.append(("tied", c, solve_lap_min(c + rng.integers(-1, 2, (n, n))).dual_col))
+    return cases
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind, cost, dual_col", warm_cases())
+    def test_warm_matches_cold(self, kind, cost, dual_col):
+        n = cost.shape[0]
+        warm, cold = solve_lap_min(cost, dual_col), solve_lap_min(cost)
+        if kind == "gauss":  # the optimum is unique w.p. 1
+            assert warm.permutation == cold.permutation
+        assert warm.value == cold.value
+        assert sorted(warm.permutation.mapping) == list(range(n))
+        # Reduced-cost certificate.  Each dual is the result of at most
+        # n^2 + 1 roundings (the prelude's c - v, then at most n searches
+        # of at most n steps, each updating a dual once), the minv entry a
+        # step's delta comes from carries at most n + 2, and evaluating
+        # c - u - v two more; each rounding errs by at most eps * S, where
+        # S bounds every value involved.
+        eps = np.finfo(float).eps / 2
+        size = (np.abs(cost).max() + np.abs(dual_col).max()
+                + np.abs(warm.dual_row).max() + np.abs(warm.dual_col).max())
+        reduced = cost - warm.dual_row[:, None] - warm.dual_col[None, :]
+        assert reduced.min() >= -(2 * n * n + n + 6) * eps * size
+
+    @pytest.mark.parametrize("dual_col", [
+        np.zeros((3, 1)), np.zeros(2), np.array([0.0, np.nan, 0.0]),
+        np.array([0.0, np.inf, 0.0]), "abc"], ids=["2d", "short", "nan", "inf", "str"])
+    def test_bad_dual_col_named(self, dual_col):
+        with pytest.raises(ValueError, match="dual_col must be a finite vector of length 3"):
+            solve_lap_min(np.ones((3, 3)), dual_col)
+
+
 class TestScipy:
     @pytest.mark.parametrize("n", [30, 100, 300])
     def test_value_matches_linear_sum_assignment(self, n):
