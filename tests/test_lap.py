@@ -132,17 +132,17 @@ class TestWarmStart:
             assert warm.permutation == cold.permutation
         assert warm.value == cold.value
         assert sorted(warm.permutation.mapping) == list(range(n))
-        # Reduced-cost certificate.  Each dual is the result of at most
-        # n^2 + 1 roundings (the prelude's c - v, then at most n searches
-        # of at most n steps, each updating a dual once), the minv entry a
-        # step's delta comes from carries at most n + 2, and evaluating
-        # c - u - v two more; each rounding errs by at most eps * S, where
-        # S bounds every value involved.
+        # Reduced-cost certificate.  The prelude's rounded c - v costs one
+        # rounding; u_i and v_j then take at most n^2 each (at most n
+        # searches of at most n steps, one update per step); the minv entry
+        # a step's delta comes from carries at most n + 2 within a search;
+        # evaluating c - u - v takes two more.  Each errs by at most
+        # eps * S, where S bounds every value involved.
         eps = np.finfo(float).eps / 2
         size = (np.abs(cost).max() + np.abs(dual_col).max()
                 + np.abs(warm.dual_row).max() + np.abs(warm.dual_col).max())
         reduced = cost - warm.dual_row[:, None] - warm.dual_col[None, :]
-        assert reduced.min() >= -(2 * n * n + n + 6) * eps * size
+        assert reduced.min() >= -(2 * n * n + n + 5) * eps * size
 
     @pytest.mark.parametrize("dual_col", [
         np.zeros((3, 1)), np.zeros(2), np.array([0.0, np.nan, 0.0]),
@@ -157,10 +157,13 @@ class TestScipy:
     def test_value_matches_linear_sum_assignment(self, n):
         from scipy.optimize import linear_sum_assignment  # test extra only
 
-        cost = make_rng(100 + n).standard_normal((n, n)) * 10
+        rng = make_rng(100 + n)
+        cost = rng.standard_normal((n, n)) * 10
         rows, cols = linear_sum_assignment(cost)
         want = float(cost[rows, cols].sum())
         assert solve_lap_min(cost).value == pytest.approx(want, rel=1e-9)
+        dual_col = solve_lap_min(cost + rng.standard_normal((n, n))).dual_col
+        assert solve_lap_min(cost, dual_col).value == pytest.approx(want, rel=1e-9)
 
 
 class TestMin:
