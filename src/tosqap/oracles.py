@@ -25,14 +25,18 @@ class GradientOracle:
 
 @dataclass(frozen=True)
 class StochasticGradientOracle:
-    """Single-draw unbiased gradient estimator with declared variance.
+    """Exact gradient plus isotropic Gaussian noise with E||noise||^2 = sigma^2.
 
-    ``sample(x, rng)`` returns one noisy gradient; repeated draws must be
-    i.i.d. conditioned on ``x`` and consume entropy only from ``rng``.
+    Build one with ``gaussian_noise_oracle``.  ``sample(x, rng)`` returns
+    one noisy gradient; repeated draws are i.i.d. conditioned on ``x`` and
+    consume entropy only from ``rng``.
     """
 
-    sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
-    sigma2: float
+    gradient: Callable[[np.ndarray], np.ndarray]
+    sigma: float
+
+    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return minibatch_gradient(self, x, 1, rng)
 
 
 def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGradientOracle:
@@ -42,17 +46,9 @@ def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGrad
     the generator, so a zero-variance stochastic run collapses bitwise onto
     the deterministic one.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-
-    def sample(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        g = exact.gradient(x)
-        if sigma == 0.0:
-            return g
-        noise = rng.standard_normal(g.shape)
-        return g + (sigma / math.sqrt(g.size)) * noise
-
-    return StochasticGradientOracle(sample=sample, sigma2=sigma**2)
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    return StochasticGradientOracle(gradient=exact.gradient, sigma=sigma)
 
 
 def minibatch_gradient(
@@ -61,16 +57,27 @@ def minibatch_gradient(
     batch: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Mean of ``batch`` i.i.d. draws at ``x``, consumed sequentially from ``rng``."""
+    """Mean of ``batch`` i.i.d. draws at ``x``.
+
+    The exact gradient g is computed once per batch.  The noise of all
+    draws is one ``standard_normal`` call of batch * g.size floats, which
+    consumes ``rng`` exactly as ``batch`` single draws in a row would; draw
+    k is g + (sigma / sqrt(g.size)) * noise_k, and the draws are summed in
+    order 1, 2, ..., batch before the division, so the result equals the
+    mean of ``batch`` sequential ``sample`` calls bit for bit.
+    """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    if oracle.sigma2 == 0.0:
-        # All draws coincide; a single sample equals the batch mean exactly,
+    g = oracle.gradient(x)
+    if oracle.sigma == 0.0:
+        # All draws coincide; the exact gradient equals the batch mean exactly,
         # so zero-variance runs collapse bitwise onto deterministic ones.
-        return np.array(oracle.sample(x, rng), dtype=np.float64, copy=True)
-    acc = np.array(oracle.sample(x, rng), dtype=np.float64, copy=True)
-    for _ in range(batch - 1):
-        acc += oracle.sample(x, rng)
+        return np.array(g, dtype=np.float64, copy=True)
+    draws = g + (oracle.sigma / math.sqrt(g.size)) * rng.standard_normal((batch,) + g.shape)
+    # An explicit running sum: numpy's sum(axis=0) may add pairwise.
+    acc = draws[0]
+    for draw in draws[1:]:
+        acc += draw
     return acc / batch
 
 

@@ -16,6 +16,7 @@ stacked copies of the variable.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -109,12 +110,15 @@ class CompositeProblem:
         for name in ("d_g", "g_f", "l_g", "l_h"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        if not (isinstance(self.batch, numbers.Integral) and not isinstance(self.batch, bool)
+                and self.batch >= 1):
+            raise ValueError(f"batch must be an integer >= 1, got {self.batch!r}")
 
 
-#: Maximum T for which every z_t is kept in memory under the random-iterate
-#: policy; larger runs are replayed deterministically to recover z_tau.
+#: Most marks a random-iterate run keeps.  A mark is the pair (y_t, generator
+#: state) at the start of iteration t; one is taken every
+#: ceil(T / SNAPSHOT_CAP) iterations, and z_tau is recovered by replaying at
+#: most that many iterations from the last mark at or before tau.
 SNAPSHOT_CAP = 4096
 
 
@@ -252,28 +256,27 @@ def run_tos(
     schedule = power_of_two_schedule(t_total)
     rng = make_rng(config.seed)
 
-    keep_snapshots = config.output == "random" and t_total <= SNAPSHOT_CAP
-    snapshots: dict[int, np.ndarray] = {}
+    stride = math.ceil(t_total / SNAPSHOT_CAP)
+    marks: Optional[list[tuple[np.ndarray, dict]]] = [] if config.output == "random" else None
 
     t_start = time.perf_counter()
     z, trace, t_done = _iterate(
         problem, gamma, y1, t_total, rng, schedule,
-        metric_fn, stop_when, iteration_hook,
-        snapshots if keep_snapshots else None,
+        metric_fn, stop_when, iteration_hook, marks, stride,
     )
 
     tau: Optional[int] = None
     if config.output == "random":
         tau = draw_uniform_index(rng, t_done)
-        if keep_snapshots:
-            z_out = snapshots[tau]
-        else:
-            # Replay deterministically up to tau; the gradient noise stream
-            # restarts from the same seed, so the prefix is identical.
-            z_out = _iterate(
-                problem, gamma, y1, tau, make_rng(config.seed), frozenset(),
-                None, None, None, None,
-            )[0]
+        # Replay from the last mark s <= tau, the generator restored to its
+        # state there, so iterations s..tau repeat bit for bit.
+        y_s, state = marks[(tau - 1) // stride]
+        replay_rng = make_rng(config.seed)
+        replay_rng.bit_generator.state = state
+        z_out = _iterate(
+            problem, gamma, y_s, (tau - 1) % stride + 1, replay_rng, frozenset(),
+            None, None, None,
+        )[0]
     else:
         z_out = z
 
@@ -287,12 +290,17 @@ def run_tos(
 
 
 def _iterate(problem, gamma, y1, t_total, rng, schedule,
-             metric_fn, stop_when, iteration_hook, snapshots):
+             metric_fn, stop_when, iteration_hook, marks=None, stride=1):
+    """Run ``t_total`` iterations from ``y1``; return (z of the last, trace,
+    iterations run).  If ``marks`` is a list, (y_t, generator state) is
+    appended to it at the start of each iteration t = 1 (mod ``stride``)."""
     y = np.array(y1, dtype=np.float64, copy=True)
     z = y
     trace: list[TraceRecord] = []
     t_done = 0
     for t in range(1, t_total + 1):
+        if marks is not None and (t - 1) % stride == 0:
+            marks.append((y, rng.bit_generator.state))
         z = problem.prox_g(y, gamma)
         if problem.stochastic is not None:
             u = minibatch_gradient(problem.stochastic, z, problem.batch, rng)
@@ -302,8 +310,6 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
         y_next = y - z + x
         if not np.all(np.isfinite(y_next)):
             raise DivergenceError(t)
-        if snapshots is not None:
-            snapshots[t] = z
         if iteration_hook is not None:
             iteration_hook(t, gamma, u, z, x, y, y_next)
         t_done = t

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,72 @@ def test_batch_zero_rejected(exact):
     noisy = gaussian_noise_oracle(exact, 1.0)
     with pytest.raises(ValueError):
         minibatch_gradient(noisy, np.zeros((3, 3)), 0, make_rng(0))
+
+
+def reference_minibatch(exact, sigma, x, batch, rng):
+    """Mean of ``batch`` draws, each with its own exact gradient and its own
+    ``standard_normal`` call, summed one by one: the estimator written
+    draw by draw."""
+    def sample():
+        g = exact.gradient(x)
+        if sigma == 0.0:
+            return g
+        return g + (sigma / math.sqrt(g.size)) * rng.standard_normal(g.shape)
+
+    acc = np.array(sample(), dtype=np.float64, copy=True)
+    if sigma == 0.0:
+        return acc
+    for _ in range(batch - 1):
+        acc += sample()
+    return acc / batch
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 2.0])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (12, 12)])
+@pytest.mark.parametrize("batch", [1, 2, 7, 8, 64])
+def test_minibatch_matches_draw_by_draw_reference(batch, shape, sigma):
+    m = make_rng(sum(shape)).standard_normal(shape)
+    exact = quadratic_oracle(m)
+    noisy = gaussian_noise_oracle(exact, sigma)
+    x = make_rng(batch).standard_normal(shape)
+    rng_want, rng_got = make_rng(17), make_rng(17)
+    want = reference_minibatch(exact, sigma, x, batch, rng_want)
+    got = minibatch_gradient(noisy, x, batch, rng_got)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    # Both generators are left in the same state: the next draws are equal.
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert rng_got.standard_normal() == rng_want.standard_normal()
+    # A single draw is the draw-by-draw estimator with batch 1.
+    assert (noisy.sample(x, rng_got).tobytes()
+            == reference_minibatch(exact, sigma, x, 1, rng_want).tobytes())
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_one_exact_gradient_per_batch(sigma):
+    calls = []
+    exact = GradientOracle(value=lambda x: 0.0,
+                           gradient=lambda x: calls.append(1) or np.asarray(x) - 1.0)
+    noisy = gaussian_noise_oracle(exact, sigma)
+    minibatch_gradient(noisy, np.zeros((3, 3)), 8, make_rng(0))
+    assert len(calls) == 1
+
+
+def test_zero_variance_returns_a_copy(exact):
+    g = np.ones((3, 3))
+    noisy = gaussian_noise_oracle(GradientOracle(value=exact.value, gradient=lambda x: g), 0.0)
+    rng = make_rng(4)
+    state = rng.bit_generator.state
+    got = minibatch_gradient(noisy, np.zeros((3, 3)), 5, rng)
+    assert got is not g
+    np.testing.assert_array_equal(got, g)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+def test_sigma_must_be_nonnegative_and_finite(exact, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_noise_oracle(exact, sigma)
 
 
 def test_minibatch_determinism(exact):

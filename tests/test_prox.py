@@ -30,16 +30,17 @@ def square(n=4):
 
 
 def reference_simplex_projection(v):
-    """Independent sort-and-threshold recipe, written from the definition."""
+    """Independent sort-and-threshold recipe, written from the definition:
+    theta is theta_k = (u_1 + ... + u_k - 1) / k for the largest k with
+    u_k > theta_k.  k = 1 always qualifies, so a rounded theta_k that lands
+    on u_{k+1} cannot leave the search without an answer."""
     v = np.asarray(v, dtype=float)
-    n = v.size
     u = np.sort(v)[::-1]
     best_theta = None
-    for k in range(1, n + 1):
+    for k in range(1, v.size + 1):
         theta = (u[:k].sum() - 1.0) / k
-        if u[k - 1] > theta and (k == n or u[k] <= theta):
+        if u[k - 1] > theta:
             best_theta = theta
-            break
     return np.maximum(v - best_theta, 0.0)
 
 
@@ -81,6 +82,7 @@ class TestSimplex:
 
     @settings(max_examples=100)
     @given(arrays(np.float64, 7, elements=moderate))
+    @example(np.array([49.0, 49.99999999999999, 0.0, 0.0, 0.0, 0.0, 0.0]))
     def test_matches_reference(self, v):
         got = project_simplex(v)
         want = reference_simplex_projection(v)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -223,6 +224,49 @@ class TestRunTos:
                       iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, np.array(z)))
         np.testing.assert_array_equal(res.z_out, zs[res.tau])
 
+    @staticmethod
+    def noisy_random_run(iters, seed, stop_when=None):
+        """A noisy 2 x 2 run under output="random": (result, {t: z_t bytes},
+        exact gradient calls)."""
+        m = np.array([[0.3, 0.6], [0.8, 0.2]])
+        calls = []
+        oracle = GradientOracle(
+            value=lambda x: 0.5 * frobenius_norm(x - m) ** 2,
+            gradient=lambda x: calls.append(1) or x - m)
+        identity = ProxOperator(lambda p, s: p)
+        problem = CompositeProblem(
+            oracle=oracle, prox_g=prox_box01(), prox_h=identity, shape=(2, 2),
+            stochastic=gaussian_noise_oracle(oracle, 0.5), batch=2)
+        cfg = SolverConfig(iters=iters, step=StepRule.fixed(0.2), output="random", seed=seed)
+        zs = {}
+        res = run_tos(problem, cfg, np.full((2, 2), 0.5), stop_when=stop_when,
+                      iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, z.tobytes()))
+        return res, zs, len(calls)
+
+    @pytest.mark.parametrize("iters, seed", [
+        (SNAPSHOT_CAP - 1, 1), (SNAPSHOT_CAP, 1), (SNAPSHOT_CAP + 1, 3), (2 * SNAPSHOT_CAP + 3, 1)])
+    def test_noisy_random_iterate_is_z_tau(self, iters, seed):
+        res, zs, calls = self.noisy_random_run(iters, seed)
+        stride = math.ceil(iters / SNAPSHOT_CAP)
+        assert res.iterations_run == iters and 1 <= res.tau <= iters
+        assert res.z_out.tobytes() == zs[res.tau]
+        # The replay starts from the last mark s <= tau, where s = 1 (mod stride),
+        # and takes one exact gradient per iteration.
+        replayed = (res.tau - 1) % stride + 1
+        assert calls == iters + replayed
+        if stride > 1:
+            # tau falls between marks, so the replay draws noise from a
+            # restored generator before it reaches z_tau.
+            assert replayed > 1
+
+    def test_noisy_random_iterate_after_early_stop(self):
+        iters = 2 * SNAPSHOT_CAP + 3
+        res, zs, _ = self.noisy_random_run(iters, 1, stop_when=lambda rec: rec.t == 2048)
+        assert res.iterations_run == 2048 and len(zs) == 2048
+        assert 1 <= res.tau <= res.iterations_run
+        assert (res.tau - 1) % math.ceil(iters / SNAPSHOT_CAP) > 0
+        assert res.z_out.tobytes() == zs[res.tau]
+
     def test_divergence_reported_with_iteration(self):
         def cubic_gradient(x):
             x = np.asarray(x)
@@ -253,6 +297,19 @@ class TestRunTos:
         y1[1, 0] = np.nan
         with pytest.raises(ValueError, match="y1 contains non-finite entries"):
             run_tos(problem, SolverConfig(iters=5, step=StepRule.fixed(0.5)), y1)
+
+
+class TestCompositeProblem:
+    @pytest.mark.parametrize("batch", [2.0, 2.5, "2", True, 0, -1])
+    def test_batch_must_be_a_positive_integer(self, batch):
+        with pytest.raises(ValueError, match="batch"):
+            CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                             shape=(2, 2), batch=batch)
+
+    def test_numpy_integer_batch_accepted(self):
+        problem = CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(),
+                                   prox_h=prox_box01(), shape=(2, 2), batch=np.int64(3))
+        assert problem.batch == 3
 
 
 class TestCertificate:
