@@ -26,6 +26,7 @@ import numpy as np
 
 from . import qap
 from .fw import FwConfig, run_fw
+from .linalg import check_int, check_real
 from .solver import SolverConfig, StepRule
 
 SOLVERS = ("tos-split1", "tos-split2", "fw")
@@ -69,8 +70,8 @@ def _out_dir(out) -> str:
     return out
 
 
-def _step_rule(spec, where: str, error=ValueError) -> StepRule:
-    """Parse theory | invL | fixed:<gamma>; an ``error`` names ``where``."""
+def _step_rule(spec, where: str) -> StepRule:
+    """Parse theory | invL | fixed:<gamma>; a ``ValueError`` names ``where``."""
     if spec == "theory":
         return StepRule(kind="theory")
     if spec == "invL":
@@ -80,25 +81,12 @@ def _step_rule(spec, where: str, error=ValueError) -> StepRule:
             return StepRule.fixed(float(spec[len("fixed:"):]))
         except ValueError:
             pass
-    raise error(f"{where}: expected theory | invL | fixed:<gamma> with gamma "
-                f"a positive number, got {spec!r}")
-
-
-def _valid_tol(tol) -> bool:
-    """None (no early stop) or a number >= 0; TOS never meets a negative tol."""
-    return tol is None or (isinstance(tol, (int, float)) and tol >= 0)
+    raise ValueError(f"{where}: expected theory | invL | fixed:<gamma> with gamma "
+                     f"a positive number, got {spec!r}")
 
 
 class ManifestError(ValueError):
     """A fault in a bench manifest, found before any cell runs (exit 2)."""
-
-
-def _int_at_least(value, least: int, where: str, error=ValueError) -> int:
-    """``value``, an integer >= ``least``; anything else (a bool, a float,
-    a string) raises an ``error`` that names ``where``."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
-        return value
-    raise error(f"{where}: expected an integer >= {least}, got {value!r}")
 
 
 def _resolve_best_known(inst: qap.QapInstance, override):
@@ -134,10 +122,12 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
 
 def cmd_solve(args) -> int:
     step = _step_rule(args.step, "--step")
-    _int_at_least(args.iters, 1, "--iters")
-    _int_at_least(args.seed, 0, "--seed")
-    if not _valid_tol(args.tol):
-        raise ValueError(f"--tol: expected a number >= 0, got {args.tol}")
+    check_int(args.iters, "--iters", 1)
+    check_int(args.seed, "--seed", 0)
+    if args.tol is not None:
+        check_real(args.tol, "--tol", least=0)
+    if args.best_known is not None:
+        check_real(args.best_known, "--best-known", finite=True)
     inst = qap.load_instance(args.instance)
     inst = _resolve_best_known(inst, args.best_known)
     out = _out_dir(args.out)
@@ -159,33 +149,36 @@ def cmd_bench(args) -> int:
         manifest = json.load(f)
     instances = manifest.get("instances", [])
     solvers = manifest.get("solvers", [])
-    if not instances or not solvers:
-        raise ManifestError("need at least one instance and one solver")
-    for s in solvers:
-        if s not in SOLVERS:
-            raise ManifestError(f"unknown solver {s!r}")
     cfg = manifest.get("config", {})
-    iters = _int_at_least(cfg.get("iters", 1000), 1, "config.iters", ManifestError)
-    seed = _int_at_least(cfg.get("seed", 0), 0, "config.seed", ManifestError)
-    tol = cfg.get("tol")
-    if not _valid_tol(tol):
-        raise ManifestError(f"config.tol: expected a number >= 0, got {tol!r}")
-    step = _step_rule(cfg.get("step", "invL"), "config.step", ManifestError)
+    try:
+        if not instances or not solvers:
+            raise ValueError("need at least one instance and one solver")
+        for s in solvers:
+            if s not in SOLVERS:
+                raise ValueError(f"unknown solver {s!r}")
+        iters = check_int(cfg.get("iters", 1000), "config.iters", 1)
+        seed = check_int(cfg.get("seed", 0), "config.seed", 0)
+        tol = cfg.get("tol")
+        if tol is not None:
+            check_real(tol, "config.tol", least=0)
+        step = _step_rule(cfg.get("step", "invL"), "config.step")
+        for k, entry in enumerate(instances):
+            if not isinstance(entry, dict) or "path" not in entry:
+                raise ValueError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
+            if entry.get("best_known") is not None:
+                check_real(entry["best_known"], f"instances[{k}].best_known", finite=True)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
 
     cells = []
     paths = {}
-    for k, entry in enumerate(instances):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ManifestError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
-        best_known = entry.get("best_known")
-        if best_known is not None and not isinstance(best_known, (int, float)):
-            raise ManifestError(f"instances[{k}].best_known: expected a number, got {best_known!r}")
+    for entry in instances:
         inst = qap.load_instance(entry["path"])
         if inst.name in paths:
             raise ManifestError(f"duplicate instance name {inst.name!r} "
                                 f"({paths[inst.name]} and {entry['path']})")
         paths[inst.name] = entry["path"]
-        cells.append((_resolve_best_known(inst, best_known),
+        cells.append((_resolve_best_known(inst, entry.get("best_known")),
                       qap.initial_point(inst.n, seed)))
     out = _out_dir(manifest.get("out_dir", args.out))
 

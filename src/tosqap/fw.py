@@ -16,14 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .lap import permutation_to_matrix, solve_lap_min
-from .linalg import as_matrix, frobenius_inner
-from .qap import (
-    QapInstance,
-    assignment_error,
-    qap_gradient,
-    qap_objective,
-    round_to_permutation,
-)
+from .linalg import as_matrix, check_int, check_real, frobenius_inner
+from .qap import QapInstance, _round, qap_gradient, qap_objective
 from .solver import TraceRecord, power_of_two_schedule
 
 
@@ -33,10 +27,8 @@ class FwConfig:
     gap_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.gap_tolerance < 0:
-            raise ValueError("gap_tolerance must be >= 0")
+        check_int(self.max_iters, "max_iters", 1)
+        check_real(self.gap_tolerance, "gap_tolerance", least=0)
 
 
 @dataclass
@@ -118,8 +110,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         eta = exact_line_step(inst, grad, direction)
         x = x + eta * direction
 
-    perm = round_to_permutation(x)
-    rounded = qap_objective(inst, permutation_to_matrix(perm))
+    perm, rounded, assignment_err = _round(inst, x)
     return FwResult(
         instance=inst.name,
         iterate=x,
@@ -128,7 +119,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         rounded_value=rounded,
         infeasibility=0.0,
         nonstationarity=nonstationarity,
-        assignment_err=assignment_error(rounded, inst.best_known),
+        assignment_err=assignment_err,
         trace=trace,
         iterations_run=min(t, config.max_iters),
         wall_time=time.perf_counter() - t_start,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_square
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def solve_lap_min(cost: np.ndarray, dual_col: np.ndarray | None = None) -> LapSo
     return another optimal permutation of the same value.  Either solve
     is deterministic for a given sequence of costs and duals.
     """
-    c = _square(cost, "cost")
+    c = as_square(cost, "cost")
     if dual_col is not None:
         try:
             v = np.asarray(dual_col, dtype=float)
@@ -64,20 +64,13 @@ def solve_lap_min(cost: np.ndarray, dual_col: np.ndarray | None = None) -> LapSo
 
 def solve_lap_max(profit: np.ndarray) -> LapSolution:
     """Maximize sum_i profit[i, pi(i)]; solved as minimization on -profit."""
-    sol = _hungarian(-_square(profit, "profit"))
+    sol = _hungarian(-as_square(profit, "profit"))
     return LapSolution(
         permutation=sol.permutation,
         value=-sol.value,
         dual_row=-sol.dual_row,
         dual_col=-sol.dual_col,
     )
-
-
-def _square(x, name: str) -> np.ndarray:
-    c = as_matrix(x, name)
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f"{name} matrix must be square, got {c.shape}")
-    return c
 
 
 def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:

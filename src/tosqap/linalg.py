@@ -1,4 +1,4 @@
-"""Dense matrix helpers and deterministic pseudo-randomness.
+"""Dense matrix helpers, argument checks and deterministic pseudo-randomness.
 
 All state in this package is carried by dense, row-major ``float64``
 numpy arrays. Randomness always flows through an explicitly passed
@@ -7,6 +7,9 @@ seed fully determines every stream on every platform.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -24,6 +27,37 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def as_square(x, name: str = "matrix") -> np.ndarray:
+    """``as_matrix(x, name)``, which must also be square."""
+    a = as_matrix(x, name)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    return a
+
+
+def check_int(value, name: str, least: int):
+    """Return ``value`` if it is an integer (a ``numbers.Integral``, not a
+    bool) >= ``least``; otherwise raise a ``ValueError`` naming ``name``."""
+    # A plain int skips the slower ABC test: minibatch_gradient checks its
+    # batch on every iteration.
+    if (type(value) is int or isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)) and value >= least:
+        return value
+    raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
+
+
+def check_real(value, name: str, *, least=-math.inf, above=None, finite: bool = False):
+    """Return ``value`` if it is a real number (a ``numbers.Real``, not a bool,
+    not NaN) >= ``least``, > ``above`` if given, and finite if ``finite``;
+    otherwise raise a ``ValueError`` naming ``name``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= least
+            and (above is None or value > above) and (not finite or math.isfinite(value))):
+        return value  # NaN fails value >= least
+    bound = f" > {above}" if above is not None else f" >= {least}" if least > -math.inf else ""
+    kind = "a finite number" if finite else "a number"
+    raise ValueError(f"{name}: expected {kind}{bound}, got {value!r}")
 
 
 def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -47,6 +81,5 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def draw_uniform_index(rng: np.random.Generator, t_max: int) -> int:
     """Draw an index uniformly from {1, ..., t_max}, advancing ``rng``."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_int(t_max, "t_max", 1)
     return int(rng.integers(1, t_max + 1))

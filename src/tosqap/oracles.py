@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import check_int, check_real
+
 
 @dataclass(frozen=True)
 class GradientOracle:
@@ -46,8 +48,7 @@ def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGrad
     the generator, so a zero-variance stochastic run collapses bitwise onto
     the deterministic one.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+    check_real(sigma, "sigma", least=0, finite=True)
     return StochasticGradientOracle(gradient=exact.gradient, sigma=sigma)
 
 
@@ -66,8 +67,7 @@ def minibatch_gradient(
     order 1, 2, ..., batch before the division, so the result equals the
     mean of ``batch`` sequential ``sample`` calls bit for bit.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    check_int(batch, "batch", 1)
     g = oracle.gradient(x)
     if oracle.sigma == 0.0:
         # All draws coincide; the exact gradient equals the batch mean exactly,
@@ -83,11 +83,8 @@ def minibatch_gradient(
 
 def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -> int:
     """Batch size ceil(T^(2/3) / (2 (G_f + L_g + L_h)^2)), floored at 1."""
-    if t_total < 1:
-        raise ValueError("t_total must be >= 1")
-    s = g_f + l_g + l_h
-    if s <= 0:
-        raise ValueError("constants must sum to a positive value")
+    check_int(t_total, "t_total", 1)
+    s = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0)
     q = t_total ** (2.0 / 3.0) / (2.0 * s**2)
     return max(1, math.ceil(q - 1e-8))
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, as_square, check_int
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,7 @@ def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
     s = 1^T X 1.  Derived from the KKT system of the constrained
     least-squares problem; verified against a dense solve in the tests.
     """
-    x = as_matrix(x)
-    if x.shape[1] != x.shape[0]:
-        raise ValueError(f"expected square matrix, got {x.shape}")
-    return _affine_closed_form(x)
+    return _affine_closed_form(as_square(x))
 
 
 def _affine_closed_form(x: np.ndarray) -> np.ndarray:
@@ -104,11 +101,8 @@ def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray
     and then the row-stochastic set, so the output is exactly
     row-stochastic and approximately column-stochastic.
     """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected square matrix, got {x.shape}")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    x = as_square(x)
+    check_int(iters, "iters", 1)
     for _ in range(iters):
         x = project_simplex(project_simplex(x.T).T)
     return x

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .lap import Permutation, permutation_to_matrix, solve_lap_max, solve_lap_min
-from .linalg import as_matrix, frobenius_inner, frobenius_norm, make_rng
+from .linalg import as_square, check_real, frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle
 from .prox import (
     prox_affine_doubly_stochastic,
@@ -51,10 +51,10 @@ class QapInstance:
     best_known: Optional[float] = None
 
     def __post_init__(self):
-        a = as_matrix(self.a, "A")
-        b = as_matrix(self.b, "B")
-        if a.shape[0] != a.shape[1] or a.shape != b.shape:
-            raise ValueError(f"A and B must be square with equal shape, got {a.shape}, {b.shape}")
+        a = as_square(self.a, "A")
+        b = as_square(self.b, "B")
+        if a.shape != b.shape:
+            raise ValueError(f"A and B must have equal shape, got {a.shape}, {b.shape}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -259,6 +259,13 @@ def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optio
     return (rounded_value - best_known) / max(best_known, 1.0)
 
 
+def _round(inst: QapInstance, x: np.ndarray):
+    """(permutation, its objective, its assignment error) of the relaxed ``x``."""
+    perm = round_to_permutation(x)
+    rounded = qap_objective(inst, permutation_to_matrix(perm))
+    return perm, rounded, assignment_error(rounded, inst.best_known)
+
+
 #: Alternating-projection rounds of ``initial_point``.
 INITIAL_POINT_ROUNDS = 1000
 
@@ -318,6 +325,8 @@ def relax_and_round(
     if config.output != "last":
         raise ValueError(f"relax_and_round reports the last iterate: output must be "
                          f"'last', got {config.output!r}")
+    if tol is not None:
+        check_real(tol, "tol", least=0)
     problem = build_problem(inst, split)
     if config.step.kind == "inv_smoothness" and config.step.l_smooth == 0.0:
         config = replace(config, step=StepRule.inv_smoothness(estimate_smoothness(inst)))
@@ -331,8 +340,7 @@ def relax_and_round(
 
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
     last = run.trace[-1]
-    perm = round_to_permutation(run.z_out)
-    rounded_value = qap_objective(inst, permutation_to_matrix(perm))
+    perm, rounded_value, assignment_err = _round(inst, run.z_out)
     return QapResult(
         instance=inst.name,
         split=split,
@@ -342,7 +350,7 @@ def relax_and_round(
         rounded_value=rounded_value,
         infeasibility=last.infeasibility,
         nonstationarity=last.nonstationarity,
-        assignment_err=assignment_error(rounded_value, inst.best_known),
+        assignment_err=assignment_err,
         run=run,
     )
 

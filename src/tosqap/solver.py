@@ -16,14 +16,14 @@ stacked copies of the variable.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
+from .linalg import as_matrix, check_int, check_real, draw_uniform_index
+from .linalg import frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
 from .prox import ProxOperator
 
@@ -32,18 +32,10 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) of the paper's three
     cases: g and h Lipschitz; g an indicator (l_g = 0); both indicators
     (l_g = l_h = 0), with D_g the diameter of the set."""
-    _check_positive(d_g=d_g, t_total=t_total)
-    bound = g_f + l_g + l_h
-    if bound <= 0:
-        raise ValueError(f"gradient bound plus Lipschitz constants g_f + l_g + l_h "
-                         f"must be positive, got {bound}")
+    check_real(d_g, "d_g", above=0, finite=True)
+    check_int(t_total, "t_total", 1)
+    bound = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0)
     return d_g / (2.0 * bound * t_total ** (2.0 / 3.0))
-
-
-def _check_positive(**kwargs: float) -> None:
-    for name, v in kwargs.items():
-        if not 0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -60,20 +52,21 @@ class StepRule:
     l_smooth: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("theory", "fixed", "inv_smoothness"):
+        if self.kind == "fixed":
+            check_real(self.gamma, "gamma", above=0, finite=True)
+        elif self.kind == "inv_smoothness":
+            check_real(self.l_smooth, "l_smooth", least=0, finite=True)  # 0: unset
+        elif self.kind != "theory":
             raise ValueError(f"step rule kind must be 'theory', 'fixed' or "
                              f"'inv_smoothness', got {self.kind!r}")
 
     @staticmethod
     def fixed(gamma: float) -> "StepRule":
-        _check_positive(gamma=gamma)
         return StepRule(kind="fixed", gamma=gamma)
 
     @staticmethod
     def inv_smoothness(l_smooth: float = 0.0) -> "StepRule":
         """Step 1/L. Leave ``l_smooth`` at 0 to have the pipeline estimate it."""
-        if l_smooth != 0.0:
-            _check_positive(l_smooth=l_smooth)
         return StepRule(kind="inv_smoothness", l_smooth=l_smooth)
 
     def resolve(self, problem: "CompositeProblem", t_total: int) -> float:
@@ -108,11 +101,8 @@ class CompositeProblem:
 
     def __post_init__(self):
         for name in ("d_g", "g_f", "l_g", "l_h"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not (isinstance(self.batch, numbers.Integral) and not isinstance(self.batch, bool)
-                and self.batch >= 1):
-            raise ValueError(f"batch must be an integer >= 1, got {self.batch!r}")
+            check_real(getattr(self, name), name, least=0)
+        check_int(self.batch, "batch", 1)
 
 
 #: Most marks a random-iterate run keeps.  A mark is the pair (y_t, generator
@@ -130,8 +120,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
+        check_int(self.iters, "iters", 1)
+        check_int(self.seed, "seed", 0)
         if self.output not in ("last", "random"):
             raise ValueError(f"output policy must be 'last' or 'random', got {self.output!r}")
 

@@ -122,6 +122,22 @@ class TestSolve:
         assert rc == 1
         assert "--tol: expected a number >= 0, got -0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_best_known_names_the_flag(self, tmp_path, capsys, value):
+        inst_path = tmp_path / "b.dat"
+        write_instance(inst_path, 3, 0)
+        rc = main(["solve", str(inst_path), "--best-known", value, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert (f"--best-known: expected a finite number, got {value}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tol_accepted(self, tmp_path):
+        inst_path = tmp_path / "i.dat"
+        write_instance(inst_path, 3, 0)
+        assert main(["solve", str(inst_path), "--tol", "inf", "--iters", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat"), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -237,7 +253,8 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("iters", "ten"), ("seed", None), ("tol", -1.0), ("iters", 0), ("seed", -1)])
+        ("iters", "ten"), ("seed", None), ("tol", -1.0), ("iters", 0), ("seed", -1),
+        ("tol", True)])
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, key, value):
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split2", "fw"], iters=20)
         manifest = json.loads(mp.read_text())
@@ -290,8 +307,19 @@ class TestBench:
         manifest["instances"][1]["best_known"] = "abc"
         mp.write_text(json.dumps(manifest))
         assert main(["bench", str(mp)]) == 2
-        assert ("manifest error: instances[1].best_known: expected a number, got 'abc'"
+        assert ("manifest error: instances[1].best_known: expected a finite number, got 'abc'"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf")])
+    def test_non_finite_or_bool_best_known_names_its_entry(self, tmp_path, capsys, value):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"][0]["best_known"] = value  # NaN and Infinity: json's extension
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert ("manifest error: instances[0].best_known: expected a finite number, "
+                f"got {value!r}" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_instance_file_is_named(self, tmp_path, capsys):

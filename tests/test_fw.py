@@ -1,5 +1,6 @@
 import itertools
 import importlib.resources
+import math
 
 import numpy as np
 import pytest
@@ -267,6 +268,19 @@ class TestRun:
             FwConfig(max_iters=0)
         with pytest.raises(ValueError):
             FwConfig(max_iters=5, gap_tolerance=-1.0)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"max_iters": 2.5}, "max_iters"), ({"max_iters": True}, "max_iters"),
+        ({"max_iters": 5, "gap_tolerance": math.nan}, "gap_tolerance"),
+        ({"max_iters": 5, "gap_tolerance": True}, "gap_tolerance")])
+    def test_bad_config_field_named(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected"):
+            FwConfig(**fields)
+
+    def test_numpy_and_infinite_config_accepted(self):
+        config = FwConfig(max_iters=np.int64(5), gap_tolerance=math.inf)
+        assert run_fw(random_instance(4, 9), uniform_start(4), config).iterations_run == 1
+        assert FwConfig(max_iters=5, gap_tolerance=np.float64(1e-3)).gap_tolerance == 1e-3
 
     def test_trace_iterations_increasing(self):
         inst = random_instance(4, 9)

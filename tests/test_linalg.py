@@ -4,7 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import math
+
 from tosqap import draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
+from tosqap.linalg import as_square, check_int, check_real
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -94,6 +97,51 @@ def test_draw_single_outcome():
 def test_draw_rejects_zero():
     with pytest.raises(ValueError):
         draw_uniform_index(make_rng(0), 0)
+
+
+@pytest.mark.parametrize("t_max", [2.5, True])
+def test_draw_rejects_non_integer(t_max):
+    with pytest.raises(ValueError, match="^t_max: expected an integer >= 1"):
+        draw_uniform_index(make_rng(0), t_max)
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True, "3", np.float64(3.0), None])
+def test_check_int_rejects(value):
+    with pytest.raises(ValueError, match=r"^n: expected an integer >= 1, got "):
+        check_int(value, "n", 1)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(7), np.uint8(3)])
+def test_check_int_accepts(value):
+    assert check_int(value, "n", 1) is value
+
+
+@pytest.mark.parametrize("value, kwargs, message", [
+    (math.nan, {}, "x: expected a number, got nan"),
+    ("1", {}, "x: expected a number, got '1'"),
+    (True, {"least": 0}, "x: expected a number >= 0, got True"),
+    (-0.5, {"least": 0}, "x: expected a number >= 0, got -0.5"),
+    (0.0, {"above": 0}, "x: expected a number > 0, got 0.0"),
+    (math.inf, {"finite": True}, "x: expected a finite number, got inf"),
+    (-math.inf, {"least": 0, "finite": True}, "x: expected a finite number >= 0, got -inf"),
+])
+def test_check_real_rejects_with_its_rule(value, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        check_real(value, "x", **kwargs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value, kwargs", [
+    (-3, {}), (-math.inf, {}), (math.inf, {"least": 0}), (np.float32(0.5), {"above": 0}),
+    (np.int64(2), {"finite": True}), (0.0, {"least": 0, "finite": True})])
+def test_check_real_accepts(value, kwargs):
+    assert check_real(value, "x", **kwargs) is value
+
+
+def test_as_square_names_the_matrix():
+    assert as_square([[1, 2], [3, 4]], "cost").dtype == np.float64
+    with pytest.raises(ValueError, match=r"^cost must be square, got shape \(2, 3\)"):
+        as_square(np.ones((2, 3)), "cost")
 
 
 def test_draw_uniform_frequencies():

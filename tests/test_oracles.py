@@ -47,6 +47,14 @@ def test_batch_zero_rejected(exact):
         minibatch_gradient(noisy, np.zeros((3, 3)), 0, make_rng(0))
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("batch", [2.5, True])
+def test_batch_must_be_an_integer(exact, sigma, batch):
+    noisy = gaussian_noise_oracle(exact, sigma)
+    with pytest.raises(ValueError, match="^batch: expected an integer >= 1"):
+        minibatch_gradient(noisy, np.zeros((3, 3)), batch, make_rng(0))
+
+
 def reference_minibatch(exact, sigma, x, batch, rng):
     """Mean of ``batch`` draws, each with its own exact gradient and its own
     ``standard_normal`` call, summed one by one: the estimator written
@@ -107,7 +115,7 @@ def test_zero_variance_returns_a_copy(exact):
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0, True])
 def test_sigma_must_be_nonnegative_and_finite(exact, sigma):
     with pytest.raises(ValueError, match="sigma"):
         gaussian_noise_oracle(exact, sigma)
@@ -172,6 +180,14 @@ def test_batch_schedule_rejects_bad_constants():
         batch_schedule_lipschitz(10, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         batch_schedule_lipschitz(10, -1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 1.0, 0.0, 0.0), "t_total"), ((True, 1.0, 0.0, 0.0), "t_total"),
+    ((10, math.nan, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
+def test_batch_schedule_names_bad_argument(args, name):
+    with pytest.raises(ValueError, match=f"^{name}: expected"):
+        batch_schedule_lipschitz(*args)
 
 
 def test_gradient_matches_finite_differences(exact):

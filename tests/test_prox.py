@@ -272,6 +272,11 @@ class TestAlternatingProjections:
     def test_scalar_case(self):
         np.testing.assert_allclose(project_birkhoff_alternating(np.array([[1.0]]), 3), [[1.0]])
 
+    @pytest.mark.parametrize("iters", [2.5, True])
+    def test_rounds_must_be_an_integer(self, iters):
+        with pytest.raises(ValueError, match="^iters: expected an integer >= 1"):
+            project_birkhoff_alternating(np.eye(2), iters)
+
     def test_gaussian_converges(self):
         rng = make_rng(3)
         y = project_birkhoff_alternating(rng.standard_normal((12, 12)), 1000)

@@ -350,6 +350,17 @@ class TestPipeline:
         assert prob.d_g == pytest.approx(split_diameter(4, SPLIT1))
         assert prob.g_f == pytest.approx(gradient_bound(inst, SPLIT1))
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, True])
+    def test_bad_tol_named(self, tol):
+        inst = random_instance(3, 2)
+        with pytest.raises(ValueError, match="^tol: expected a number >= 0"):
+            relax_and_round(inst, SPLIT2, SolverConfig(iters=2, step=StepRule.fixed(0.1)), tol=tol)
+
+    def test_infinite_tol_stops_at_first_checkpoint(self):
+        res = relax_and_round(random_instance(3, 2), SPLIT2,
+                              SolverConfig(iters=8, step=StepRule.fixed(0.1)), tol=np.float64(np.inf))
+        assert res.run.iterations_run == 1
+
     def test_single_site(self):
         inst = QapInstance("one", np.array([[2.0]]), np.array([[3.0]]), best_known=6.0)
         res = relax_and_round(inst, SPLIT2, SolverConfig(iters=10, step=StepRule.fixed(0.01)))

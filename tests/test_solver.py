@@ -69,9 +69,30 @@ class TestStepSizes:
         with pytest.raises(ValueError):
             step_size_lipschitz(1.0, -1.0, 0.0, 0.0, 10)
 
+    @pytest.mark.parametrize("args, name", [
+        ((1.0, 1.0, 0.0, 0.0, 2.5), "t_total"), ((1.0, 1.0, 0.0, 0.0, True), "t_total"),
+        ((1.0, math.nan, 0.0, 0.0, 10), r"g_f \+ l_g \+ l_h")])
+    def test_bad_argument_named(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected"):
+            step_size_lipschitz(*args)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be .* got 'bogus'"):
             StepRule(kind="bogus")
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"kind": "fixed"}, "gamma"), ({"kind": "fixed", "gamma": -1.0}, "gamma"),
+        ({"kind": "fixed", "gamma": math.nan}, "gamma"),
+        ({"kind": "fixed", "gamma": math.inf}, "gamma"),
+        ({"kind": "inv_smoothness", "l_smooth": -1.0}, "l_smooth"),
+        ({"kind": "inv_smoothness", "l_smooth": math.nan}, "l_smooth")])
+    def test_rule_built_directly_checks_its_field(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
+            StepRule(**fields)
+
+    def test_numpy_step_values_accepted(self):
+        assert StepRule.fixed(np.float32(0.5)).gamma == 0.5
+        assert StepRule.inv_smoothness(np.float64(2.0)).l_smooth == 2.0
 
     def test_unset_smoothness_constant_named(self):
         problem = CompositeProblem(
@@ -299,12 +320,39 @@ class TestRunTos:
             run_tos(problem, SolverConfig(iters=5, step=StepRule.fixed(0.5)), y1)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("iters", 2.5), ("iters", True), ("iters", math.nan), ("seed", -1), ("seed", 1.5)])
+    def test_bad_field_named(self, field, value):
+        fields = {"iters": 5, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: expected an integer >= "):
+            SolverConfig(step=StepRule.fixed(1.0), **fields)
+
+    def test_numpy_integers_accepted(self):
+        config = SolverConfig(iters=np.int64(5), step=StepRule.fixed(1.0), seed=np.uint32(3))
+        assert (config.iters, config.seed) == (5, 3)
+
+
 class TestCompositeProblem:
     @pytest.mark.parametrize("batch", [2.0, 2.5, "2", True, 0, -1])
     def test_batch_must_be_a_positive_integer(self, batch):
         with pytest.raises(ValueError, match="batch"):
             CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
                              shape=(2, 2), batch=batch)
+
+    @pytest.mark.parametrize("name", ["d_g", "g_f", "l_g", "l_h"])
+    @pytest.mark.parametrize("value", [math.nan, True])
+    def test_constants_must_be_nonnegative_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: expected a number >= 0"):
+            CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                             shape=(2, 2), **{name: value})
+
+    def test_infinite_and_numpy_constants_accepted(self):
+        # gradient_bound overflows to +inf on huge entries; the run then
+        # reports the divergence itself.
+        for value in (math.inf, np.float64(2.0), np.float32(0.5)):
+            CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                             shape=(2, 2), d_g=value, g_f=value, l_g=value, l_h=value)
 
     def test_numpy_integer_batch_accepted(self):
         problem = CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(),
