@@ -147,10 +147,17 @@ def cmd_solve(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.manifest) as f:
         manifest = json.load(f)
-    instances = manifest.get("instances", [])
-    solvers = manifest.get("solvers", [])
-    cfg = manifest.get("config", {})
     try:
+        if not isinstance(manifest, dict):
+            raise ValueError(f"manifest: expected an object, got {manifest!r}")
+        instances = manifest.get("instances", [])
+        solvers = manifest.get("solvers", [])
+        cfg = manifest.get("config", {})
+        for key, value, kind in (("instances", instances, list), ("solvers", solvers, list),
+                                 ("config", cfg, dict)):
+            if not isinstance(value, kind):
+                noun = "an array" if kind is list else "an object"
+                raise ValueError(f"{key}: expected {noun}, got {value!r}")
         if not instances or not solvers:
             raise ValueError("need at least one instance and one solver")
         for s in solvers:

@@ -18,7 +18,7 @@ import numpy as np
 from .lap import permutation_to_matrix, solve_lap_min
 from .linalg import as_matrix, check_int, check_real, frobenius_inner
 from .qap import QapInstance, _round, qap_gradient, qap_objective
-from .solver import TraceRecord, power_of_two_schedule
+from .solver import TraceRecord, power_of_two_schedule, stationarity_gap
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         sol = solve_lap_min(grad, dual_col)
         dual_col = sol.dual_col
         s = permutation_to_matrix(sol.permutation)
-        direction = s - x
-        gap = frobenius_inner(grad, -direction)
+        gap = stationarity_gap(grad, x, s)
         f_x = qap_objective(inst, x)
         nonstationarity = abs(gap) / max(f_x, 1.0)
         if t in schedule:
@@ -101,12 +100,11 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
                 infeasibility=0.0,
                 nonstationarity=nonstationarity,
             ))
-        # Stop on the normalized gap error, matching the nonstationarity
-        # threshold used for the splitting solver; gap <= 0 means the
-        # current point already minimizes the linearization.
-        if (t > config.max_iters or gap <= 0.0
-                or (config.gap_tolerance > 0.0 and nonstationarity <= config.gap_tolerance)):
+        # Stop as relax_and_round does, on nonstationarity < tolerance; gap
+        # <= 0 means the current point already minimizes the linearization.
+        if t > config.max_iters or gap <= 0.0 or nonstationarity < config.gap_tolerance:
             break
+        direction = s - x
         eta = exact_line_step(inst, grad, direction)
         x = x + eta * direction
 

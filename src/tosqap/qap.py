@@ -25,18 +25,16 @@ from typing import Optional
 import numpy as np
 
 from .lap import Permutation, permutation_to_matrix, solve_lap_max, solve_lap_min
-from .linalg import as_square, check_real, frobenius_inner, frobenius_norm, make_rng
+from .linalg import as_square, check_real, frobenius_norm, make_rng
 from .oracles import GradientOracle
 from .prox import (
     prox_affine_doubly_stochastic,
     prox_box01,
     prox_col_stochastic,
     prox_row_stochastic,
-    project_affine_doubly_stochastic,
     project_birkhoff_alternating,
-    project_col_stochastic,
 )
-from .solver import CompositeProblem, RunResult, SolverConfig, StepRule, run_tos
+from .solver import CompositeProblem, RunResult, SolverConfig, StepRule, run_tos, stationarity_gap
 
 SPLIT1 = "split1"
 SPLIT2 = "split2"
@@ -55,6 +53,8 @@ class QapInstance:
         b = as_square(self.b, "B")
         if a.shape != b.shape:
             raise ValueError(f"A and B must have equal shape, got {a.shape}, {b.shape}")
+        if self.best_known is not None:
+            check_real(self.best_known, "best_known", finite=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -107,7 +107,7 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
 
 
 def load_best_known(path) -> dict[str, float]:
-    """Sidecar table of lines "name value"."""
+    """Sidecar table of lines "name value", each value a finite number."""
     table: dict[str, float] = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -116,7 +116,7 @@ def load_best_known(path) -> dict[str, float]:
                 continue
             try:
                 name, value = line.split()
-                table[name] = float(value)
+                table[name] = check_real(float(value), name, finite=True)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
     return table
@@ -226,25 +226,21 @@ def split_proxes(split: str):
 
 
 def infeasibility_error(x: np.ndarray, split: str) -> float:
-    """dist(X, second set of the split) / sqrt(n)."""
-    _check_split(split)
-    project = project_col_stochastic if split == SPLIT1 else project_affine_doubly_stochastic
-    proj = project(x)  # checks x
-    return frobenius_norm(np.asarray(x, dtype=np.float64) - proj) / math.sqrt(proj.shape[0])
+    """dist(X, second set of the split, onto which its ``prox_h`` projects) / sqrt(n)."""
+    prox_h = split_proxes(split)[1]
+    x = as_square(x, "x")
+    return frobenius_norm(x - prox_h(x)) / math.sqrt(x.shape[0])
 
 
 def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
-    """|max over the Birkhoff polytope of <grad, X - P>| / max{f(X), 1}.
-
-    The linear maximum over the polytope is attained at a permutation
-    vertex, so the numerator reduces to a linear assignment solve on the
-    gradient.
+    """|stationarity_gap(grad, X, P)| / max{f(X), 1}, the gap max over the
+    Birkhoff polytope of <grad, X - P>.  The maximum is attained at a
+    permutation vertex P, which a linear assignment solve on grad finds.
     """
     x = _check_shape(inst, x)
     grad = qap_gradient(inst, x)
-    lap = solve_lap_min(grad)
-    numerator = abs(frobenius_inner(grad, x) - lap.value)
-    return numerator / max(qap_objective(inst, x), 1.0)
+    vertex = permutation_to_matrix(solve_lap_min(grad).permutation)
+    return abs(stationarity_gap(grad, x, vertex)) / max(qap_objective(inst, x), 1.0)
 
 
 def round_to_permutation(x: np.ndarray) -> Permutation:

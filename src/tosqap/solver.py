@@ -201,17 +201,14 @@ def certificate_residual(
     return lhs - rhs
 
 
-def stationarity_gap(
-    grad: np.ndarray,
-    z: np.ndarray,
-    linear_minimizer: Callable[[np.ndarray], np.ndarray],
-) -> float:
+def stationarity_gap(grad: np.ndarray, z: np.ndarray, vertex: np.ndarray) -> float:
     """Variational-inequality residual max_x <grad, z - x> for indicator g, h.
 
-    ``linear_minimizer`` must return the exact minimizer of <grad, x>
-    over the feasible set, so the gap is <grad, z> - min_x <grad, x>.
+    ``vertex`` must be an exact minimizer of <grad, x> over the feasible
+    set, so the gap is <grad, z - vertex>.  Over the Birkhoff polytope it is
+    the permutation matrix of a linear assignment solve on ``grad``.
     """
-    return frobenius_inner(grad, z - linear_minimizer(grad))
+    return frobenius_inner(grad, z - vertex)
 
 
 IterationHook = Callable[[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]

@@ -88,7 +88,7 @@ def test_criterion_1_averaged_stationarity_bound():
             def hook(t, gamma, u, z, x, y, y_next):
                 g = qap_gradient(inst, z)
                 grad_norms.append(frobenius_norm(g))
-                gaps.append(stationarity_gap(g, z, birkhoff_lmo))
+                gaps.append(stationarity_gap(g, z, birkhoff_lmo(g)))
 
             run_tos(problem,
                     SolverConfig(iters=t_total, step=StepRule(kind="theory")),

@@ -265,6 +265,20 @@ class TestBench:
         assert f"manifest error: config.{key}: expected" in err and " >= " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where, edit", [
+        ("manifest", lambda m: [m]),
+        ("config", lambda m: {**m, "config": [m["config"]]}),
+        ("instances", lambda m: {**m, "instances": m["instances"][0]}),
+        ("solvers", lambda m: {**m, "solvers": "fw"}),
+    ], ids=["manifest", "config", "instances", "solvers"])
+    def test_wrong_json_type_names_its_key(self, tmp_path, capsys, where, edit):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        mp.write_text(json.dumps(edit(json.loads(mp.read_text()))))
+        assert main(["bench", str(mp)]) == 2
+        noun = "an array" if where in ("instances", "solvers") else "an object"
+        assert f"manifest error: {where}: expected {noun}, got " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, least", [("iters", 1), ("seed", 0)])
     @pytest.mark.parametrize("value", [2.5, True, "10", 10.0])
     def test_config_int_must_be_a_json_integer(self, tmp_path, capsys, key, least, value):

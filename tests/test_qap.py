@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import importlib.resources
+import math
 import warnings
 
 import numpy as np
@@ -107,7 +108,8 @@ class TestParsing:
             load_instance(p)
         assert str(err.value) == f"{p}: token 3: expected a finite number, got 'x'"
 
-    @pytest.mark.parametrize("bad", ["tiny", "tiny 4 extra", "tiny four"])
+    @pytest.mark.parametrize("bad", ["tiny", "tiny 4 extra", "tiny four",
+                                     "tiny nan", "tiny inf", "tiny -Infinity"])
     def test_best_known_malformed_line_names_file_and_line(self, tmp_path, bad):
         side = tmp_path / "best.txt"
         side.write_text(f"# comment\nother 12.5\n\n{bad}\n")
@@ -117,6 +119,15 @@ class TestParsing:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             QapInstance("bad", np.ones((2, 2)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "9552"])
+    def test_best_known_must_be_a_finite_number(self, tmp_path, value):
+        with pytest.raises(ValueError, match="best_known: expected a finite number"):
+            QapInstance("bad", np.ones((2, 2)), np.ones((2, 2)), best_known=value)
+        p = tmp_path / "tiny.dat"
+        p.write_text("2 0 1 1 0 0 2 2 0")
+        with pytest.raises(ValueError, match="best_known: expected a finite number"):
+            load_instance(p, best_known=value)
 
 
 class TestObjectiveGradient:
@@ -282,6 +293,26 @@ class TestErrors:
         x = np.array([[1.0, 0.0], [1.0, 0.0]])
         assert infeasibility_error(x, SPLIT1) > 0.1
 
+    @pytest.mark.parametrize("split, project", [
+        (SPLIT1, prox.project_col_stochastic), (SPLIT2, prox.project_affine_doubly_stochastic)])
+    def test_infeasibility_is_the_checked_projection_distance(self, split, project):
+        # Reference: the distance to the split's second set through the
+        # public, checked projection onto it.
+        rng = make_rng(22)
+        for n in (1, 2, 3, 7, 12):
+            for _ in range(40):
+                x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+                want = frobenius_norm(x - project(x)) / math.sqrt(n)
+                assert infeasibility_error(x, split).hex() == want.hex()
+                assert infeasibility_error(x.tolist(), split).hex() == want.hex()
+
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.array([[0.5, np.nan], [0.5, 0.5]])],
+                             ids=["non-square", "nan"])
+    def test_infeasibility_checks_x(self, split, x):
+        with pytest.raises(ValueError, match="^x "):
+            infeasibility_error(x, split)
+
     def test_nonstationarity_zero_at_strict_minimizer(self):
         # A = B = I: f(X) = ||X||_F^2 over the polytope; gradient at the
         # uniform matrix is constant, every vertex ties, numerator is 0.
@@ -438,9 +469,11 @@ class TestPipeline:
         assert res.run.iterations_run == 64
 
 
-def trace_digest(trace):
-    rows = [[r.t, r.objective, r.coupling, r.certificate, r.infeasibility, r.nonstationarity]
-            for r in trace]
+TRACE_FIELDS = ("t", "objective", "coupling", "certificate", "infeasibility", "nonstationarity")
+
+
+def trace_digest(trace, fields=TRACE_FIELDS):
+    rows = [[getattr(r, name) for name in fields] for r in trace]
     return hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
 
 
@@ -449,13 +482,18 @@ class TestIterationPath:
     each iterate is finite.  Neither changes a bit of the iteration."""
 
     # chr12a, start initial_point(12, 0), step 1/L, 512 iterations, no
-    # early stop: sha256 of the relaxed iterate and of the trace rows.  At
-    # n = 12 they hold at one and two OpenBLAS threads.
+    # early stop: sha256 of the relaxed iterate, of the trace rows, and of
+    # the trace rows without the nonstationarity column.  At n = 12 they
+    # hold at one and two OpenBLAS threads.  The nonstationarity column is
+    # |stationarity_gap| / max{f, 1}; the other five columns are pinned on
+    # their own so that a change to that one formula shows nowhere else.
     GOLDEN = {
         SPLIT1: ("007b4e8e72255dbc095457607019db5176435f0a9a96b8705acfa8ddec0c57e9",
-                 "218d30a0bb946f380c025d34931d77657f032f775f962e19dc9d1c3a721964eb"),
+                 "8c77fd11b881477c5f4b9f95371cacad09fbcccc8ecdfb7f5d956e645a602494",
+                 "0fc9f2ba520633cf61d3ac8247b29029fa38878692ea3f7a97faee504b030749"),
         SPLIT2: ("a140d40f4b2ab7750f7b320a7353521e23b5eae290f5ffc791efba5c16af5963",
-                 "bd6fe7a70c79bca0f196ede45a7fa4aee67076822efb3b3f3c9008e255e9d58d"),
+                 "6c32ebc6fcb828d4d8a7e27c4e919f42058c0117b21745b2ed3323038281a327",
+                 "c669b3ff1feafeab0965ad95ccf64b7ec2f8035d9353b14cdd08dbee090cd794"),
     }
     # run_tos_product_space over the row, column and box proxes, same start,
     # step and cap: sha256 of x_out, at one and two OpenBLAS threads.
@@ -472,7 +510,8 @@ class TestIterationPath:
                               SolverConfig(iters=512, step=StepRule.inv_smoothness()))
         assert res.run.iterations_run == 512
         digest = hashlib.sha256(res.relaxed_iterate.tobytes()).hexdigest()
-        assert (digest, trace_digest(res.run.trace)) == self.GOLDEN[split]
+        assert (digest, trace_digest(res.run.trace),
+                trace_digest(res.run.trace, TRACE_FIELDS[:5])) == self.GOLDEN[split]
 
     def test_golden_product_space(self):
         inst = load_instance(chr12a_path())
