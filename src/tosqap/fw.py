@@ -71,22 +71,19 @@ FEAS_TOL = 1e-6
 def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     """Frank-Wolfe with exact line search, started from a doubly
     stochastic (to ``FEAS_TOL``) point."""
-    x = as_matrix(y1, "y1").copy()
-    if x.shape != (inst.n, inst.n):
-        raise ValueError(f"y1 shape {x.shape} != instance shape {(inst.n, inst.n)}")
+    x = as_matrix(y1, "y1", (inst.n, inst.n)).copy()
     _check_feasible(x, FEAS_TOL)
     schedule = power_of_two_schedule(config.max_iters)
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
-    # Each LAP is warm-started from the previous one's column duals, which
+    # Each LAP is warm-started from the previous solution, whose column duals
     # consecutive gradients leave nearly optimal; the first solves cold.
-    dual_col = None
+    sol = None
     # Pass max_iters + 1 only evaluates the final point, so the reported
     # gap and objective are always the loop's own.
     for t in range(1, config.max_iters + 2):
         grad = qap_gradient(inst, x)
-        sol = solve_lap_min(grad, dual_col)
-        dual_col = sol.dual_col
+        sol = solve_lap_min(grad, sol)
         s = permutation_to_matrix(sol.permutation)
         gap = stationarity_gap(grad, x, s)
         f_x = qap_objective(inst, x)
@@ -125,7 +122,6 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
 
 
 def _check_feasible(x: np.ndarray, tol: float) -> None:
-    n = x.shape[0]
     row_err = float(np.max(np.abs(x.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(x.sum(axis=0) - 1.0)))
     neg = float(max(0.0, -x.min()))

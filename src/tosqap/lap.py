@@ -35,31 +35,25 @@ class LapSolution:
     dual_col: np.ndarray
 
 
-def solve_lap_min(cost: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
+def solve_lap_min(cost: np.ndarray, warm: LapSolution | None = None) -> LapSolution:
     """Minimize sum_i cost[i, pi(i)] over permutations pi.
 
     Rows are assigned in index order, which fixes the tie-breaking among
     equally optimal assignments deterministically.
 
-    ``dual_col``, the column duals of an earlier solve (``sol.dual_col``),
-    warm-starts the solve: each row takes its cheapest column under those
-    duals when that column is free, and only the rows left over run the
-    augmenting search.  When the optimum is unique, the warm and cold
-    solves return the same permutation.  On a tie, the warm solve may
-    return another optimal permutation of the same value.  Either solve
-    is deterministic for a given sequence of costs and duals.
+    ``warm``, the ``LapSolution`` of an earlier solve of the same size,
+    warm-starts the solve from its column duals: each row takes its
+    cheapest column under those duals when that column is free, and only
+    the rows left over run the augmenting search.  When the optimum is
+    unique, the warm and cold solves return the same permutation.  On a
+    tie, the warm solve may return another optimal permutation of the same
+    value.  Either solve is deterministic for a given sequence of costs
+    and warm starts.
     """
     c = as_square(cost, "cost")
-    if dual_col is not None:
-        try:
-            v = np.asarray(dual_col, dtype=float)
-        except (TypeError, ValueError):
-            v = None
-        if v is None or v.shape != (c.shape[0],) or not np.isfinite(v).all():
-            raise ValueError(f"dual_col must be a finite vector of length {c.shape[0]}, "
-                             f"got {dual_col!r}")
-        dual_col = v
-    return _hungarian(c, dual_col)
+    if warm is not None and not (isinstance(warm, LapSolution) and warm.permutation.n == len(c)):
+        raise ValueError(f"warm must be a LapSolution of size {len(c)}, got {warm!r:.60}")
+    return _hungarian(c, None if warm is None else warm.dual_col)
 
 
 def solve_lap_max(profit: np.ndarray) -> LapSolution:
@@ -75,7 +69,7 @@ def solve_lap_max(profit: np.ndarray) -> LapSolution:
 
 def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
     """Minimum-cost assignment of a checked square cost matrix, warm-started
-    from checked column duals ``dual_col`` when given."""
+    from the column duals ``dual_col`` of an earlier solution when given."""
     n = c.shape[0]
     # Python floats and lists, not numpy arrays: indexing an array boxes a
     # scalar on every access.  Each step is one IEEE double operation in a

@@ -14,16 +14,18 @@ import numbers
 import numpy as np
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``x`` as a 2-D float64 array.
-
-    Raises ``ValueError`` on empty dimensions or non-finite entries.
-    """
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"{name} must have positive dimensions, got {a.shape}")
+def as_matrix(x, name: str = "matrix", shape=None) -> np.ndarray:
+    """Validate and return ``x`` as a C-contiguous float64 array: of exactly
+    ``shape`` when given (any ndim), else 2-D with positive dimensions, and
+    finite.  Each fault raises a ``ValueError`` naming ``name``."""
+    try:
+        a = np.ascontiguousarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of real numbers ({exc})") from None
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    if shape is None and (a.ndim != 2 or a.size == 0):
+        raise ValueError(f"{name} must be 2-D with positive dimensions, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .lap import Permutation, permutation_to_matrix, solve_lap_max, solve_lap_min
-from .linalg import as_square, check_real, frobenius_norm, make_rng
+from .linalg import as_matrix, as_square, check_int, check_real, frobenius_norm, make_rng
 from .oracles import GradientOracle
 from .prox import (
     prox_affine_doubly_stochastic,
@@ -50,9 +50,7 @@ class QapInstance:
 
     def __post_init__(self):
         a = as_square(self.a, "A")
-        b = as_square(self.b, "B")
-        if a.shape != b.shape:
-            raise ValueError(f"A and B must have equal shape, got {a.shape}, {b.shape}")
+        b = as_matrix(self.b, "B", a.shape)
         if self.best_known is not None:
             check_real(self.best_known, "best_known", finite=True)
         object.__setattr__(self, "a", a)
@@ -237,7 +235,7 @@ def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
     Birkhoff polytope of <grad, X - P>.  The maximum is attained at a
     permutation vertex P, which a linear assignment solve on grad finds.
     """
-    x = _check_shape(inst, x)
+    x = as_matrix(x, "x", (inst.n, inst.n))
     grad = qap_gradient(inst, x)
     vertex = permutation_to_matrix(solve_lap_min(grad).permutation)
     return abs(stationarity_gap(grad, x, vertex)) / max(qap_objective(inst, x), 1.0)
@@ -245,7 +243,7 @@ def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
 
 def round_to_permutation(x: np.ndarray) -> Permutation:
     """Frobenius-nearest permutation matrix, via maximizing <X, P>."""
-    return solve_lap_max(x).permutation
+    return solve_lap_max(as_square(x, "x")).permutation
 
 
 def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optional[float]:
@@ -270,6 +268,8 @@ def initial_point(n: int, seed: int) -> np.ndarray:
     """Near-doubly-stochastic start: project a seeded Gaussian matrix onto
     the Birkhoff polytope with ``INITIAL_POINT_ROUNDS`` alternating-projection
     rounds."""
+    check_int(n, "n", 1)
+    check_int(seed, "seed", 0)
     rng = make_rng(seed)
     return project_birkhoff_alternating(rng.standard_normal((n, n)), INITIAL_POINT_ROUNDS)
 

@@ -234,9 +234,7 @@ def run_tos(
     inside the loop only the finiteness of each y_{t+1} is, and a non-finite
     one raises ``DivergenceError(t)``.
     """
-    if np.shape(y1) != problem.shape:
-        raise ValueError(f"y1 shape {np.shape(y1)} != problem shape {problem.shape}")
-    y1 = as_matrix(np.reshape(y1, (-1, problem.shape[-1])), "y1").reshape(problem.shape)
+    y1 = as_matrix(y1, "y1", problem.shape)
 
     t_total = config.iters
     gamma = config.step.resolve(problem, t_total)

@@ -1,7 +1,11 @@
 import hashlib
+import importlib.resources
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +177,27 @@ class TestSolve:
             assert rc == 0
             outs.append((out / "rep_tos-split2_seed7.trace.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("solver", ["tos-split2", "fw"])
+    def test_byte_identical_across_processes(self, tmp_path, solver):
+        # The README's promise at a fixed BLAS thread count, in fresh
+        # interpreters that hash strings differently.
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        stem = f"chr12a_{solver}_seed3"
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "tosqap.cli", "solve", str(inst_path),
+                            "--solver", solver, "--iters", "256", "--seed", "3", "--tol", "1e-5",
+                            "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+            summary = json.loads((out / f"{stem}.summary.json").read_text())
+            del summary["wall_time"]
+            runs.append(((out / f"{stem}.trace.csv").read_bytes(),
+                         (out / f"{stem}.iterate.txt").read_bytes(), summary))
+        assert runs[0] == runs[1]
 
 
 class TestBench:

@@ -155,8 +155,10 @@ class TestRun:
             run_fw(random_instance(3, 8), y1, FwConfig(max_iters=10))
 
     def test_wrong_shape_start_named(self):
-        with pytest.raises(ValueError, match=r"y1 shape \(3, 3\) != instance shape \(4, 4\)"):
+        with pytest.raises(ValueError, match=r"^y1 must have shape \(4, 4\), got \(3, 3\)"):
             run_fw(random_instance(4, 8), uniform_start(3), FwConfig(max_iters=10))
+        with pytest.raises(ValueError, match="^y1 must be an array of real numbers"):
+            run_fw(random_instance(4, 8), "abc", FwConfig(max_iters=10))
 
     def test_chr12a_desk_run(self):
         path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
@@ -243,7 +245,7 @@ class TestRun:
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
         config = FwConfig(max_iters=1024, gap_tolerance=1e-5)
         warm = run_fw(inst, initial_point(12, start), config)
-        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, dual_col=None: solve_lap_min(cost))
+        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, warm=None: solve_lap_min(cost))
         cold = run_fw(inst, initial_point(12, start), config)
         assert warm.iterations_run == cold.iterations_run
         assert warm.iterate.tobytes() == cold.iterate.tobytes()
@@ -252,10 +254,10 @@ class TestRun:
     def test_each_lap_starts_from_the_previous_duals(self, monkeypatch):
         passed, returned = [], []
 
-        def spy(cost, dual_col=None):
-            sol = solve_lap_min(cost, dual_col)
-            passed.append(dual_col)
-            returned.append(sol.dual_col)
+        def spy(cost, warm=None):
+            sol = solve_lap_min(cost, warm)
+            passed.append(warm)
+            returned.append(sol)
             return sol
 
         monkeypatch.setattr(fw, "solve_lap_min", spy)

@@ -14,7 +14,7 @@ from tosqap import (
     solve_lap_max,
     solve_lap_min,
 )
-from tosqap.lap import Permutation
+from tosqap.lap import LapSolution, Permutation
 
 
 def brute_force_min(cost):
@@ -123,11 +123,18 @@ def warm_cases():
     return cases
 
 
+def carrying(dual_col):
+    """A ``LapSolution`` of size len(dual_col) whose column duals, the only
+    part of it a warm start reads, are ``dual_col``."""
+    n = len(dual_col)
+    return LapSolution(Permutation(n, tuple(range(n))), 0.0, np.zeros(n), dual_col)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("kind, cost, dual_col", warm_cases())
     def test_warm_matches_cold(self, kind, cost, dual_col):
         n = cost.shape[0]
-        warm, cold = solve_lap_min(cost, dual_col), solve_lap_min(cost)
+        warm, cold = solve_lap_min(cost, carrying(dual_col)), solve_lap_min(cost)
         if kind == "gauss":  # the optimum is unique w.p. 1
             assert warm.permutation == cold.permutation
         assert warm.value == cold.value
@@ -144,12 +151,15 @@ class TestWarmStart:
         reduced = cost - warm.dual_row[:, None] - warm.dual_col[None, :]
         assert reduced.min() >= -(2 * n * n + n + 5) * eps * size
 
-    @pytest.mark.parametrize("dual_col", [
+    @pytest.mark.parametrize("warm", [
         np.zeros((3, 1)), np.zeros(2), np.array([0.0, np.nan, 0.0]),
-        np.array([0.0, np.inf, 0.0]), "abc"], ids=["2d", "short", "nan", "inf", "str"])
-    def test_bad_dual_col_named(self, dual_col):
-        with pytest.raises(ValueError, match="dual_col must be a finite vector of length 3"):
-            solve_lap_min(np.ones((3, 3)), dual_col)
+        np.array([0.0, np.inf, 0.0]), "abc", solve_lap_min(np.ones((2, 2)))],
+        ids=["2d", "short", "nan", "inf", "str", "size2"])
+    def test_bad_dual_col_named(self, warm):
+        # A bare dual vector is rejected whatever its values, as is the
+        # solution of another size.
+        with pytest.raises(ValueError, match="^warm must be a LapSolution of size 3, got "):
+            solve_lap_min(np.ones((3, 3)), warm)
 
 
 class TestScipy:
@@ -162,8 +172,8 @@ class TestScipy:
         rows, cols = linear_sum_assignment(cost)
         want = float(cost[rows, cols].sum())
         assert solve_lap_min(cost).value == pytest.approx(want, rel=1e-9)
-        dual_col = solve_lap_min(cost + rng.standard_normal((n, n))).dual_col
-        assert solve_lap_min(cost, dual_col).value == pytest.approx(want, rel=1e-9)
+        earlier = solve_lap_min(cost + rng.standard_normal((n, n)))
+        assert solve_lap_min(cost, earlier).value == pytest.approx(want, rel=1e-9)
 
 
 class TestMin:

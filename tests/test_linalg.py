@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 import math
 
 from tosqap import draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
-from tosqap.linalg import as_square, check_int, check_real
+from tosqap.linalg import as_matrix, as_square, check_int, check_real
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -142,6 +142,20 @@ def test_as_square_names_the_matrix():
     assert as_square([[1, 2], [3, 4]], "cost").dtype == np.float64
     with pytest.raises(ValueError, match=r"^cost must be square, got shape \(2, 3\)"):
         as_square(np.ones((2, 3)), "cost")
+    for bad in ([[object()]], [[1.0], [1.0, 2.0]], "abc", [[10 ** 400]]):
+        with pytest.raises(ValueError, match="^A must be an array of real numbers"):
+            as_square(bad, "A")
+
+
+def test_as_matrix_shape_form():
+    stack = np.zeros((2, 3, 3))
+    assert as_matrix(stack, "y1", (2, 3, 3)).shape == (2, 3, 3)
+    assert as_matrix([1.0, 2.0], "v", (2,)).shape == (2,)
+    with pytest.raises(ValueError, match=r"^y1 must have shape \(3, 3\), got \(2, 3, 3\)"):
+        as_matrix(stack, "y1", (3, 3))
+    stack[1, 2, 0] = np.inf
+    with pytest.raises(ValueError, match="^y1 contains non-finite entries"):
+        as_matrix(stack, "y1", (2, 3, 3))
 
 
 def test_draw_uniform_frequencies():

@@ -117,8 +117,10 @@ class TestParsing:
             load_best_known(side)
 
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^B must have shape \(2, 2\), got \(3, 3\)"):
             QapInstance("bad", np.ones((2, 2)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="^A must be an array of real numbers"):
+            QapInstance("x", [["a"]], [[1.0]])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "9552"])
     def test_best_known_must_be_a_finite_number(self, tmp_path, value):
@@ -313,6 +315,15 @@ class TestErrors:
         with pytest.raises(ValueError, match="^x "):
             infeasibility_error(x, split)
 
+    @pytest.mark.parametrize("fn", [
+        lambda x: nonstationarity_error(QapInstance("eye", np.eye(2), np.eye(2)), x),
+        round_to_permutation], ids=["nonstationarity", "rounding"])
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.array([[0.5, np.nan], [0.5, 0.5]])],
+                             ids=["non-square", "nan"])
+    def test_x_is_named(self, fn, x):
+        with pytest.raises(ValueError, match="^x "):
+            fn(x)
+
     def test_nonstationarity_zero_at_strict_minimizer(self):
         # A = B = I: f(X) = ||X||_F^2 over the polytope; gradient at the
         # uniform matrix is constant, every vertex ties, numerator is 0.
@@ -365,6 +376,15 @@ class TestInitialPoint:
         x = initial_point(12, 0)
         assert hashlib.sha256(x.tobytes()).hexdigest() == (
             "6b4e6c01763c5adcbe6a4eb3e1b8583f2fc0b670689c4b7661c28e1bc6f17e35")
+
+    @pytest.mark.parametrize("n, seed, message", [
+        (1.5, 0, "n: expected an integer >= 1, got 1.5"),
+        (3, -1, "seed: expected an integer >= 0, got -1"),
+        (0, 0, "n: expected an integer >= 1, got 0")], ids=["float-n", "negative-seed", "zero-n"])
+    def test_bad_arguments_named(self, n, seed, message):
+        with pytest.raises(ValueError) as err:
+            initial_point(n, seed)
+        assert str(err.value) == message
 
     def test_near_doubly_stochastic(self):
         x = initial_point(8, 0)
@@ -540,9 +560,9 @@ class TestIterationPath:
         names = []
         original = linalg.as_matrix
 
-        def counting(x, name="matrix"):
+        def counting(x, name="matrix", shape=None):
             names.append(name)
-            return original(x, name)
+            return original(x, name, shape)
 
         for mod in (linalg, prox, solver, lap, qap, fw):
             monkeypatch.setattr(mod, "as_matrix", counting, raising=False)
