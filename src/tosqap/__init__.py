@@ -27,6 +27,7 @@ from .prox import (
 )
 from .qap import (
     QapInstance,
+    QapReport,
     QapResult,
     QaplibParseError,
     assignment_error,

@@ -153,10 +153,11 @@ def cmd_bench(args) -> int:
         instances = manifest.get("instances", [])
         solvers = manifest.get("solvers", [])
         cfg = manifest.get("config", {})
+        out_dir = manifest.get("out_dir", args.out)
         for key, value, kind in (("instances", instances, list), ("solvers", solvers, list),
-                                 ("config", cfg, dict)):
+                                 ("config", cfg, dict), ("out_dir", out_dir, str)):
             if not isinstance(value, kind):
-                noun = "an array" if kind is list else "an object"
+                noun = {list: "an array", dict: "an object", str: "a string"}[kind]
                 raise ValueError(f"{key}: expected {noun}, got {value!r}")
         if not instances or not solvers:
             raise ValueError("need at least one instance and one solver")
@@ -172,6 +173,8 @@ def cmd_bench(args) -> int:
         for k, entry in enumerate(instances):
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ValueError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
+            if not isinstance(entry["path"], str):
+                raise ValueError(f"instances[{k}].path: expected a string, got {entry['path']!r}")
             if entry.get("best_known") is not None:
                 check_real(entry["best_known"], f"instances[{k}].best_known", finite=True)
     except ValueError as exc:
@@ -187,7 +190,7 @@ def cmd_bench(args) -> int:
         paths[inst.name] = entry["path"]
         cells.append((_resolve_best_known(inst, entry.get("best_known")),
                       qap.initial_point(inst.n, seed)))
-    out = _out_dir(manifest.get("out_dir", args.out))
+    out = _out_dir(out_dir)
 
     rows = []
     for inst, y1 in cells:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .lap import permutation_to_matrix, solve_lap_min
 from .linalg import as_matrix, check_int, check_real, frobenius_inner
-from .qap import QapInstance, _round, qap_gradient, qap_objective
+from .qap import QapInstance, QapReport, _report, qap_gradient, qap_objective
 from .solver import TraceRecord, power_of_two_schedule, stationarity_gap
 
 
@@ -32,15 +30,8 @@ class FwConfig:
 
 
 @dataclass
-class FwResult:
-    instance: str
+class FwResult(QapReport):
     iterate: np.ndarray
-    permutation: object
-    relaxed_value: float
-    rounded_value: float
-    infeasibility: float  # identically 0: iterates stay in the polytope
-    nonstationarity: float
-    assignment_err: Optional[float]
     trace: list[TraceRecord]
     iterations_run: int
     wall_time: float
@@ -79,46 +70,29 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     # Each LAP is warm-started from the previous solution, whose column duals
     # consecutive gradients leave nearly optimal; the first solves cold.
     sol = None
-    # Pass max_iters + 1 only evaluates the final point, so the reported
-    # gap and objective are always the loop's own.
-    for t in range(1, config.max_iters + 2):
+    # Pass t evaluates x, the point after t steps.
+    for t in range(config.max_iters + 1):
         grad = qap_gradient(inst, x)
         sol = solve_lap_min(grad, sol)
         s = permutation_to_matrix(sol.permutation)
         gap = stationarity_gap(grad, x, s)
         f_x = qap_objective(inst, x)
         nonstationarity = abs(gap) / max(f_x, 1.0)
-        if t in schedule:
-            trace.append(TraceRecord(
-                t=t,
-                objective=f_x,
-                coupling=gap,
-                certificate=0.0,
-                infeasibility=0.0,
-                nonstationarity=nonstationarity,
-            ))
         # Stop as relax_and_round does, on nonstationarity < tolerance; gap
         # <= 0 means the current point already minimizes the linearization.
-        if t > config.max_iters or gap <= 0.0 or nonstationarity < config.gap_tolerance:
+        stop = t == config.max_iters or gap <= 0.0 or nonstationarity < config.gap_tolerance
+        if stop or t == 0 or t in schedule:
+            # infeasibility is identically 0: iterates stay in the polytope
+            trace.append(TraceRecord(t=t, objective=f_x, coupling=gap, certificate=0.0,
+                                     infeasibility=0.0, nonstationarity=nonstationarity))
+        if stop:
             break
         direction = s - x
         eta = exact_line_step(inst, grad, direction)
         x = x + eta * direction
 
-    perm, rounded, assignment_err = _round(inst, x)
-    return FwResult(
-        instance=inst.name,
-        iterate=x,
-        permutation=perm,
-        relaxed_value=f_x,
-        rounded_value=rounded,
-        infeasibility=0.0,
-        nonstationarity=nonstationarity,
-        assignment_err=assignment_err,
-        trace=trace,
-        iterations_run=min(t, config.max_iters),
-        wall_time=time.perf_counter() - t_start,
-    )
+    return FwResult(**_report(inst, x, trace[-1]), iterate=x, trace=trace, iterations_run=t,
+                    wall_time=time.perf_counter() - t_start)
 
 
 def _check_feasible(x: np.ndarray, tol: float) -> None:

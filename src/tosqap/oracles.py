@@ -29,16 +29,12 @@ class GradientOracle:
 class StochasticGradientOracle:
     """Exact gradient plus isotropic Gaussian noise with E||noise||^2 = sigma^2.
 
-    Build one with ``gaussian_noise_oracle``.  ``sample(x, rng)`` returns
-    one noisy gradient; repeated draws are i.i.d. conditioned on ``x`` and
-    consume entropy only from ``rng``.
+    Build one with ``gaussian_noise_oracle``; ``minibatch_gradient`` draws
+    from it.
     """
 
     gradient: Callable[[np.ndarray], np.ndarray]
     sigma: float
-
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return minibatch_gradient(self, x, 1, rng)
 
 
 def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGradientOracle:
@@ -64,8 +60,8 @@ def minibatch_gradient(
     draws is one ``standard_normal`` call of batch * g.size floats, which
     consumes ``rng`` exactly as ``batch`` single draws in a row would; draw
     k is g + (sigma / sqrt(g.size)) * noise_k, and the draws are summed in
-    order 1, 2, ..., batch before the division, so the result equals the
-    mean of ``batch`` sequential ``sample`` calls bit for bit.
+    order 1, 2, ..., batch before the division.  Draws are i.i.d.
+    conditioned on ``x`` and consume entropy only from ``rng``.
     """
     check_int(batch, "batch", 1)
     g = oracle.gradient(x)

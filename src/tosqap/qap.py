@@ -34,7 +34,8 @@ from .prox import (
     prox_row_stochastic,
     project_birkhoff_alternating,
 )
-from .solver import CompositeProblem, RunResult, SolverConfig, StepRule, run_tos, stationarity_gap
+from .solver import (CompositeProblem, RunResult, SolverConfig, StepRule, TraceRecord, run_tos,
+                     stationarity_gap)
 
 SPLIT1 = "split1"
 SPLIT2 = "split2"
@@ -253,13 +254,6 @@ def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optio
     return (rounded_value - best_known) / max(best_known, 1.0)
 
 
-def _round(inst: QapInstance, x: np.ndarray):
-    """(permutation, its objective, its assignment error) of the relaxed ``x``."""
-    perm = round_to_permutation(x)
-    rounded = qap_objective(inst, permutation_to_matrix(perm))
-    return perm, rounded, assignment_error(rounded, inst.best_known)
-
-
 #: Alternating-projection rounds of ``initial_point``.
 INITIAL_POINT_ROUNDS = 1000
 
@@ -287,16 +281,29 @@ def build_problem(inst: QapInstance, split: str) -> CompositeProblem:
 
 
 @dataclass
-class QapResult:
-    instance: str
-    split: str
-    relaxed_iterate: np.ndarray
+class QapReport:
+    """What a QAP solve reports of the point it returns: the rounding of
+    that point, and the objective and errors of its trace row."""
     permutation: Permutation
     relaxed_value: float
     rounded_value: float
     infeasibility: float
     nonstationarity: float
     assignment_err: Optional[float]
+
+
+def _report(inst: QapInstance, x: np.ndarray, last: TraceRecord) -> dict:
+    """The ``QapReport`` fields of the returned ``x``, whose trace row is ``last``."""
+    perm = round_to_permutation(x)
+    rounded = qap_objective(inst, permutation_to_matrix(perm))
+    return dict(permutation=perm, relaxed_value=last.objective, rounded_value=rounded,
+                infeasibility=last.infeasibility, nonstationarity=last.nonstationarity,
+                assignment_err=assignment_error(rounded, inst.best_known))
+
+
+@dataclass
+class QapResult(QapReport):
+    relaxed_iterate: np.ndarray
     run: RunResult
 
 
@@ -335,20 +342,7 @@ def relax_and_round(
         stop = lambda rec: rec.infeasibility < tol and rec.nonstationarity < tol
 
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
-    last = run.trace[-1]
-    perm, rounded_value, assignment_err = _round(inst, run.z_out)
-    return QapResult(
-        instance=inst.name,
-        split=split,
-        relaxed_iterate=run.z_out,
-        permutation=perm,
-        relaxed_value=last.objective,
-        rounded_value=rounded_value,
-        infeasibility=last.infeasibility,
-        nonstationarity=last.nonstationarity,
-        assignment_err=assignment_err,
-        run=run,
-    )
+    return QapResult(**_report(inst, run.z_out, run.trace[-1]), relaxed_iterate=run.z_out, run=run)
 
 
 def _check_shape(inst: QapInstance, x: np.ndarray) -> np.ndarray:

@@ -199,6 +199,19 @@ class TestSolve:
                          (out / f"{stem}.iterate.txt").read_bytes(), summary))
         assert runs[0] == runs[1]
 
+    def test_fw_trace_ends_at_the_reported_point(self, tmp_path):
+        # From seed 3 FW meets the tolerance between powers of two; the
+        # trace still ends on the row of the point it returns.
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "out"
+        assert main(["solve", str(inst_path), "--solver", "fw", "--iters", "256",
+                     "--seed", "3", "--tol", "1e-5", "--out", str(out)]) == 0
+        summary = json.loads((out / "chr12a_fw_seed3.summary.json").read_text())
+        last = (out / "chr12a_fw_seed3.trace.csv").read_text().splitlines()[-1].split(",")
+        assert int(last[0]) == summary["iterations"] < 256
+        assert float(last[1]) == summary["relaxed_value"]
+        assert float(last[5]) == summary["nonstationarity"] < 1e-5
+
 
 class TestBench:
     def make_manifest(self, tmp_path, n_instances, solvers, iters=150, seed=0):
@@ -295,13 +308,27 @@ class TestBench:
         ("config", lambda m: {**m, "config": [m["config"]]}),
         ("instances", lambda m: {**m, "instances": m["instances"][0]}),
         ("solvers", lambda m: {**m, "solvers": "fw"}),
-    ], ids=["manifest", "config", "instances", "solvers"])
+        ("out_dir", lambda m: {**m, "out_dir": 5}),
+    ], ids=["manifest", "config", "instances", "solvers", "out_dir"])
     def test_wrong_json_type_names_its_key(self, tmp_path, capsys, where, edit):
         mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
         mp.write_text(json.dumps(edit(json.loads(mp.read_text()))))
         assert main(["bench", str(mp)]) == 2
-        noun = "an array" if where in ("instances", "solvers") else "an object"
+        noun = {"instances": "an array", "solvers": "an array", "out_dir": "a string"}.get(
+            where, "an object")
         assert f"manifest error: {where}: expected {noun}, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", [0, None, ["x.dat"]], ids=["int", "null", "array"])
+    def test_non_string_path_names_its_entry(self, tmp_path, capsys, path):
+        # open(0) would read stdin: the path is checked before any file opens.
+        mp, out = self.make_manifest(tmp_path, 2, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"][1]["path"] = path
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert (f"manifest error: instances[1].path: expected a string, got {path!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("key, least", [("iters", 1), ("seed", 0)])

@@ -39,9 +39,9 @@ def uniform_start(n):
 
 def start_gap(inst, x):
     """The FW gap max_S <grad f(x), x - S> that run_fw records at its
-    start point, the trace row of t = 1."""
+    start point, the trace row of t = 0."""
     row = run_fw(inst, x, FwConfig(max_iters=1)).trace[0]
-    assert row.t == 1
+    assert row.t == 0
     return row.coupling
 
 
@@ -106,7 +106,7 @@ class TestRun:
     def test_stationary_start_stops_immediately(self):
         inst = QapInstance("eye", np.eye(3), np.eye(3))
         res = run_fw(inst, uniform_start(3), FwConfig(max_iters=100))
-        assert res.iterations_run == 1
+        assert res.iterations_run == 0
         assert res.nonstationarity <= 1e-12
 
     def test_convex_surrogate_converges_to_uniform(self):
@@ -172,11 +172,10 @@ class TestRun:
         assert all(m <= v + 1e-15 for m, v in
                    zip(run_min, [r.nonstationarity for r in res.trace]))
 
-    # From the uniform start this instance reaches a vertex, gap <= 0, at
-    # iteration 4; a cap of 3 stops it first.
-    @pytest.mark.parametrize("max_iters, stop, extra", [(40, 4, 0), (3, 3, 1)],
-                             ids=["gap", "cap"])
-    def test_one_gradient_per_iteration(self, monkeypatch, max_iters, stop, extra):
+    # From the uniform start this instance reaches a vertex, gap <= 0, after
+    # 3 steps; a cap of 3 stops it there too.
+    @pytest.mark.parametrize("max_iters, stop", [(40, 3), (3, 3)], ids=["gap", "cap"])
+    def test_one_gradient_per_iteration(self, monkeypatch, max_iters, stop):
         calls = []
 
         def counting_gradient(inst, x):
@@ -186,14 +185,12 @@ class TestRun:
         monkeypatch.setattr(fw, "qap_gradient", counting_gradient)
         res = run_fw(random_instance(6, 11), uniform_start(6), FwConfig(max_iters=max_iters))
         assert res.iterations_run == stop
-        # A gap exit has already evaluated its point; a cap exit evaluates
-        # the point of the last step once more.
-        assert len(calls) == res.iterations_run + extra
+        # One gradient at the start and one after each step.
+        assert len(calls) == res.iterations_run + 1
 
-    # chr12a from initial_point(12, 0): the 64-iteration cap ends on a
-    # point the trace never saw; the 1e-3 gap exit comes at 463, between
-    # checkpoints.
-    @pytest.mark.parametrize("max_iters, tol, stop", [(64, 0.0, 64), (4096, 1e-3, 463)],
+    # chr12a from initial_point(12, 0): the 64-iteration cap and the 1e-3
+    # gap exit after 462 steps, between powers of two.
+    @pytest.mark.parametrize("max_iters, tol, stop", [(64, 0.0, 64), (4096, 1e-3, 462)],
                              ids=["cap", "gap"])
     def test_reported_numbers_are_the_iterates(self, max_iters, tol, stop):
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
@@ -208,6 +205,28 @@ class TestRun:
         assert res.nonstationarity.hex() == gap_error.hex()
         # both solvers report one nonstationarity: |stationarity_gap| / max{f, 1}
         assert res.nonstationarity.hex() == nonstationarity_error(inst, x).hex()
+
+    # chr12a from initial_point(12, 0) stops at the 64 cap; from
+    # initial_point(12, 3) it meets 1e-5 after 14 steps; an infinite
+    # tolerance stops at the start.
+    @pytest.mark.parametrize("start, config, stop", [
+        (0, FwConfig(max_iters=64), 64),
+        (3, FwConfig(max_iters=1024, gap_tolerance=1e-5), 14),
+        (3, FwConfig(max_iters=64, gap_tolerance=math.inf), 0)], ids=["cap", "gap", "inf"])
+    def test_last_trace_row_is_the_reported_point(self, monkeypatch, start, config, stop):
+        steps = []
+
+        def counting_step(inst, grad, direction):
+            steps.append(1)
+            return exact_line_step(inst, grad, direction)
+
+        monkeypatch.setattr(fw, "exact_line_step", counting_step)
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        res = run_fw(inst, initial_point(12, start), config)
+        assert res.trace[0].t == 0
+        assert res.trace[-1].t == res.iterations_run == len(steps) == stop
+        assert res.trace[-1].objective.hex() == res.relaxed_value.hex()
+        assert res.trace[-1].nonstationarity.hex() == res.nonstationarity.hex()
 
     def test_gap_nonnegative_on_trace(self):
         # Every start is a convex combination of permutations, so each
@@ -281,7 +300,7 @@ class TestRun:
 
     def test_numpy_and_infinite_config_accepted(self):
         config = FwConfig(max_iters=np.int64(5), gap_tolerance=math.inf)
-        assert run_fw(random_instance(4, 9), uniform_start(4), config).iterations_run == 1
+        assert run_fw(random_instance(4, 9), uniform_start(4), config).iterations_run == 0
         assert FwConfig(max_iters=5, gap_tolerance=np.float64(1e-3)).gap_tolerance == 1e-3
 
     def test_trace_iterations_increasing(self):

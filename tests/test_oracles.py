@@ -33,14 +33,6 @@ def test_zero_variance_collapse(exact):
         np.testing.assert_array_equal(got, exact.gradient(x))
 
 
-def test_single_sample_batch(exact):
-    noisy = gaussian_noise_oracle(exact, 2.0)
-    x = np.zeros((3, 3))
-    want = noisy.sample(x, make_rng(5))
-    got = minibatch_gradient(noisy, x, 1, make_rng(5))
-    np.testing.assert_array_equal(got, want)
-
-
 def test_batch_zero_rejected(exact):
     noisy = gaussian_noise_oracle(exact, 1.0)
     with pytest.raises(ValueError):
@@ -90,7 +82,7 @@ def test_minibatch_matches_draw_by_draw_reference(batch, shape, sigma):
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     assert rng_got.standard_normal() == rng_want.standard_normal()
     # A single draw is the draw-by-draw estimator with batch 1.
-    assert (noisy.sample(x, rng_got).tobytes()
+    assert (minibatch_gradient(noisy, x, 1, rng_got).tobytes()
             == reference_minibatch(exact, sigma, x, 1, rng_want).tobytes())
 
 
@@ -137,7 +129,7 @@ def test_unbiasedness(exact):
     n_samples = 100_000
     acc = np.zeros((3, 3))
     for _ in range(n_samples):
-        acc += noisy.sample(x, rng)
+        acc += minibatch_gradient(noisy, x, 1, rng)
     mean = acc / n_samples
     # per-entry deviation scale: sigma / sqrt(n_entries), averaged over draws
     per_entry = sigma / np.sqrt(x.size)
