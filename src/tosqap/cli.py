@@ -105,10 +105,18 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
         config = SolverConfig(iters=iters, step=step, seed=seed)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
         run, iterate = res.run, res.relaxed_iterate
+    if run.iterations_run == iters:
+        stopped_by = "cap"
+    elif solver == "fw" and run.trace[-1].coupling <= 0.0:  # run_fw keeps its gap as coupling
+        stopped_by = "gap"
+    else:
+        stopped_by = "tol"
     return {
         "solver": solver,
         "instance": inst.name,
         "iterations": run.iterations_run,
+        "stopped_by": stopped_by,
+        "checkpoints": len(run.trace),
         "relaxed_value": res.relaxed_value,
         "rounded_value": res.rounded_value,
         "infeasibility": res.infeasibility,

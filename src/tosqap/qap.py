@@ -317,8 +317,9 @@ def relax_and_round(
     """Full pipeline: solve the relaxation with the splitting method, then round.
 
     When ``tol`` is given the solver stops as soon as both the
-    infeasibility and nonstationarity errors drop below it, checked only
-    at the power-of-two trace schedule.  A step rule of kind
+    infeasibility and nonstationarity errors drop below it, checked at the
+    power-of-two trace schedule and every ``STOP_CHECK_EVERY`` iterations;
+    the stop row is the last trace row.  A step rule of kind
     'inv_smoothness' with an unset constant is completed with the
     instance's own smoothness constant.
 

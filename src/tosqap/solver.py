@@ -126,6 +126,11 @@ class SolverConfig:
             raise ValueError(f"output policy must be 'last' or 'random', got {self.output!r}")
 
 
+#: A run given ``stop_when`` also asks it every this many iterations, between
+#: the trace points; the record is kept only when the run stops there.
+STOP_CHECK_EVERY = 128
+
+
 def power_of_two_schedule(t_total: int) -> frozenset[int]:
     """Indices 1, 2, 4, 8, ... plus the final iteration."""
     s = set()
@@ -226,8 +231,11 @@ def run_tos(
 
     At each point of the trace schedule ``metric_fn(z_t)`` returns the
     (infeasibility, nonstationarity) pair stored in that checkpoint's
-    ``TraceRecord``; if ``stop_when(record)`` returns True the loop exits
-    there.  ``iteration_hook`` receives the full tuple
+    ``TraceRecord``.  ``stop_when(record)`` is asked at each trace point and,
+    in between, every ``STOP_CHECK_EVERY`` iterations; if it returns True
+    the loop exits there and that record is the last trace row, while a
+    record between trace points that does not stop is dropped.
+    ``iteration_hook`` receives the full tuple
     (t, gamma, u_t, z_t, x_t, y_t, y_{t+1}) of every iteration.
 
     ``y1``, of any shape equal to ``problem.shape``, is checked here, once;
@@ -298,7 +306,8 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
         if iteration_hook is not None:
             iteration_hook(t, gamma, u, z, x, y, y_next)
         t_done = t
-        if t in schedule:
+        traced = t in schedule
+        if traced or (stop_when is not None and t % STOP_CHECK_EVERY == 0):
             cert = certificate_residual(
                 gamma, u, x, z, y, y_next, y1,
                 problem.prox_g.value, problem.prox_h.value,
@@ -311,8 +320,10 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
             )
             if metric_fn is not None:
                 rec.infeasibility, rec.nonstationarity = metric_fn(z)
-            trace.append(rec)
-            if stop_when is not None and stop_when(rec):
+            stop = stop_when is not None and stop_when(rec)
+            if traced or stop:
+                trace.append(rec)
+            if stop:
                 break
         y = y_next
     return z, trace, t_done

@@ -178,26 +178,61 @@ class TestSolve:
             outs.append((out / "rep_tos-split2_seed7.trace.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def solve_in_fresh_interpreter(out, solver, iters, seed, **env_vars):
+        """``solve`` chr12a at tol 1e-5 in a new interpreter: (trace bytes,
+        iterate bytes, summary without ``wall_time``)."""
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, **env_vars,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "tosqap.cli", "solve", str(inst_path),
+                        "--solver", solver, "--iters", str(iters), "--seed", str(seed),
+                        "--tol", "1e-5", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        stem = f"chr12a_{solver}_seed{seed}"
+        summary = json.loads((out / f"{stem}.summary.json").read_text())
+        del summary["wall_time"]
+        return ((out / f"{stem}.trace.csv").read_bytes(),
+                (out / f"{stem}.iterate.txt").read_bytes(), summary)
+
     @pytest.mark.parametrize("solver", ["tos-split2", "fw"])
     def test_byte_identical_across_processes(self, tmp_path, solver):
         # The README's promise at a fixed BLAS thread count, in fresh
         # interpreters that hash strings differently.
-        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        stem = f"chr12a_{solver}_seed3"
-        runs = []
-        for hash_seed in ("1", "2"):
-            out = tmp_path / hash_seed
-            env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "tosqap.cli", "solve", str(inst_path),
-                            "--solver", solver, "--iters", "256", "--seed", "3", "--tol", "1e-5",
-                            "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
-            summary = json.loads((out / f"{stem}.summary.json").read_text())
-            del summary["wall_time"]
-            runs.append(((out / f"{stem}.trace.csv").read_bytes(),
-                         (out / f"{stem}.iterate.txt").read_bytes(), summary))
+        runs = [self.solve_in_fresh_interpreter(tmp_path / hash_seed, solver, 256, 3,
+                                                OPENBLAS_NUM_THREADS="1", PYTHONHASHSEED=hash_seed)
+                for hash_seed in ("1", "2")]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("solver", ["tos-split1", "tos-split2"])
+    def test_byte_identical_across_blas_threads(self, tmp_path, solver):
+        # At n = 12 the bytes of a tol run, to its stop at t = 2560, do not
+        # depend on the OpenBLAS thread count either; only the recorded
+        # environment differs.
+        runs = []
+        for threads in ("1", "2"):
+            trace, iterate, summary = self.solve_in_fresh_interpreter(
+                tmp_path / threads, solver, 100000, 0, OPENBLAS_NUM_THREADS=threads)
+            assert summary.pop("env")["OPENBLAS_NUM_THREADS"] == threads
+            assert (summary["stopped_by"], summary["iterations"]) == ("tol", 2560)
+            runs.append((trace, iterate, summary))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("iters, stopped_by, iterations, checkpoints", [
+        (100000, "tol", 1408, 12), (64, "cap", 64, 7)])
+    def test_summary_says_why_the_run_stopped(self, tmp_path, iters, stopped_by,
+                                              iterations, checkpoints):
+        # chr12a from seed 1 meets tol 1e-5 on split2 at the stop check t = 1408.
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "out"
+        assert main(["solve", str(inst_path), "--solver", "tos-split2", "--iters", str(iters),
+                     "--seed", "1", "--tol", "1e-5", "--out", str(out)]) == 0
+        summary = json.loads((out / "chr12a_tos-split2_seed1.summary.json").read_text())
+        rows = (out / "chr12a_tos-split2_seed1.trace.csv").read_text().splitlines()[1:]
+        assert (summary["stopped_by"], summary["iterations"], summary["checkpoints"]) == (
+            stopped_by, iterations, checkpoints)
+        assert int(rows[-1].split(",")[0]) == iterations and len(rows) == checkpoints
 
     def test_fw_trace_ends_at_the_reported_point(self, tmp_path):
         # From seed 3 FW meets the tolerance between powers of two; the
@@ -209,6 +244,7 @@ class TestSolve:
         summary = json.loads((out / "chr12a_fw_seed3.summary.json").read_text())
         last = (out / "chr12a_fw_seed3.trace.csv").read_text().splitlines()[-1].split(",")
         assert int(last[0]) == summary["iterations"] < 256
+        assert summary["stopped_by"] == "tol"
         assert float(last[1]) == summary["relaxed_value"]
         assert float(last[5]) == summary["nonstationarity"] < 1e-5
 
@@ -239,6 +275,10 @@ class TestBench:
         assert all("error" not in r for r in rows)
         digests = {r["y1_digest"] for r in rows}
         assert len(digests) == 1  # every solver saw the same initial point
+        # Both TOS cells run to the 150 cap (rows 1, 2, ..., 128, 150); FW
+        # reaches a vertex, gap <= 0, after 39 steps (rows 0, 1, ..., 32, 39).
+        assert [(r["stopped_by"], r["iterations"], r["checkpoints"]) for r in rows] == [
+            ("cap", 150, 9), ("cap", 150, 9), ("gap", 39, 8)]
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
 

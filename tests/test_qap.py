@@ -460,10 +460,25 @@ class TestPipeline:
         assert res.nonstationarity < 1e-5
         assert res.assignment_err is not None and res.assignment_err < 1.0
 
-    # random_instance(6, 17) meets tol 1e-3 at checkpoint 512 on both splits;
-    # a 300 cap ends on a checkpoint that is not a power of two.
+    # Unrelabeled chr12a, step 1/L, tol 1e-5: the stop test, asked every
+    # STOP_CHECK_EVERY iterations, ends these runs between powers of two
+    # (before at 2048 or 4096), with the same rounded values.
+    @pytest.mark.parametrize("split, seed, stop, rounded", [
+        (SPLIT1, 1, 2560, 13384.0), (SPLIT1, 3, 1664, 13784.0),
+        (SPLIT2, 1, 1408, 14834.0), (SPLIT2, 3, 1536, 13784.0)])
+    def test_chr12a_tol_stop_points(self, split, seed, stop, rounded):
+        res = relax_and_round(load_instance(chr12a_path()), split,
+                              SolverConfig(iters=100000, step=StepRule.inv_smoothness()),
+                              tol=1e-5, y1=initial_point(12, seed))
+        assert res.run.iterations_run == res.run.trace[-1].t == stop
+        assert res.rounded_value == rounded
+        assert res.infeasibility < 1e-5 and res.nonstationarity < 1e-5
+
+    # random_instance(6, 17) meets tol 1e-3 at the stop check t = 384 on both
+    # splits, between trace points; a 300 cap ends on a checkpoint that is not
+    # a power of two.
     @pytest.mark.parametrize("split", SPLITS)
-    @pytest.mark.parametrize("iters, tol, stop", [(1000, 1e-3, 512), (300, None, 300)],
+    @pytest.mark.parametrize("iters, tol, stop", [(1000, 1e-3, 384), (300, None, 300)],
                              ids=["tol", "cap"])
     def test_reported_numbers_are_the_iterates(self, split, iters, tol, stop):
         inst = random_instance(6, 17)

@@ -24,7 +24,7 @@ from tosqap import (
 )
 from tosqap.prox import ProxOperator, prox_box01, prox_col_stochastic, prox_row_stochastic
 from tosqap.qap import QapInstance, estimate_smoothness, qap_oracle
-from tosqap.solver import SNAPSHOT_CAP, power_of_two_schedule
+from tosqap.solver import SNAPSHOT_CAP, STOP_CHECK_EVERY, power_of_two_schedule
 
 
 def zero_oracle():
@@ -131,6 +131,39 @@ class TestRunTos:
         assert [id(r) for r in seen] == [id(r) for r in res.trace]
         assert [(r.t, r.infeasibility, r.nonstationarity) for r in res.trace] == [
             (1, 0.25, 0.5), (2, 0.25, 0.5), (4, 0.25, 0.5), (8, 0.25, 0.5)]
+
+    @staticmethod
+    def counted_run(iters, stop_when=None):
+        """A 2 x 2 run with a constant metric_fn: (result, times metric_fn ran)."""
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        calls = []
+        res = run_tos(problem, SolverConfig(iters=iters, step=StepRule.fixed(1.0)),
+                      np.full((2, 2), 0.5), stop_when=stop_when,
+                      metric_fn=lambda z: calls.append(1) or (0.25, 0.5))
+        return res, len(calls)
+
+    def test_no_stop_when_measures_only_trace_rows(self):
+        res, calls = self.counted_run(1000)
+        assert [r.t for r in res.trace] == sorted(power_of_two_schedule(1000))
+        assert calls == len(res.trace)
+
+    def test_stop_when_also_asked_every_stop_check(self):
+        seen = []
+
+        def stop(rec):
+            seen.append(rec.t)
+            return rec.t == 5 * STOP_CHECK_EVERY
+
+        res, calls = self.counted_run(4000, stop)
+        stop_t = 5 * STOP_CHECK_EVERY
+        checks = set(range(STOP_CHECK_EVERY, stop_t + 1, STOP_CHECK_EVERY))
+        assert seen == sorted({t for t in power_of_two_schedule(4000) if t <= stop_t} | checks)
+        assert calls == len(seen)
+        # The stop row closes the trace; the check at 384 before it did not
+        # stop and left no row.
+        assert res.iterations_run == res.trace[-1].t == stop_t
+        assert [r.t for r in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, stop_t]
 
     def test_scalar_constrained_minimum(self):
         # f(x) = (x - 2)^2 on [0, 1]; grid search pins the boundary optimum.
