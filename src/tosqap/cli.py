@@ -27,7 +27,7 @@ import numpy as np
 from . import qap
 from .fw import FwConfig, run_fw
 from .linalg import check_int, check_real
-from .solver import SolverConfig, StepRule
+from .solver import DivergenceError, SolverConfig, StepRule
 
 SOLVERS = ("tos-split1", "tos-split2", "fw")
 
@@ -56,10 +56,13 @@ def write_trace(path, records) -> None:
 
 def environment() -> dict:
     """What besides the seed decides a run's bytes: interpreter and numpy
-    versions, CPU count and the BLAS thread variables (None when unset)."""
+    versions, the BLAS library numpy was built with, CPU count and the BLAS
+    thread variables (None when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         **{name: os.environ.get(name) for name in THREAD_VARS},
     }
@@ -105,12 +108,15 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
         config = SolverConfig(iters=iters, step=step, seed=seed)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
         run, iterate = res.run, res.relaxed_iterate
-    if run.iterations_run == iters:
-        stopped_by = "cap"
-    elif solver == "fw" and run.trace[-1].coupling <= 0.0:  # run_fw keeps its gap as coupling
+    # Why the run stopped, by its own stop rule on the last trace row; a
+    # rule met at the cap wins over the cap.
+    last = run.trace[-1]
+    if solver == "fw" and last.coupling <= 0.0:  # run_fw keeps its gap as coupling
         stopped_by = "gap"
-    else:
+    elif qap.tolerance_met(last, tol):
         stopped_by = "tol"
+    else:
+        stopped_by = "cap"
     return {
         "solver": solver,
         "instance": inst.name,
@@ -208,7 +214,10 @@ def cmd_bench(args) -> int:
                 write_trace(os.path.join(out, f"{inst.name}_{solver}_seed{seed}.trace.csv"), trace)
                 rows.append(summary)
             except Exception as exc:  # cell failures are recorded, the sweep continues
-                rows.append({"solver": solver, "instance": inst.name, "error": str(exc)})
+                row = {"solver": solver, "instance": inst.name, "error": str(exc)}
+                if isinstance(exc, DivergenceError):
+                    row.update(stopped_by="divergence", iterations=exc.iteration)
+                rows.append(row)
 
     tally = pairwise_tally(rows, solvers)
     report = {"rows": rows, "tally": tally, "env": environment()}

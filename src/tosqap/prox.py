@@ -97,14 +97,29 @@ def _affine_closed_form(x: np.ndarray) -> np.ndarray:
 def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray:
     """Alternating projections between column- and row-stochastic sets.
 
-    Runs ``iters`` rounds, each projecting onto the column-stochastic set
-    and then the row-stochastic set, so the output is exactly
-    row-stochastic and approximately column-stochastic.
+    Returns exactly the iterate of ``iters`` rounds, each projecting onto
+    the column-stochastic set and then the row-stochastic set, so the
+    output is exactly row-stochastic and approximately column-stochastic.
+
+    In floating point the rounds soon cycle, so the loop stops early once
+    the iterate repeats: as in Brent's cycle detection (BIT 20, 1980) it
+    keeps the bytes of the iterate of the last power-of-two round, and a
+    later round with the same bytes fixes the period λ, after which only
+    (rounds left) mod λ more rounds are run.  Bytes, not values, are
+    compared, because -0.0 == 0.0.
     """
     x = as_square(x)
     check_int(iters, "iters", 1)
-    for _ in range(iters):
+    saved, mark = x.tobytes(), 0
+    for done in range(1, iters + 1):
         x = project_simplex(project_simplex(x.T).T)
+        seen = x.tobytes()
+        if seen == saved:
+            for _ in range((iters - done) % (done - mark)):
+                x = project_simplex(project_simplex(x.T).T)
+            return x
+        if done & (done - 1) == 0:  # a power of two
+            saved, mark = seen, done
     return x
 
 

@@ -254,14 +254,17 @@ def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optio
     return (rounded_value - best_known) / max(best_known, 1.0)
 
 
-#: Alternating-projection rounds of ``initial_point``.
+#: Alternating-projection rounds of ``initial_point``.  The result is exactly
+#: that of this many rounds; the loop stops early once the iterate repeats.
 INITIAL_POINT_ROUNDS = 1000
 
 
 def initial_point(n: int, seed: int) -> np.ndarray:
     """Near-doubly-stochastic start: project a seeded Gaussian matrix onto
     the Birkhoff polytope with ``INITIAL_POINT_ROUNDS`` alternating-projection
-    rounds."""
+    rounds.  The bytes are exactly those of all the rounds, although
+    ``project_birkhoff_alternating`` stops once the iterate repeats (for
+    chr12a's starts 0-5 within 66 rounds)."""
     check_int(n, "n", 1)
     check_int(seed, "seed", 0)
     rng = make_rng(seed)
@@ -307,6 +310,12 @@ class QapResult(QapReport):
     run: RunResult
 
 
+def tolerance_met(rec: TraceRecord, tol: Optional[float]) -> bool:
+    """``relax_and_round``'s stop rule: both errors of ``rec`` below ``tol``.
+    It is ``run_fw``'s too, whose rows have infeasibility 0."""
+    return tol is not None and rec.infeasibility < tol and rec.nonstationarity < tol
+
+
 def relax_and_round(
     inst: QapInstance,
     split: str,
@@ -338,9 +347,7 @@ def relax_and_round(
         y1 = initial_point(inst.n, config.seed)
 
     metrics = lambda z: (infeasibility_error(z, split), nonstationarity_error(inst, z))
-    stop = None
-    if tol is not None:
-        stop = lambda rec: rec.infeasibility < tol and rec.nonstationarity < tol
+    stop = None if tol is None else (lambda rec: tolerance_met(rec, tol))
 
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
     return QapResult(**_report(inst, run.z_out, run.trace[-1]), relaxed_iterate=run.z_out, run=run)

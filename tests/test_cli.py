@@ -155,9 +155,12 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", str(inst_path), "--iters", "20", "--out", str(out)]) == 0
         summary = json.loads((out / "env_tos-split2_seed0.summary.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
         assert summary["env"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": None,
@@ -219,20 +222,33 @@ class TestSolve:
             runs.append((trace, iterate, summary))
         assert runs[0] == runs[1]
 
+    @staticmethod
+    def solve_chr12a(out, solver, seed, iters):
+        """``solve`` chr12a at tol 1e-5 in this process: (summary, trace rows)."""
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        assert main(["solve", str(inst_path), "--solver", solver, "--iters", str(iters),
+                     "--seed", str(seed), "--tol", "1e-5", "--out", str(out)]) == 0
+        stem = f"chr12a_{solver}_seed{seed}"
+        return (json.loads((out / f"{stem}.summary.json").read_text()),
+                (out / f"{stem}.trace.csv").read_text().splitlines()[1:])
+
     @pytest.mark.parametrize("iters, stopped_by, iterations, checkpoints", [
         (100000, "tol", 1408, 12), (64, "cap", 64, 7)])
     def test_summary_says_why_the_run_stopped(self, tmp_path, iters, stopped_by,
                                               iterations, checkpoints):
         # chr12a from seed 1 meets tol 1e-5 on split2 at the stop check t = 1408.
-        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
-        out = tmp_path / "out"
-        assert main(["solve", str(inst_path), "--solver", "tos-split2", "--iters", str(iters),
-                     "--seed", "1", "--tol", "1e-5", "--out", str(out)]) == 0
-        summary = json.loads((out / "chr12a_tos-split2_seed1.summary.json").read_text())
-        rows = (out / "chr12a_tos-split2_seed1.trace.csv").read_text().splitlines()[1:]
+        summary, rows = self.solve_chr12a(tmp_path / "out", "tos-split2", 1, iters)
         assert (summary["stopped_by"], summary["iterations"], summary["checkpoints"]) == (
             stopped_by, iterations, checkpoints)
         assert int(rows[-1].split(",")[0]) == iterations and len(rows) == checkpoints
+
+    def test_tolerance_met_at_the_cap_wins(self, tmp_path):
+        # chr12a from seed 3 meets tol 1e-5 on split1 at the stop check
+        # t = 1664; with the cap there too, the run still stopped on tol.
+        summary, rows = self.solve_chr12a(tmp_path / "out", "tos-split1", 3, 1664)
+        assert (summary["stopped_by"], summary["iterations"]) == ("tol", 1664)
+        assert summary["infeasibility"] < 1e-5 and summary["nonstationarity"] < 1e-5
+        assert int(rows[-1].split(",")[0]) == 1664
 
     def test_fw_trace_ends_at_the_reported_point(self, tmp_path):
         # From seed 3 FW meets the tolerance between powers of two; the
@@ -250,7 +266,7 @@ class TestSolve:
 
 
 class TestBench:
-    def make_manifest(self, tmp_path, n_instances, solvers, iters=150, seed=0):
+    def make_manifest(self, tmp_path, n_instances, solvers, iters=150, seed=0, step="invL"):
         entries = []
         for k in range(n_instances):
             p = tmp_path / f"inst{k}.dat"
@@ -259,7 +275,7 @@ class TestBench:
         manifest = {
             "instances": entries,
             "solvers": solvers,
-            "config": {"iters": iters, "seed": seed, "step": "invL"},
+            "config": {"iters": iters, "seed": seed, "step": step},
             "out_dir": str(tmp_path / "bench_out"),
         }
         mp = tmp_path / "manifest.json"
@@ -290,6 +306,20 @@ class TestBench:
         assert report["env"]["OMP_NUM_THREADS"] == "2"
         assert report["env"]["numpy"] == np.__version__
         assert "env" not in report["rows"][0]  # one record per report, not per row
+
+    def test_diverged_cell_says_so(self, tmp_path):
+        # At the fixed step 1e300 split1's second iterate overflows, while
+        # split2's stays finite to the cap.  The overflow warnings are not
+        # the fault under test.
+        mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "tos-split2"],
+                                     step="fixed:1e300")
+        with np.errstate(all="ignore"):
+            assert main(["bench", str(mp)]) == 0
+        rows = json.loads((out / "bench_summary.json").read_text())["rows"]
+        assert rows[0] == {"solver": "tos-split1", "instance": "inst0",
+                           "error": "non-finite iterate at iteration 2",
+                           "stopped_by": "divergence", "iterations": 2}
+        assert (rows[1]["stopped_by"], rows[1]["iterations"]) == ("cap", 150)
 
     def test_five_instances_tally_sums(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 5, ["tos-split2", "fw"], iters=100)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from tosqap import (
     frobenius_inner,
     frobenius_norm,
+    initial_point,
     make_rng,
     project_affine_doubly_stochastic,
     project_birkhoff_alternating,
@@ -21,6 +22,7 @@ from tosqap.prox import (
     prox_col_stochastic,
     prox_row_stochastic,
 )
+from tosqap.qap import INITIAL_POINT_ROUNDS
 
 moderate = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -283,6 +285,71 @@ class TestAlternatingProjections:
         np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)  # exact: rows last
         assert np.max(np.abs(y.sum(axis=0) - 1.0)) <= 1e-6
         assert np.all(y >= 0)
+
+
+ROUNDS = (1, 2, 7, 64, 65, 1000)
+
+
+def plain_rounds(x, rounds=ROUNDS):
+    """The alternating projections without the early exit: the bytes of the
+    iterate after each round count in ``rounds``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = {}
+    for done in range(1, max(rounds) + 1):
+        x = project_simplex(project_simplex(x.T).T)
+        if done in rounds:
+            out[done] = x.tobytes()
+    return out
+
+
+def orbit_period(x, rounds=1000):
+    """Length of the cycle the plain rounds enter within ``rounds``, else None."""
+    seen = {}
+    for done in range(1, rounds + 1):
+        x = project_simplex(project_simplex(x.T).T)
+        seen.setdefault(x.tobytes(), done)
+        if len(seen) < done:
+            return done - seen[x.tobytes()]
+    return None
+
+
+class TestAlternatingEarlyExit:
+    """The loop stops once the iterate repeats; every output byte must be
+    that of running all the rounds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 30])
+    def test_matches_plain_loop(self, n):
+        for seed in range(2 if n == 30 else 3):
+            x0 = make_rng(seed).standard_normal((n, n))
+            for iters, want in plain_rounds(x0).items():
+                assert project_birkhoff_alternating(x0, iters).tobytes() == want, (seed, iters)
+
+    @pytest.mark.parametrize("x0", [
+        np.eye(4)[[2, 0, 3, 1]],
+        np.where(np.eye(4)[[2, 0, 3, 1]] == 1.0, 1.0, -0.0),
+        np.eye(3),
+        np.array([[1.0]]),
+        np.full((5, 5), 0.2),
+    ], ids=["permutation", "negative-zeros", "identity", "scalar", "uniform"])
+    def test_fixed_points_match_plain_loop(self, x0):
+        for iters, want in plain_rounds(x0).items():
+            assert project_birkhoff_alternating(x0, iters).tobytes() == want, iters
+
+    @pytest.mark.parametrize("seed, period", [(31, 3), (12, 4), (23, 6), (33, 9)])
+    def test_longer_periods_match_plain_loop(self, seed, period):
+        # The draws of initial_point(12, seed), whose orbits cycle with
+        # these periods, so the exit skips a nonzero remainder of rounds.
+        x0 = make_rng(seed).standard_normal((12, 12))
+        assert orbit_period(x0) == period
+        want = plain_rounds(x0, {*ROUNDS, INITIAL_POINT_ROUNDS})
+        for iters in ROUNDS:
+            assert project_birkhoff_alternating(x0, iters).tobytes() == want[iters], iters
+        assert initial_point(12, seed).tobytes() == want[INITIAL_POINT_ROUNDS]
+
+    def test_returns_a_fresh_array(self):
+        p = np.eye(3)
+        y = project_birkhoff_alternating(p, 1000)
+        assert y is not p and y.flags.c_contiguous
 
 
 ALL_PROJECTIONS = [

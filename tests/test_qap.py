@@ -377,6 +377,35 @@ class TestInitialPoint:
         assert hashlib.sha256(x.tobytes()).hexdigest() == (
             "6b4e6c01763c5adcbe6a4eb3e1b8583f2fc0b670689c4b7661c28e1bc6f17e35")
 
+    # Computed with all INITIAL_POINT_ROUNDS rounds run, before the
+    # alternating projections could stop early.
+    @pytest.mark.parametrize("n, seed, digest", [
+        (12, 0, "6b4e6c01763c5adcbe6a4eb3e1b8583f2fc0b670689c4b7661c28e1bc6f17e35"),
+        (12, 1, "f76a8ad84df8b843711179bd1191ef37f4c2ee9beba79b6b434a1237deb57379"),
+        (12, 2, "7961ed8a50103f2372392521a3bb6cbb7ab6ed279ddb99bf4c1a565ef577a061"),
+        (12, 3, "57bc1db8bf9f2ab8daa891e1542588b34c463538dacf930133fe3fb930fa49bb"),
+        (12, 4, "b5a235c7b7885965712c7755d07cb9ed0977f24cba4f8d2c2c013774ad316f93"),
+        (12, 5, "567fb439238bd95ee73d9d757da5aa63ea14a2d6472fa2d55e32630ee60eb332"),
+        (30, 0, "2170164a7dfb3e3c69c803600b59beb30edb849140072ca351916f953f613f37"),
+        (30, 1, "1bda9eead400bfd60a7cdf413a4f2b1a6ceabb01afd98c47ad29a53068ab13d2"),
+        (30, 2, "7fb82b4badca8c409888386966c0d5fa88cf43712c3c694f3a2cc3cf62dfdc8a"),
+        (30, 3, "be681cb16fe8e3b5d7c438a1c1661555d2f15513b7349248fc3b326195b4a1b8"),
+        (30, 4, "886183ffbf09afa32a9ac2d4a546b5643aa4a4d206a2d90e5fc36cc7b2d9a61e"),
+        (30, 5, "69514ecfa6e353b6f0a0dca592c202fd17d2ca3e58d6077f1e936ae5946cbb8f"),
+    ])
+    def test_digest_of_all_rounds(self, n, seed, digest):
+        assert hashlib.sha256(initial_point(n, seed).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stops_once_the_iterate_repeats(self, seed, monkeypatch):
+        # chr12a's starts repeat within 65 rounds, so the loop must not run
+        # on to INITIAL_POINT_ROUNDS = 1000.
+        calls = []
+        simplex = prox.project_simplex
+        monkeypatch.setattr(prox, "project_simplex", lambda v: calls.append(1) or simplex(v))
+        initial_point(12, seed)
+        assert 0 < len(calls) <= 2 * 130
+
     @pytest.mark.parametrize("n, seed, message", [
         (1.5, 0, "n: expected an integer >= 1, got 1.5"),
         (3, -1, "seed: expected an integer >= 0, got -1"),
