@@ -108,21 +108,13 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
         config = SolverConfig(iters=iters, step=step, seed=seed)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
         run, iterate = res.run, res.relaxed_iterate
-    # Why the run stopped, by its own stop rule on the last trace row; a
-    # rule met at the cap wins over the cap.
-    last = run.trace[-1]
-    if solver == "fw" and last.coupling <= 0.0:  # run_fw keeps its gap as coupling
-        stopped_by = "gap"
-    elif qap.tolerance_met(last, tol):
-        stopped_by = "tol"
-    else:
-        stopped_by = "cap"
     return {
         "solver": solver,
         "instance": inst.name,
         "iterations": run.iterations_run,
-        "stopped_by": stopped_by,
+        "stopped_by": res.stopped_by,
         "checkpoints": len(run.trace),
+        "checks": res.checks,
         "relaxed_value": res.relaxed_value,
         "rounded_value": res.rounded_value,
         "infeasibility": res.infeasibility,

@@ -78,21 +78,21 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         gap = stationarity_gap(grad, x, s)
         f_x = qap_objective(inst, x)
         nonstationarity = abs(gap) / max(f_x, 1.0)
-        # Stop as relax_and_round does, on nonstationarity < tolerance; gap
-        # <= 0 means the current point already minimizes the linearization.
-        stop = t == config.max_iters or gap <= 0.0 or nonstationarity < config.gap_tolerance
-        if stop or t == 0 or t in schedule:
+        # gap <= 0: x minimizes its linearization; tol: relax_and_round's strict test.
+        stopped_by = ("gap" if gap <= 0.0 else "tol" if nonstationarity < config.gap_tolerance
+                      else "cap" if t == config.max_iters else None)
+        if stopped_by or t == 0 or t in schedule:
             # infeasibility is identically 0: iterates stay in the polytope
             trace.append(TraceRecord(t=t, objective=f_x, coupling=gap, certificate=0.0,
                                      infeasibility=0.0, nonstationarity=nonstationarity))
-        if stop:
+        if stopped_by:
             break
         direction = s - x
         eta = exact_line_step(inst, grad, direction)
         x = x + eta * direction
 
-    return FwResult(**_report(inst, x, trace[-1]), iterate=x, trace=trace, iterations_run=t,
-                    wall_time=time.perf_counter() - t_start)
+    return FwResult(**_report(inst, x, trace[-1], stopped_by, t + 1), iterate=x, trace=trace,
+                    iterations_run=t, wall_time=time.perf_counter() - t_start)
 
 
 def _check_feasible(x: np.ndarray, tol: float) -> None:

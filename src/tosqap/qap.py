@@ -285,35 +285,34 @@ def build_problem(inst: QapInstance, split: str) -> CompositeProblem:
 
 @dataclass
 class QapReport:
-    """What a QAP solve reports of the point it returns: the rounding of
-    that point, and the objective and errors of its trace row."""
+    """What a QAP solve reports of the point it returns: its rounding, its
+    trace row's objective and errors, why its loop stopped (``stopped_by``:
+    "gap", "tol" or "cap") and the points it checked (``checks``)."""
     permutation: Permutation
     relaxed_value: float
     rounded_value: float
     infeasibility: float
     nonstationarity: float
     assignment_err: Optional[float]
+    stopped_by: str
+    checks: int
 
 
-def _report(inst: QapInstance, x: np.ndarray, last: TraceRecord) -> dict:
+def _report(inst: QapInstance, x: np.ndarray, last: TraceRecord, stopped_by: str,
+            checks: int) -> dict:
     """The ``QapReport`` fields of the returned ``x``, whose trace row is ``last``."""
     perm = round_to_permutation(x)
     rounded = qap_objective(inst, permutation_to_matrix(perm))
     return dict(permutation=perm, relaxed_value=last.objective, rounded_value=rounded,
                 infeasibility=last.infeasibility, nonstationarity=last.nonstationarity,
-                assignment_err=assignment_error(rounded, inst.best_known))
+                assignment_err=assignment_error(rounded, inst.best_known),
+                stopped_by=stopped_by, checks=checks)
 
 
 @dataclass
 class QapResult(QapReport):
     relaxed_iterate: np.ndarray
     run: RunResult
-
-
-def tolerance_met(rec: TraceRecord, tol: Optional[float]) -> bool:
-    """``relax_and_round``'s stop rule: both errors of ``rec`` below ``tol``.
-    It is ``run_fw``'s too, whose rows have infeasibility 0."""
-    return tol is not None and rec.infeasibility < tol and rec.nonstationarity < tol
 
 
 def relax_and_round(
@@ -347,16 +346,18 @@ def relax_and_round(
         y1 = initial_point(inst.n, config.seed)
 
     metrics = lambda z: (infeasibility_error(z, split), nonstationarity_error(inst, z))
-    stop = None if tol is None else (lambda rec: tolerance_met(rec, tol))
+    stop = None if tol is None else (
+        lambda rec: rec.infeasibility < tol and rec.nonstationarity < tol)
 
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
-    return QapResult(**_report(inst, run.z_out, run.trace[-1]), relaxed_iterate=run.z_out, run=run)
+    return QapResult(**_report(inst, run.z_out, run.trace[-1], "tol" if run.stopped else "cap",
+                               run.checks), relaxed_iterate=run.z_out, run=run)
 
 
 def _check_shape(inst: QapInstance, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (inst.n, inst.n):
-        raise ValueError(f"expected shape {(inst.n, inst.n)}, got {x.shape}")
+        raise ValueError(f"x must have shape {(inst.n, inst.n)}, got {x.shape}")
     return x
 
 

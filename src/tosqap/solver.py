@@ -159,6 +159,8 @@ class RunResult:
     trace: list[TraceRecord]
     wall_time: float
     iterations_run: int
+    stopped: bool  # stop_when ended the run
+    checks: int  # checkpoint records built: trace rows plus stop checks
 
 
 class DivergenceError(RuntimeError):
@@ -253,7 +255,7 @@ def run_tos(
     marks: Optional[list[tuple[np.ndarray, dict]]] = [] if config.output == "random" else None
 
     t_start = time.perf_counter()
-    z, trace, t_done = _iterate(
+    z, trace, t_done, stopped, checks = _iterate(
         problem, gamma, y1, t_total, rng, schedule,
         metric_fn, stop_when, iteration_hook, marks, stride,
     )
@@ -279,18 +281,22 @@ def run_tos(
         trace=trace,
         wall_time=time.perf_counter() - t_start,
         iterations_run=t_done,
+        stopped=stopped,
+        checks=checks,
     )
 
 
 def _iterate(problem, gamma, y1, t_total, rng, schedule,
              metric_fn, stop_when, iteration_hook, marks=None, stride=1):
     """Run ``t_total`` iterations from ``y1``; return (z of the last, trace,
-    iterations run).  If ``marks`` is a list, (y_t, generator state) is
-    appended to it at the start of each iteration t = 1 (mod ``stride``)."""
+    iterations run, whether ``stop_when`` ended the run, checkpoint records
+    built).  If ``marks`` is a list, (y_t, generator state) is appended to it
+    at the start of each iteration t = 1 (mod ``stride``)."""
     y = np.array(y1, dtype=np.float64, copy=True)
     z = y
     trace: list[TraceRecord] = []
-    t_done = 0
+    t_done = checks = 0
+    stop = False
     for t in range(1, t_total + 1):
         if marks is not None and (t - 1) % stride == 0:
             marks.append((y, rng.bit_generator.state))
@@ -308,6 +314,7 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
         t_done = t
         traced = t in schedule
         if traced or (stop_when is not None and t % STOP_CHECK_EVERY == 0):
+            checks += 1
             cert = certificate_residual(
                 gamma, u, x, z, y, y_next, y1,
                 problem.prox_g.value, problem.prox_h.value,
@@ -326,7 +333,7 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
             if stop:
                 break
         y = y_next
-    return z, trace, t_done
+    return z, trace, t_done, stop, checks
 
 
 @dataclass

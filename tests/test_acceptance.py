@@ -4,7 +4,7 @@ Each test covers one release gate and prints a single pass/fail line so a
 plain ``pytest -s tests/test_acceptance.py`` run doubles as a checklist:
 
 1. averaged stationarity bound for the splitting method under the theory
-   step size;
+   step size; 1b. its averaged infeasibility bound on the same runs;
 2. per-iteration certificate nonpositivity for convex g, h;
 3. desk-scale benchmark protocol on chr12a plus a small manifest sweep;
 4. minibatch variance law of the synthetic noise oracle;
@@ -33,8 +33,10 @@ from tosqap import (
     build_problem,
     certificate_residual,
     estimate_smoothness,
+    frobenius_inner,
     frobenius_norm,
     gaussian_noise_oracle,
+    gradient_bound,
     load_instance,
     make_rng,
     minibatch_gradient,
@@ -100,6 +102,57 @@ def test_criterion_1_averaged_stationarity_bound():
     ok &= elapsed < 60.0
     report(1, f"averaged stationarity gap within 4*G*D/T^(1/3) on 5 instances "
               f"({elapsed:.1f}s)", ok)
+
+
+#: Criterion 2's gate on one computed certificate residual (LHS - RHS).
+CERTIFICATE_SLACK = 1e-9
+
+
+def test_criterion_1b_averaged_infeasibility_bound():
+    # Criterion 1's runs.  With g, h the indicators of split1's two sets and
+    # x_ref = y_1 = J/8 in both, criterion 2's certificate times 2 gamma,
+    # summed over t = 1..T, telescopes in ||y_t - x_ref||^2 and leaves
+    #     sum ||x_t - z_t||^2 <= ||y_1 - x_ref||^2 + 2 gamma sum <u_t, x_ref - x_t>.
+    # z_t is row-stochastic, so ||u_t|| <= G_f = gradient_bound; x_t and x_ref
+    # are column-stochastic, so ||x_ref - x_t|| <= D_h = sqrt(2 n).  The theory
+    # step gamma = D_g / (2 G_f T^(2/3)) then gives
+    #     mean ||x_t - z_t||^2 <= ||y_1 - x_ref||^2 / T + D_g D_h / T^(2/3),
+    # a bound on the infeasibility, as dist(z_t, second set) <= ||x_t - z_t||.
+    # Rounding: each computed certificate may exceed 0 by CERTIFICATE_SLACK
+    # (criterion 2), which moves the sum by at most 2 gamma T CERTIFICATE_SLACK.
+    # Split2's second set, an affine subspace, is unbounded: split1 only.
+    n = 8
+    y1 = np.full((n, n), 1.0 / n)
+    x_ref = y1
+    d_g = d_h = split_diameter(n, SPLIT1)
+    worst_sum = worst_mean = 0.0
+    ok = True
+    for seed in range(5):
+        inst = random_uniform_instance(n, seed)
+        problem = build_problem(inst, SPLIT1)
+        assert problem.g_f == gradient_bound(inst, SPLIT1)
+        for t_total in (8, 64, 512):
+            gammas, squares, inners = set(), [], []
+
+            def hook(t, gamma, u, z, x, y, y_next):
+                gammas.add(gamma)
+                squares.append(frobenius_norm(x - z) ** 2)
+                inners.append(frobenius_inner(u, x_ref - x))
+
+            run_tos(problem, SolverConfig(iters=t_total, step=StepRule(kind="theory")),
+                    y1, iteration_hook=hook)
+            (gamma,) = gammas
+            margin = 2.0 * gamma * t_total * CERTIFICATE_SLACK
+            telescoped = frobenius_norm(y1 - x_ref) ** 2 + 2.0 * gamma * sum(inners)
+            closed = (frobenius_norm(y1 - x_ref) ** 2 / t_total
+                      + d_g * d_h / t_total ** (2.0 / 3.0))
+            ok &= sum(squares) <= telescoped + margin
+            ok &= float(np.mean(squares)) <= closed + margin / t_total
+            worst_sum = max(worst_sum, sum(squares) / telescoped)
+            worst_mean = max(worst_mean, float(np.mean(squares)) / closed)
+    report("1b", f"sum ||x_t - z_t||^2 within the telescoped certificate (worst "
+                 f"{worst_sum:.2f} of it) and its mean within ||y_1 - x_ref||^2/T + "
+                 f"D_g D_h/T^(2/3) (worst {worst_mean:.1e}) on 5 instances", ok)
 
 
 def test_criterion_2_certificate_nonpositivity():

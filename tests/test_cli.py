@@ -242,6 +242,15 @@ class TestSolve:
             stopped_by, iterations, checkpoints)
         assert int(rows[-1].split(",")[0]) == iterations and len(rows) == checkpoints
 
+    def test_summary_counts_checks_beside_trace_rows(self, tmp_path):
+        # chr12a from seed 0 meets tol 1e-5 on split1 at t = 2560: 13 trace
+        # rows (1, 2, ..., 2048, 2560), 27 points checked (those and every
+        # 128th iteration).
+        summary, rows = self.solve_chr12a(tmp_path / "out", "tos-split1", 0, 100000)
+        assert (summary["stopped_by"], summary["iterations"], summary["checkpoints"],
+                summary["checks"]) == ("tol", 2560, 13, 27)
+        assert len(rows) == 13
+
     def test_tolerance_met_at_the_cap_wins(self, tmp_path):
         # chr12a from seed 3 meets tol 1e-5 on split1 at the stop check
         # t = 1664; with the cap there too, the run still stopped on tol.
@@ -297,6 +306,15 @@ class TestBench:
             ("cap", 150, 9), ("cap", 150, 9), ("gap", 39, 8)]
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
+
+    def test_rows_count_checks_beside_trace_rows(self, tmp_path):
+        # Without a tol a TOS cell checks its trace rows alone; FW checks
+        # every point it reaches, 40 for its 39 steps.
+        mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "fw"])
+        assert main(["bench", str(mp)]) == 0
+        rows = json.loads((out / "bench_summary.json").read_text())["rows"]
+        assert [(r["stopped_by"], r["checkpoints"], r["checks"]) for r in rows] == [
+            ("cap", 9, 9), ("gap", 8, 40)]
 
     def test_report_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "2")

@@ -228,6 +228,32 @@ class TestRun:
         assert res.trace[-1].objective.hex() == res.relaxed_value.hex()
         assert res.trace[-1].nonstationarity.hex() == res.nonstationarity.hex()
 
+    # chr12a: from initial_point(12, 3) FW meets 1e-5 after 14 steps, which
+    # wins over a cap there too; from initial_point(12, 0) it runs to the 4096
+    # cap, and an infinite tolerance stops at the start.  It checks each point
+    # it reaches once.
+    @pytest.mark.parametrize("start, config, stop, rows, stopped_by", [
+        (3, FwConfig(max_iters=100000, gap_tolerance=1e-5), 14, 6, "tol"),
+        (3, FwConfig(max_iters=14, gap_tolerance=1e-5), 14, 6, "tol"),
+        (0, FwConfig(max_iters=4096, gap_tolerance=1e-5), 4096, 14, "cap"),
+        (0, FwConfig(max_iters=64, gap_tolerance=math.inf), 0, 1, "tol")],
+        ids=["tol", "tol-at-cap", "cap", "inf"])
+    def test_stopped_by_and_checks(self, start, config, stop, rows, stopped_by):
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        res = run_fw(inst, initial_point(12, start), config)
+        assert (res.iterations_run, len(res.trace), res.checks, res.stopped_by) == (
+            stop, rows, stop + 1, stopped_by)
+
+    def test_gap_exit(self):
+        # The n = 4 instance of the CLI tests' bench manifest, from
+        # initial_point(4, 0): FW reaches a vertex, gap <= 0, after 39 steps.
+        rng = make_rng(10)
+        a = rng.integers(0, 10, (4, 4)).astype(float)
+        inst = QapInstance("inst0", a, rng.integers(0, 10, (4, 4)).astype(float))
+        res = run_fw(inst, initial_point(4, 0), FwConfig(max_iters=150))
+        assert (res.stopped_by, res.iterations_run, res.checks) == ("gap", 39, 40)
+        assert res.trace[-1].coupling <= 0.0
+
     def test_gap_nonnegative_on_trace(self):
         # Every start is a convex combination of permutations, so each
         # iterate stays in the polytope, where max_S <grad, X - S> >= 0.

@@ -139,6 +139,11 @@ class TestObjectiveGradient:
         assert qap_objective(inst, np.eye(2)) == 4.0
         assert permutation_objective(inst, Permutation(2, (0, 1))) == 4.0
 
+    @pytest.mark.parametrize("fn", [qap_objective, qap_gradient])
+    def test_wrong_shape_names_x(self, fn):
+        with pytest.raises(ValueError, match=r"^x must have shape \(12, 12\), got \(3, 3\)$"):
+            fn(load_instance(chr12a_path()), np.eye(3))
+
     def test_swap_assignment_value(self):
         inst = parse_qaplib("2 0 1 1 0 0 2 2 0")
         swap = permutation_to_matrix(Permutation(2, (1, 0)))
@@ -441,6 +446,17 @@ class TestPipeline:
                               SolverConfig(iters=8, step=StepRule.fixed(0.1)), tol=np.float64(np.inf))
         assert res.run.iterations_run == 1
 
+    def test_infinite_tol_stops_on_tol_after_one_check(self):
+        res = relax_and_round(load_instance(chr12a_path()), SPLIT1,
+                              SolverConfig(iters=100, step=StepRule.inv_smoothness()), tol=math.inf)
+        assert (res.run.iterations_run, res.checks, res.stopped_by) == (1, 1, "tol")
+
+    def test_cap_run_checks_its_trace_rows(self):
+        res = relax_and_round(random_instance(6, 17), SPLIT1,
+                              SolverConfig(iters=300, step=StepRule.inv_smoothness()))
+        assert (res.stopped_by, res.run.stopped) == ("cap", False)
+        assert res.checks == res.run.checks == len(res.run.trace) == 10
+
     def test_single_site(self):
         inst = QapInstance("one", np.array([[2.0]]), np.array([[3.0]]), best_known=6.0)
         res = relax_and_round(inst, SPLIT2, SolverConfig(iters=10, step=StepRule.fixed(0.01)))
@@ -502,6 +518,20 @@ class TestPipeline:
         assert res.run.iterations_run == res.run.trace[-1].t == stop
         assert res.rounded_value == rounded
         assert res.infeasibility < 1e-5 and res.nonstationarity < 1e-5
+
+    # The same runs, and split1 from seed 3 capped at its stop check: each
+    # reports the stop its loop decided and the points it checked, its trace
+    # rows plus the stop checks between them.
+    @pytest.mark.parametrize("split, seed, iters, stop, rows, checks", [
+        (SPLIT1, 0, 100000, 2560, 13, 27), (SPLIT1, 3, 1664, 1664, 12, 20),
+        (SPLIT2, 1, 100000, 1408, 12, 18), (SPLIT2, 4, 100000, 3840, 13, 37)])
+    def test_chr12a_stopped_by_and_checks(self, split, seed, iters, stop, rows, checks):
+        res = relax_and_round(load_instance(chr12a_path()), split,
+                              SolverConfig(iters=iters, step=StepRule.inv_smoothness(), seed=seed),
+                              tol=1e-5)
+        assert (res.run.iterations_run, len(res.run.trace), res.checks, res.stopped_by) == (
+            stop, rows, checks, "tol")
+        assert res.run.stopped and res.run.checks == checks
 
     # random_instance(6, 17) meets tol 1e-3 at the stop check t = 384 on both
     # splits, between trace points; a 300 cap ends on a checkpoint that is not

@@ -165,6 +165,21 @@ class TestRunTos:
         assert res.iterations_run == res.trace[-1].t == stop_t
         assert [r.t for r in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, stop_t]
 
+    # A cap-only run checks its trace rows; a run given stop_when also checks
+    # every STOP_CHECK_EVERY iterations (384, 640, 768 and 896 of 1000 are not
+    # trace points), and says whether stop_when ended it.
+    @pytest.mark.parametrize("iters, stop_when, checks, stopped", [
+        (1000, None, 11, False),
+        (1000, lambda rec: False, 15, False),
+        (4000, lambda rec: rec.t == 5 * STOP_CHECK_EVERY, 12, True)],
+        ids=["cap", "never", "stop"])
+    def test_checks_count_the_metric_calls(self, iters, stop_when, checks, stopped):
+        res, calls = self.counted_run(iters, stop_when)
+        assert (res.checks, res.stopped) == (calls, stopped)
+        assert calls == checks
+        if stop_when is None:
+            assert res.checks == len(res.trace)
+
     def test_scalar_constrained_minimum(self):
         # f(x) = (x - 2)^2 on [0, 1]; grid search pins the boundary optimum.
         grid = np.linspace(0.0, 1.0, 100001)
