@@ -150,12 +150,22 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _check_keys(entry: dict, allowed: tuple, where: str) -> None:
+    for key in entry:
+        if key not in allowed:
+            raise ValueError(f"{where}: unknown key {key!r}; allowed: {', '.join(allowed)}")
+
+
 def cmd_bench(args) -> int:
     with open(args.manifest) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{args.manifest}: not JSON: {exc}") from None
     try:
         if not isinstance(manifest, dict):
             raise ValueError(f"manifest: expected an object, got {manifest!r}")
+        _check_keys(manifest, ("instances", "solvers", "config", "out_dir"), "manifest")
         instances = manifest.get("instances", [])
         solvers = manifest.get("solvers", [])
         cfg = manifest.get("config", {})
@@ -167,9 +177,12 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"{key}: expected {noun}, got {value!r}")
         if not instances or not solvers:
             raise ValueError("need at least one instance and one solver")
-        for s in solvers:
+        for k, s in enumerate(solvers):
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
+            if s in solvers[:k]:
+                raise ValueError(f"solvers: {s!r} is listed twice")
+        _check_keys(cfg, ("iters", "seed", "tol", "step"), "config")
         iters = check_int(cfg.get("iters", 1000), "config.iters", 1)
         seed = check_int(cfg.get("seed", 0), "config.seed", 0)
         tol = cfg.get("tol")
@@ -179,6 +192,7 @@ def cmd_bench(args) -> int:
         for k, entry in enumerate(instances):
             if not isinstance(entry, dict) or "path" not in entry:
                 raise ValueError(f"instances[{k}]: expected an object with a \"path\", got {entry!r}")
+            _check_keys(entry, ("path", "best_known"), f"instances[{k}]")
             if not isinstance(entry["path"], str):
                 raise ValueError(f"instances[{k}].path: expected a string, got {entry['path']!r}")
             if entry.get("best_known") is not None:

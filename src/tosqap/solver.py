@@ -252,66 +252,15 @@ def run_tos(
     rng = make_rng(config.seed)
 
     stride = math.ceil(t_total / SNAPSHOT_CAP)
-    marks: Optional[list[tuple[np.ndarray, dict]]] = [] if config.output == "random" else None
+    marks = [(y1, rng.bit_generator.state)] if config.output == "random" else None
 
     t_start = time.perf_counter()
-    z, trace, t_done, stopped, checks = _iterate(
-        problem, gamma, y1, t_total, rng, schedule,
-        metric_fn, stop_when, iteration_hook, marks, stride,
-    )
-
-    tau: Optional[int] = None
-    if config.output == "random":
-        tau = draw_uniform_index(rng, t_done)
-        # Replay from the last mark s <= tau, the generator restored to its
-        # state there, so iterations s..tau repeat bit for bit.
-        y_s, state = marks[(tau - 1) // stride]
-        replay_rng = make_rng(config.seed)
-        replay_rng.bit_generator.state = state
-        z_out = _iterate(
-            problem, gamma, y_s, (tau - 1) % stride + 1, replay_rng, frozenset(),
-            None, None, None,
-        )[0]
-    else:
-        z_out = z
-
-    return RunResult(
-        z_out=z_out,
-        tau=tau,
-        trace=trace,
-        wall_time=time.perf_counter() - t_start,
-        iterations_run=t_done,
-        stopped=stopped,
-        checks=checks,
-    )
-
-
-def _iterate(problem, gamma, y1, t_total, rng, schedule,
-             metric_fn, stop_when, iteration_hook, marks=None, stride=1):
-    """Run ``t_total`` iterations from ``y1``; return (z of the last, trace,
-    iterations run, whether ``stop_when`` ended the run, checkpoint records
-    built).  If ``marks`` is a list, (y_t, generator state) is appended to it
-    at the start of each iteration t = 1 (mod ``stride``)."""
-    y = np.array(y1, dtype=np.float64, copy=True)
-    z = y
     trace: list[TraceRecord] = []
-    t_done = checks = 0
-    stop = False
-    for t in range(1, t_total + 1):
-        if marks is not None and (t - 1) % stride == 0:
-            marks.append((y, rng.bit_generator.state))
-        z = problem.prox_g(y, gamma)
-        if problem.stochastic is not None:
-            u = minibatch_gradient(problem.stochastic, z, problem.batch, rng)
-        else:
-            u = problem.oracle.gradient(z)
-        x = problem.prox_h(2.0 * z - y - gamma * u, gamma)
-        y_next = y - z + x
-        if not np.all(np.isfinite(y_next)):
-            raise DivergenceError(t)
+    checks = 0
+    stopped = False
+    for t, u, z, x, y, y_next in _steps(problem, gamma, y1, rng, t_total):
         if iteration_hook is not None:
             iteration_hook(t, gamma, u, z, x, y, y_next)
-        t_done = t
         traced = t in schedule
         if traced or (stop_when is not None and t % STOP_CHECK_EVERY == 0):
             checks += 1
@@ -327,13 +276,50 @@ def _iterate(problem, gamma, y1, t_total, rng, schedule,
             )
             if metric_fn is not None:
                 rec.infeasibility, rec.nonstationarity = metric_fn(z)
-            stop = stop_when is not None and stop_when(rec)
-            if traced or stop:
+            stopped = stop_when is not None and stop_when(rec)
+            if traced or stopped:
                 trace.append(rec)
-            if stop:
+            if stopped:
                 break
+        if marks is not None and t % stride == 0 and t < t_total:
+            marks.append((y_next, rng.bit_generator.state))
+
+    tau: Optional[int] = None
+    if marks is not None:
+        tau = draw_uniform_index(rng, t)
+        # Replay z = z_tau from the last mark s <= tau, the generator restored
+        # to its state there, so iterations s..tau repeat bit for bit.
+        y_s, rng.bit_generator.state = marks[(tau - 1) // stride]
+        for _, _, z, *_ in _steps(problem, gamma, y_s, rng, (tau - 1) % stride + 1):
+            pass
+
+    return RunResult(
+        z_out=z,
+        tau=tau,
+        trace=trace,
+        wall_time=time.perf_counter() - t_start,
+        iterations_run=t,
+        stopped=stopped,
+        checks=checks,
+    )
+
+
+def _steps(problem, gamma, y, rng, count):
+    """Run ``count`` iterations from y_1 = ``y``, yielding (t, u_t, z_t, x_t,
+    y_t, y_{t+1}) after each; a non-finite y_{t+1} raises ``DivergenceError(t)``."""
+    y = np.array(y, dtype=np.float64, copy=True)
+    for t in range(1, count + 1):
+        z = problem.prox_g(y, gamma)
+        if problem.stochastic is not None:
+            u = minibatch_gradient(problem.stochastic, z, problem.batch, rng)
+        else:
+            u = problem.oracle.gradient(z)
+        x = problem.prox_h(2.0 * z - y - gamma * u, gamma)
+        y_next = y - z + x
+        if not np.all(np.isfinite(y_next)):
+            raise DivergenceError(t)
+        yield t, u, z, x, y, y_next
         y = y_next
-    return z, trace, t_done, stop, checks
 
 
 @dataclass

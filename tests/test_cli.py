@@ -500,6 +500,41 @@ class TestBench:
         assert f"error: {bad}: token 8" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_json_manifest_names_the_file(self, tmp_path, capsys):
+        mp = tmp_path / "m.json"
+        mp.write_text('{"instances": x}')
+        assert main(["bench", str(mp)]) == 2
+        assert (f"manifest error: {mp}: not JSON: Expecting value: line 1 column 15 (char 14)"
+                in capsys.readouterr().err)
+
+    def test_missing_manifest_is_not_a_manifest_error(self, tmp_path, capsys):
+        assert main(["bench", str(tmp_path / "absent.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.json" in err
+
+    @pytest.mark.parametrize("where, allowed", [
+        ("manifest", "instances, solvers, config, out_dir"),
+        ("config", "iters, seed, tol, step"),
+        ("instances[0]", "path, best_known"),
+    ], ids=["manifest", "config", "instance"])
+    def test_unknown_key_names_it_and_the_allowed_ones(self, tmp_path, capsys, where, allowed):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        entry = {"manifest": manifest, "config": manifest["config"],
+                 "instances[0]": manifest["instances"][0]}[where]
+        entry["tolerance"] = 1e-5
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert (f"manifest error: {where}: unknown key 'tolerance'; allowed: {allowed}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_duplicate_solver_rejected(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw", "tos-split2", "fw"], iters=20)
+        assert main(["bench", str(mp)]) == 2
+        assert "manifest error: solvers: 'fw' is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPairwiseTally:
     def test_counts(self):

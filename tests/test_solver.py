@@ -328,12 +328,18 @@ class TestRunTos:
             # restored generator before it reaches z_tau.
             assert replayed > 1
 
-    def test_noisy_random_iterate_after_early_stop(self):
-        iters = 2 * SNAPSHOT_CAP + 3
-        res, zs, _ = self.noisy_random_run(iters, 1, stop_when=lambda rec: rec.t == 2048)
+    @pytest.mark.parametrize("iters, seed", [
+        (SNAPSHOT_CAP - 1, 1), (SNAPSHOT_CAP + 1, 3), (2 * SNAPSHOT_CAP + 3, 1)])
+    def test_noisy_random_iterate_after_early_stop(self, iters, seed):
+        # Strides 1, 2 and 3; at stride 2 the stop at t = 2048 falls where
+        # the next mark would be taken.  At strides 2 and 3 the seed puts tau
+        # between marks.
+        stride = math.ceil(iters / SNAPSHOT_CAP)
+        res, zs, _ = self.noisy_random_run(iters, seed, stop_when=lambda rec: rec.t == 2048)
         assert res.iterations_run == 2048 and len(zs) == 2048
         assert 1 <= res.tau <= res.iterations_run
-        assert (res.tau - 1) % math.ceil(iters / SNAPSHOT_CAP) > 0
+        if stride > 1:
+            assert (res.tau - 1) % stride > 0
         assert res.z_out.tobytes() == zs[res.tau]
 
     def test_divergence_reported_with_iteration(self):
