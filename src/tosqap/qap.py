@@ -96,8 +96,11 @@ def parse_qaplib(text: str, name: str = "instance") -> QapInstance:
 def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
     import os
 
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise QaplibParseError(f"{path}: not UTF-8: {exc}") from None
     try:
         inst = parse_qaplib(text, name=os.path.splitext(os.path.basename(path))[0])
     except QaplibParseError as exc:

@@ -161,6 +161,7 @@ class RunResult:
     iterations_run: int
     stopped: bool  # stop_when ended the run
     checks: int  # checkpoint records built: trace rows plus stop checks
+    gamma: float  # the step the step rule resolved to
 
 
 class DivergenceError(RuntimeError):
@@ -301,6 +302,7 @@ def run_tos(
         iterations_run=t,
         stopped=stopped,
         checks=checks,
+        gamma=gamma,
     )
 
 

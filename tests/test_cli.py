@@ -12,7 +12,8 @@ import pytest
 
 from tosqap import initial_point, make_rng, qap_objective
 from tosqap.cli import main, pairwise_tally
-from tosqap.qap import QapInstance
+from tosqap.qap import QapInstance, build_problem, estimate_smoothness
+from tosqap.solver import StepRule
 
 
 def write_instance(path, n, seed):
@@ -141,6 +142,28 @@ class TestSolve:
         write_instance(inst_path, 3, 0)
         assert main(["solve", str(inst_path), "--tol", "inf", "--iters", "20",
                      "--out", str(tmp_path / "out")]) == 0
+
+    # The summary's gamma is the step the run took: the fixed value, 1/L of
+    # the instance's estimated L, or the theory step for the split and cap.
+    @pytest.mark.parametrize("solver, step", [
+        ("tos-split1", "fixed:0.003"), ("tos-split2", "invL"), ("tos-split1", "theory"),
+        ("fw", "invL")])
+    def test_summary_reports_the_resolved_step(self, tmp_path, solver, step):
+        inst_path = tmp_path / "g.dat"
+        inst = write_instance(inst_path, 4, 5)
+        assert main(["solve", str(inst_path), "--solver", solver, "--step", step,
+                     "--iters", "50", "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / f"g_{solver}_seed0.summary.json").read_text())
+        want = {"fixed:0.003": 0.003, "invL": 1.0 / estimate_smoothness(inst),
+                "theory": StepRule(kind="theory").resolve(build_problem(inst, "split1"), 50)}
+        assert summary["gamma"] == (None if solver == "fw" else want[step])
+
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        bad.write_bytes(b"2 0 1 1 0 0 2 2 \xe9")
+        rc = main(["solve", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {bad}: not UTF-8: " in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.dat"), "--out", str(tmp_path / "o")])
@@ -300,21 +323,29 @@ class TestBench:
         assert all("error" not in r for r in rows)
         digests = {r["y1_digest"] for r in rows}
         assert len(digests) == 1  # every solver saw the same initial point
-        # Both TOS cells run to the 150 cap (rows 1, 2, ..., 128, 150); FW
-        # reaches a vertex, gap <= 0, after 39 steps (rows 0, 1, ..., 32, 39).
+        # Both TOS cells run to the 150 cap (rows 1, 2, ..., 128, 150); FW's
+        # gap rounds to <= 0 after 37 steps (rows 0, 1, ..., 32, 37).
         assert [(r["stopped_by"], r["iterations"], r["checkpoints"]) for r in rows] == [
-            ("cap", 150, 9), ("cap", 150, 9), ("gap", 39, 8)]
+            ("cap", 150, 9), ("cap", 150, 9), ("gap", 37, 8)]
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
 
     def test_rows_count_checks_beside_trace_rows(self, tmp_path):
         # Without a tol a TOS cell checks its trace rows alone; FW checks
-        # every point it reaches, 40 for its 39 steps.
+        # every point it reaches, 38 for its 37 steps.
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "fw"])
         assert main(["bench", str(mp)]) == 0
         rows = json.loads((out / "bench_summary.json").read_text())["rows"]
         assert [(r["stopped_by"], r["checkpoints"], r["checks"]) for r in rows] == [
-            ("cap", 9, 9), ("gap", 8, 40)]
+            ("cap", 9, 9), ("gap", 8, 38)]
+
+    def test_rows_report_the_resolved_step(self, tmp_path):
+        mp, out = self.make_manifest(tmp_path, 2, ["tos-split1", "fw"], iters=20,
+                                     step="fixed:0.01")
+        assert main(["bench", str(mp)]) == 0
+        rows = json.loads((out / "bench_summary.json").read_text())["rows"]
+        assert [(r["solver"], r["gamma"]) for r in rows] == [
+            ("tos-split1", 0.01), ("fw", None)] * 2
 
     def test_report_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
@@ -506,6 +537,21 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         assert (f"manifest error: {mp}: not JSON: Expecting value: line 1 column 15 (char 14)"
                 in capsys.readouterr().err)
+
+    def test_non_utf8_manifest_names_the_file(self, tmp_path, capsys):
+        mp = tmp_path / "m.json"
+        mp.write_bytes(b"\xff\xfe{}")
+        assert main(["bench", str(mp)]) == 2
+        assert (f"manifest error: {mp}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                "in position 0: invalid start byte" in capsys.readouterr().err)
+
+    def test_non_utf8_instance_file_is_named(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        bad = Path(json.loads(mp.read_text())["instances"][0]["path"])
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        assert main(["bench", str(mp)]) == 1
+        assert f"error: {bad}: not UTF-8: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_manifest_is_not_a_manifest_error(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "absent.json")]) == 1

@@ -13,12 +13,14 @@ from tosqap import (
     load_instance,
     make_rng,
     nonstationarity_error,
+    permutation_objective,
     permutation_to_matrix,
     qap_gradient,
     qap_objective,
+    round_to_permutation,
     solve_lap_min,
 )
-from tosqap import fw
+from tosqap import fw, solver
 from tosqap.fw import FwConfig, exact_line_step, run_fw
 from tosqap.lap import Permutation
 
@@ -45,6 +47,26 @@ def start_gap(inst, x):
     return row.coupling
 
 
+def exact_recompute_fw(inst, x, config):
+    """Frank-Wolfe as run_fw runs it, with grad f(x) and f(x) computed afresh
+    at every point: the steps run, the stop reason, the last point and the
+    nonstationarity of each point."""
+    nonstationarity = []
+    for t in range(config.max_iters + 1):
+        grad, f_x = qap_gradient(inst, x), qap_objective(inst, x)
+        s = permutation_to_matrix(solve_lap_min(grad).permutation)
+        gap = frobenius_inner(grad, x - s)
+        nonstationarity.append(abs(gap) / max(f_x, 1.0))
+        stopped_by = ("gap" if gap <= 0.0 else "tol" if nonstationarity[-1] < config.gap_tolerance
+                      else "cap" if t == config.max_iters else None)
+        if stopped_by:
+            return t, stopped_by, x, nonstationarity
+        d = s - x
+        a, b = qap_objective(inst, d), frobenius_inner(grad, d)
+        eta = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0.0 else float(a + b <= 0.0)
+        x = x + eta * d
+
+
 class TestGap:
     def test_zero_at_linear_minimizer(self):
         inst = QapInstance("eye", np.eye(3), np.eye(3))
@@ -66,6 +88,12 @@ class TestGap:
         assert start_gap(inst, x) == pytest.approx(want, rel=1e-12)
 
 
+def line_step(inst, x, d):
+    """exact_line_step on f(x + eta d) - f(x) = a eta^2 + b eta, with
+    a = f(d) and b = <grad f(x), d>."""
+    return exact_line_step(qap_objective(inst, d), frobenius_inner(qap_gradient(inst, x), d))
+
+
 class TestLineSearch:
     def test_interior_minimum(self):
         # f(X) = ||X||^2 via A = I/2, B = I; from a vertex toward the
@@ -75,20 +103,20 @@ class TestLineSearch:
         d = uniform_start(3) - x
         # analytic: q(eta) = ||x + eta d||^2, minimized where <x + eta d, d> = 0
         eta_analytic = -float(np.sum(x * d)) / float(np.sum(d * d))
-        eta = exact_line_step(inst, qap_gradient(inst, x), d)
+        eta = line_step(inst, x, d)
         assert eta == pytest.approx(min(1.0, eta_analytic))
 
     def test_clamped_to_unit(self):
         inst = QapInstance("q", 0.5 * np.eye(2), np.eye(2))
         x = np.eye(2)
         d = 0.1 * (uniform_start(2) - x)  # unconstrained minimizer beyond 1
-        assert exact_line_step(inst, qap_gradient(inst, x), d) == 1.0
+        assert line_step(inst, x, d) == 1.0
 
     def test_concave_picks_better_endpoint(self):
         inst = QapInstance("c", -0.5 * np.eye(2), np.eye(2))  # f = -||X||^2
         x = uniform_start(2)
         d = np.eye(2) - x
-        assert exact_line_step(inst, qap_gradient(inst, x), d) == 1.0  # vertex has larger norm
+        assert line_step(inst, x, d) == 1.0  # vertex has larger norm
 
     def test_grid_search_oracle(self):
         inst = random_instance(4, 5)
@@ -96,7 +124,7 @@ class TestLineSearch:
         x = rng.dirichlet(np.ones(4), size=4)
         s = permutation_to_matrix(Permutation(4, tuple(int(i) for i in rng.permutation(4))))
         d = s - x
-        eta = exact_line_step(inst, qap_gradient(inst, x), d)
+        eta = line_step(inst, x, d)
         grid = np.linspace(0, 1, 20001)
         vals = [qap_objective(inst, x + e * d) for e in grid]
         assert qap_objective(inst, x + eta * d) <= min(vals) + 1e-9
@@ -132,7 +160,7 @@ class TestRun:
             gap = float(np.sum(grad * (x - s)))
             if gap <= 0:
                 break
-            eta = exact_line_step(inst, grad, s - x)
+            eta = line_step(inst, x, s - x)
             x = x + eta * (s - x)
             cur = qap_objective(inst, x)
             assert cur <= prev + 1e-9
@@ -172,21 +200,41 @@ class TestRun:
         assert all(m <= v + 1e-15 for m, v in
                    zip(run_min, [r.nonstationarity for r in res.trace]))
 
-    # From the uniform start this instance reaches a vertex, gap <= 0, after
-    # 3 steps; a cap of 3 stops it there too.
-    @pytest.mark.parametrize("max_iters, stop", [(40, 3), (3, 3)], ids=["gap", "cap"])
-    def test_one_gradient_per_iteration(self, monkeypatch, max_iters, stop):
-        calls = []
+    # A step takes one gradient, of its direction.  Each trace row, and a
+    # stop the carried values call between rows, first refreshes the
+    # gradient and the objective exactly; a stop between rows solves its LAP
+    # twice.  The rounding's objective, in qap, is not counted.
+    # random_instance(6, 11) from the uniform start: gap <= 0 after 3 steps,
+    # at the trace point of a cap of 3 too (rows 0, 1, 2, 3).  chr12a from
+    # initial_point(12, 0): the 64 cap (rows 0, 1, ..., 64) and the 1e-3 gap
+    # exit after 462 steps (rows 0, 1, ..., 256, 462).
+    @pytest.mark.parametrize("chr12a, max_iters, tol, steps, rows, laps", [
+        (False, 40, 0.0, 3, 4, 5), (False, 3, 0.0, 3, 4, 4),
+        (True, 64, 0.0, 64, 8, 65), (True, 4096, 1e-3, 462, 11, 464)],
+        ids=["gap", "cap", "chr12a-cap", "chr12a-tol"])
+    def test_one_gradient_per_iteration(self, monkeypatch, chr12a, max_iters, tol, steps, rows,
+                                        laps):
+        calls = {"qap_gradient": 0, "qap_objective": 0, "solve_lap_min": 0}
 
-        def counting_gradient(inst, x):
-            calls.append(1)
-            return qap_gradient(inst, x)
+        def counting(name):
+            original = getattr(fw, name)
 
-        monkeypatch.setattr(fw, "qap_gradient", counting_gradient)
-        res = run_fw(random_instance(6, 11), uniform_start(6), FwConfig(max_iters=max_iters))
-        assert res.iterations_run == stop
-        # One gradient at the start and one after each step.
-        assert len(calls) == res.iterations_run + 1
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(fw, name, counting(name))
+        if chr12a:
+            inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+            y1 = initial_point(12, 0)
+        else:
+            inst, y1 = random_instance(6, 11), uniform_start(6)
+        res = run_fw(inst, y1, FwConfig(max_iters=max_iters, gap_tolerance=tol))
+        assert (res.iterations_run, len(res.trace)) == (steps, rows)
+        assert calls == {"qap_gradient": steps + rows, "qap_objective": rows,
+                         "solve_lap_min": laps}
 
     # chr12a from initial_point(12, 0): the 64-iteration cap and the 1e-3
     # gap exit after 462 steps, between powers of two.
@@ -216,9 +264,9 @@ class TestRun:
     def test_last_trace_row_is_the_reported_point(self, monkeypatch, start, config, stop):
         steps = []
 
-        def counting_step(inst, grad, direction):
+        def counting_step(a, b):
             steps.append(1)
-            return exact_line_step(inst, grad, direction)
+            return exact_line_step(a, b)
 
         monkeypatch.setattr(fw, "exact_line_step", counting_step)
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
@@ -246,12 +294,13 @@ class TestRun:
 
     def test_gap_exit(self):
         # The n = 4 instance of the CLI tests' bench manifest, from
-        # initial_point(4, 0): FW reaches a vertex, gap <= 0, after 39 steps.
+        # initial_point(4, 0): the exact gap, at rounding level (about 1e-14
+        # on f = 381) from step 34 on, first rounds to <= 0 after 37 steps.
         rng = make_rng(10)
         a = rng.integers(0, 10, (4, 4)).astype(float)
         inst = QapInstance("inst0", a, rng.integers(0, 10, (4, 4)).astype(float))
         res = run_fw(inst, initial_point(4, 0), FwConfig(max_iters=150))
-        assert (res.stopped_by, res.iterations_run, res.checks) == ("gap", 39, 40)
+        assert (res.stopped_by, res.iterations_run, res.checks) == ("gap", 37, 38)
         assert res.trace[-1].coupling <= 0.0
 
     def test_gap_nonnegative_on_trace(self):
@@ -266,22 +315,47 @@ class TestRun:
             assert all(r.coupling >= -1e-10 for r in res.trace)
 
     def test_iterate_matches_recomputed_gradient_loop(self):
-        # Reference loop that computes grad f(x) afresh for the line step:
-        # passing run_fw's gradient must not change a bit.
+        # run_fw carries grad f and f from step to step.  The reference loop
+        # recomputes both at every point, takes a = f(d) in trace form and
+        # solves each LAP cold.  Both must stop alike, at the same point
+        # within a bound fixed beforehand: a difference in the iterate never
+        # grows through x + eta (s - x), as 0 <= 1 - eta <= 1, so each step
+        # adds at most its own rounding, 2 eps for entries in [0, 1], and its
+        # step lengths' difference, taken as a length-n^2 dot product's
+        # n^2 eps; (n^2 + 2) T eps over T steps.
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
-        x = uniform_start(12)
-        res = run_fw(inst, x, FwConfig(max_iters=200))
-        for _ in range(res.iterations_run):
-            grad = qap_gradient(inst, x)
-            s = permutation_to_matrix(solve_lap_min(grad).permutation)
-            d = s - x
-            if frobenius_inner(grad, -d) <= 0.0:
-                break
-            a = float(np.trace(inst.a @ d @ inst.b.T @ d.T))
-            b = frobenius_inner(qap_gradient(inst, x), d)
-            eta = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0.0 else float(a + b <= 0.0)
-            x = x + eta * d
-        assert res.iterate.tobytes() == x.tobytes()
+        config = FwConfig(max_iters=4096, gap_tolerance=1e-5)
+        for start in range(5):
+            res = run_fw(inst, initial_point(12, start), config)
+            t, stopped_by, x, _ = exact_recompute_fw(inst, initial_point(12, start), config)
+            perm = round_to_permutation(x)
+            assert (res.iterations_run, res.stopped_by, res.permutation, res.rounded_value) == (
+                t, stopped_by, perm, permutation_objective(inst, perm))
+            bound = (12 ** 2 + 2) * t * np.finfo(np.float64).eps
+            assert np.max(np.abs(res.iterate - x)) <= bound
+
+    def test_carried_values_stop_where_exact_ones_do(self, monkeypatch):
+        # Between trace rows the tol test reads the carried gradient and
+        # objective.  At steps k where the exact loop's nonstationarity sets a
+        # new running minimum, tols a relative 1e-6 above and below it must
+        # stop run_fw where they stop the exact loop, and the carried values
+        # must call no stop the exact ones refuse: each LAP is one point's,
+        # plus the second solve of a stop between trace rows.
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        *_, exact = exact_recompute_fw(inst, initial_point(12, 0), FwConfig(max_iters=1024))
+        schedule = solver.power_of_two_schedule(1024)
+        ks = [k for k in range(1, 1024) if k not in schedule
+              and exact[k] < (1 - 1e-5) * min(exact[:k])]
+        laps = []
+        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, warm: laps.append(1) or
+                            solve_lap_min(cost, warm))
+        for k in ks[::len(ks) // 6]:
+            for tol in (exact[k] * (1 + 1e-6), exact[k] * (1 - 1e-6)):
+                stop = next((j for j, v in enumerate(exact) if v < tol), 1024)
+                laps.clear()
+                res = run_fw(inst, initial_point(12, 0), FwConfig(max_iters=1024, gap_tolerance=tol))
+                assert (res.iterations_run, res.stopped_by, len(laps)) == (
+                    stop, "tol" if exact[stop] < tol else "cap", stop + 1 + (stop not in schedule))
 
     @pytest.mark.parametrize("start", range(5))
     def test_warm_lap_iterates_match_cold_loop(self, monkeypatch, start):
