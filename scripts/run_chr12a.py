@@ -11,7 +11,7 @@ import importlib.resources
 
 import numpy as np
 
-from tosqap import SolverConfig, StepRule, load_instance, relax_and_round
+from tosqap import SolverConfig, StepRule, load_best_known, load_instance, relax_and_round
 from tosqap.fw import FwConfig, run_fw
 from tosqap.qap import SPLIT1, SPLIT2, initial_point
 
@@ -23,8 +23,9 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=1e-5)
     args = ap.parse_args()
 
-    path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
-    inst = load_instance(path, best_known=9552.0)
+    data = importlib.resources.files("tosqap") / "data"
+    inst = load_instance(data / "chr12a.dat",
+                         best_known=load_best_known(data / "best_known.txt")["chr12a"])
     y1 = initial_point(inst.n, args.seed)
 
     rows = []

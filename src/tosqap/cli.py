@@ -103,15 +103,17 @@ def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
               step: StepRule, tol, y1):
     if solver == "fw":
         res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
-        run, iterate, gamma = res, res.iterate, None
+        run, iterate, gamma, l_smooth = res, res.iterate, None, None
     else:
         config = SolverConfig(iters=iters, step=step, seed=seed)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
-        run, iterate, gamma = res.run, res.relaxed_iterate, res.run.gamma
+        run, iterate = res.run, res.relaxed_iterate
+        gamma, l_smooth = run.gamma, run.l_smooth
     return {
         "solver": solver,
         "instance": inst.name,
         "gamma": gamma,
+        "l_smooth": l_smooth,
         "iterations": run.iterations_run,
         "stopped_by": res.stopped_by,
         "checkpoints": len(run.trace),

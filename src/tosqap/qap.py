@@ -109,18 +109,26 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
 
 
 def load_best_known(path) -> dict[str, float]:
-    """Sidecar table of lines "name value", each value a finite number."""
+    """Sidecar table of UTF-8 lines "name value", each value a finite number
+    and each name listed once."""
     table: dict[str, float] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                name, value = line.split()
-                table[name] = check_real(float(value), name, finite=True)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            name, value = line.split()
+            value = check_real(float(value), name, finite=True)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'name value', got {line!r}") from None
+        if name in table:
+            raise ValueError(f"{path}:{lineno}: {name!r} is listed twice")
+        table[name] = value
     return table
 
 
@@ -167,6 +175,7 @@ def estimate_smoothness(inst: QapInstance) -> float:
     Raises ``ValueError`` when the map is all-zero (A or B all-zero, or A
     antisymmetric with B = I): a nonzero symmetric map sends neither its
     random first draw (almost surely) nor an iterate in its range to zero.
+    Raises ``ValueError`` too when the image's norm overflows to inf or nan.
     """
     rng = make_rng(0)
     d = rng.standard_normal((inst.n, inst.n))
@@ -174,11 +183,14 @@ def estimate_smoothness(inst: QapInstance) -> float:
     lam = 0.0
     change = math.inf
     for _ in range(SMOOTHNESS_MAX_ITERS):
-        nxt = inst.a @ d @ inst.b.T + inst.a.T @ d @ inst.b
+        nxt = qap_gradient(inst, d)  # f is quadratic: its Hessian map is its gradient map
         lam_next = frobenius_norm(nxt)
         if lam_next == 0.0:
             raise ValueError("smoothness constant is zero: the Hessian map "
                              "D -> A D B^T + A^T D B is all-zero")
+        if not math.isfinite(lam_next):
+            raise ValueError(f"smoothness constant overflows: the norm of the Hessian "
+                             f"map's image is {lam_next}")
         d = nxt / lam_next
         if abs(lam_next - lam) <= SMOOTHNESS_TOL * max(lam_next, 1e-300):
             return lam_next

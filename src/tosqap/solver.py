@@ -162,6 +162,7 @@ class RunResult:
     stopped: bool  # stop_when ended the run
     checks: int  # checkpoint records built: trace rows plus stop checks
     gamma: float  # the step the step rule resolved to
+    l_smooth: Optional[float]  # the L of a 1/L step; None for fixed and theory steps
 
 
 class DivergenceError(RuntimeError):
@@ -303,6 +304,7 @@ def run_tos(
         stopped=stopped,
         checks=checks,
         gamma=gamma,
+        l_smooth=config.step.l_smooth if config.step.kind == "inv_smoothness" else None,
     )
 
 
@@ -325,12 +327,9 @@ def _steps(problem, gamma, y, rng, count):
 
 
 @dataclass
-class ProductSpaceResult:
+class ProductSpaceResult(RunResult):
     x_out: np.ndarray
-    tau: Optional[int]
-    trace: list[TraceRecord]
     block_residuals: list[float]
-    wall_time: float
 
 
 def run_tos_product_space(
@@ -345,7 +344,8 @@ def run_tos_product_space(
     g projects onto the consensus diagonal, so z_t and ``x_out`` are the
     consensus point, where the gradient is taken; h is the identity on block
     0 and ``prox_list[i - 1]`` on block i; f is ``oracle`` on block 0.
-    ``block_residuals`` holds each checkpoint's stacked ||x_t - z_t||.
+    The result is the stacked run's ``RunResult`` plus ``x_out`` = ``z_out[0]``
+    and ``block_residuals``, each checkpoint's stacked ||x_t - z_t||.
     """
     y1 = as_matrix(y1, "y1")
     if len(prox_list) == 0:
@@ -369,10 +369,5 @@ def run_tos_product_space(
         shape=(m + 1,) + y1.shape,
     )
     run = run_tos(problem, config, np.array([y1] * (m + 1)))
-    return ProductSpaceResult(
-        x_out=run.z_out[0],
-        tau=run.tau,
-        trace=run.trace,
-        block_residuals=[rec.coupling for rec in run.trace],
-        wall_time=run.wall_time,
-    )
+    return ProductSpaceResult(**vars(run), x_out=run.z_out[0],
+                              block_residuals=[rec.coupling for rec in run.trace])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tosqap import initial_point, make_rng, qap_objective
+from tosqap import initial_point, make_rng, qap, qap_objective
 from tosqap.cli import main, pairwise_tally
 from tosqap.qap import QapInstance, build_problem, estimate_smoothness
 from tosqap.solver import StepRule
@@ -157,6 +157,25 @@ class TestSolve:
         want = {"fixed:0.003": 0.003, "invL": 1.0 / estimate_smoothness(inst),
                 "theory": StepRule(kind="theory").resolve(build_problem(inst, "split1"), 50)}
         assert summary["gamma"] == (None if solver == "fw" else want[step])
+        # l_smooth is the L of a 1/L step, null for fixed and theory steps and FW.
+        invl = solver != "fw" and step == "invL"
+        assert summary["l_smooth"] == (estimate_smoothness(inst) if invl else None)
+
+    def test_chr12a_summary_reports_l_smooth(self, tmp_path):
+        # tos-split1 with the 1/L step on chr12a from seed 0 to the 512 cap.
+        # The sha256 of its trace CSV and iterate file are those written
+        # before l_smooth was reported: only the summary gained a key.
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "out"
+        assert main(["solve", str(inst_path), "--solver", "tos-split1", "--step", "invL",
+                     "--iters", "512", "--out", str(out)]) == 0
+        summary = json.loads((out / "chr12a_tos-split1_seed0.summary.json").read_text())
+        l_smooth = estimate_smoothness(qap.load_instance(inst_path))
+        assert (summary["l_smooth"], summary["gamma"]) == (l_smooth, 1.0 / l_smooth)
+        assert [hashlib.sha256((out / f"chr12a_tos-split1_seed0.{kind}").read_bytes()).hexdigest()
+                for kind in ("trace.csv", "iterate.txt")] == [
+            "5a3eff542a4714891f2ff3d5d206114988e507df3f3930f4781d2f1af14b6707",
+            "cb198ec5321e08cdad8b5f9f8845c444969e91da1dfbbcafd25be91a64846d2d"]
 
     def test_non_utf8_file_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
@@ -344,8 +363,16 @@ class TestBench:
                                      step="fixed:0.01")
         assert main(["bench", str(mp)]) == 0
         rows = json.loads((out / "bench_summary.json").read_text())["rows"]
-        assert [(r["solver"], r["gamma"]) for r in rows] == [
-            ("tos-split1", 0.01), ("fw", None)] * 2
+        assert [(r["solver"], r["gamma"], r["l_smooth"]) for r in rows] == [
+            ("tos-split1", 0.01, None), ("fw", None, None)] * 2
+
+    def test_rows_report_l_smooth(self, tmp_path):
+        mp, out = self.make_manifest(tmp_path, 1, ["tos-split2", "fw"], iters=20)
+        assert main(["bench", str(mp)]) == 0
+        rows = json.loads((out / "bench_summary.json").read_text())["rows"]
+        l_smooth = estimate_smoothness(qap.load_instance(tmp_path / "inst0.dat"))
+        assert [(r["solver"], r["gamma"], r["l_smooth"]) for r in rows] == [
+            ("tos-split2", 1.0 / l_smooth, l_smooth), ("fw", None, None)]
 
     def test_report_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "2")

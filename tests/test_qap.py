@@ -116,6 +116,21 @@ class TestParsing:
         assert str(err.value) == (f"{p}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
                                   "in position 10: invalid start byte")
 
+    def test_best_known_not_utf8_names_the_file(self, tmp_path):
+        side = tmp_path / "best.txt"
+        side.write_bytes(b"chr12a \xff9552\n")
+        with pytest.raises(ValueError) as err:
+            load_best_known(side)
+        assert str(err.value) == (f"{side}: not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 7: invalid start byte")
+
+    def test_best_known_name_listed_twice_names_the_line(self, tmp_path):
+        side = tmp_path / "best.txt"
+        side.write_text("chr12a 1\nchr12a 2\n")
+        with pytest.raises(ValueError) as err:
+            load_best_known(side)
+        assert str(err.value) == f"{side}:2: 'chr12a' is listed twice"
+
     @pytest.mark.parametrize("bad", ["tiny", "tiny 4 extra", "tiny four",
                                      "tiny nan", "tiny inf", "tiny -Infinity"])
     def test_best_known_malformed_line_names_file_and_line(self, tmp_path, bad):
@@ -233,6 +248,14 @@ class TestSmoothness:
         a = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
         with pytest.raises(ValueError, match="D -> A D B\\^T \\+ A\\^T D B is all-zero"):
             estimate_smoothness(QapInstance("antisym", a, np.eye(3)))
+
+    def test_overflow_rejected(self):
+        # ||A D B^T + A^T D B|| overflows to inf for A = B = 1e200 J; an inf
+        # L would only fail later, as a step rule's l_smooth.
+        big = np.full((3, 3), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^smoothness constant overflows: .* is (inf|nan)$"):
+            estimate_smoothness(QapInstance("big", big, big))
 
     def test_cap_reached_warns(self, monkeypatch):
         monkeypatch.setattr(qap, "SMOOTHNESS_MAX_ITERS", 2)
@@ -625,6 +648,23 @@ class TestIterationPath:
             [prox.prox_row_stochastic(), prox.prox_col_stochastic(), prox.prox_box01()],
             SolverConfig(iters=512, step=step), initial_point(inst.n, 0))
         assert hashlib.sha256(res.x_out.tobytes()).hexdigest() == self.GOLDEN_CONSENSUS
+
+    def test_product_space_result_is_the_stacked_run(self):
+        # The consensus result is the stacked run's RunResult plus x_out
+        # and block_residuals: the same run as test_golden_product_space.
+        inst = load_instance(chr12a_path())
+        l_smooth = estimate_smoothness(inst)
+        res = solver.run_tos_product_space(
+            qap_oracle(inst),
+            [prox.prox_row_stochastic(), prox.prox_col_stochastic(), prox.prox_box01()],
+            SolverConfig(iters=512, step=StepRule.inv_smoothness(l_smooth)),
+            initial_point(inst.n, 0))
+        assert isinstance(res, solver.RunResult)
+        assert (res.gamma, res.l_smooth) == (1.0 / l_smooth, l_smooth)
+        assert (res.iterations_run, res.checks, res.stopped) == (512, len(res.trace), False)
+        assert res.z_out.shape == (1, 12, 12)  # g's prox returns the block mean as one block
+        np.testing.assert_array_equal(res.z_out[0], res.x_out)
+        assert res.block_residuals == [rec.coupling for rec in res.trace]
 
     def test_golden_run_fw(self):
         res = fw.run_fw(load_instance(chr12a_path()), initial_point(12, 0),
