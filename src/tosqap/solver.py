@@ -25,7 +25,7 @@ import numpy as np
 from .linalg import as_matrix, check_int, check_real, draw_uniform_index
 from .linalg import frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
-from .prox import ProxOperator
+from .prox import ProxOperator, product_space_prox
 
 
 def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total: int) -> float:
@@ -343,29 +343,26 @@ def run_tos_product_space(
 
     g projects onto the consensus diagonal, so z_t and ``x_out`` are the
     consensus point, where the gradient is taken; h is the identity on block
-    0 and ``prox_list[i - 1]`` on block i; f is ``oracle`` on block 0.
-    The result is the stacked run's ``RunResult`` plus ``x_out`` = ``z_out[0]``
-    and ``block_residuals``, each checkpoint's stacked ||x_t - z_t||.
+    0 and ``prox_list[i - 1]`` on block i, as ``product_space_prox`` builds
+    it (it batches the blocks it can project together); f is ``oracle`` on
+    block 0.  An entry of ``prox_list`` that is not a ``ProxOperator``
+    raises ``ValueError`` before the first iteration.  The result is the
+    stacked run's ``RunResult`` plus ``x_out`` = ``z_out[0]`` and
+    ``block_residuals``, each checkpoint's stacked ||x_t - z_t||.
     """
     y1 = as_matrix(y1, "y1")
-    if len(prox_list) == 0:
-        raise ValueError("prox_list must contain at least one operator")
+    prox_h = product_space_prox(prox_list)  # checks prox_list
     if config.step.kind not in ("fixed", "inv_smoothness"):
         raise ValueError("product-space runs require a fixed or 1/L step rule")
     m = len(prox_list)
     zero = np.zeros_like(y1)
-
-    def blockwise(p, scale):
-        return np.array([p[0]] + [prox(p[i], scale) for i, prox in enumerate(prox_list, 1)])
-
     problem = CompositeProblem(
         oracle=GradientOracle(
             value=lambda z: oracle.value(z[0]),
             gradient=lambda z: np.array([oracle.gradient(z[0])] + [zero] * m)),
         # The block mean as one (1, n, n) block, which broadcasts against the stack.
         prox_g=ProxOperator(lambda p, scale: p.sum(axis=0, keepdims=True) / len(p)),
-        prox_h=ProxOperator(blockwise, lambda x: sum(
-            prox.value(x[i]) for i, prox in enumerate(prox_list, 1))),
+        prox_h=prox_h,
         shape=(m + 1,) + y1.shape,
     )
     run = run_tos(problem, config, np.array([y1] * (m + 1)))

@@ -16,6 +16,7 @@ from tosqap import (
     project_row_stochastic,
     project_simplex,
 )
+from tosqap import prox as prox_module
 from tosqap.prox import (
     prox_affine_doubly_stochastic,
     prox_box01,
@@ -346,6 +347,21 @@ class TestAlternatingEarlyExit:
             assert project_birkhoff_alternating(x0, iters).tobytes() == want[iters], iters
         assert initial_point(12, seed).tobytes() == want[INITIAL_POINT_ROUNDS]
 
+    def test_cycle_entered_after_a_power_of_two_caught_early(self, monkeypatch):
+        # initial_point(30, 4) enters its period-2 cycle at round 273; the
+        # power-of-two mark alone would catch it only at round 514.
+        want = plain_rounds(make_rng(4).standard_normal((30, 30)), {INITIAL_POINT_ROUNDS})
+        calls = [0]
+        project = prox_module.project_simplex
+
+        def counted(v):
+            calls[0] += 1
+            return project(v)
+
+        monkeypatch.setattr(prox_module, "project_simplex", counted)
+        assert initial_point(30, 4).tobytes() == want[INITIAL_POINT_ROUNDS]
+        assert calls[0] // 2 <= 300
+
     def test_returns_a_fresh_array(self):
         p = np.eye(3)
         y = project_birkhoff_alternating(p, 1000)
@@ -409,6 +425,15 @@ def test_prox_characterization(name, op):
         p = op(x, 1.0)
         z = random_feasible(name, rng)
         assert frobenius_inner(x - p, z - p) <= 1e-9
+
+
+def test_col_prox_projects_each_matrix_of_a_stack():
+    # Each matrix's columns, not the lines along the stack axis.
+    x = make_rng(23).standard_normal((2, 3, 3))
+    y = prox_col_stochastic()(x, 1.0)
+    np.testing.assert_allclose(y.sum(axis=-2), 1.0, atol=1e-12)
+    for k in range(2):
+        assert y[k].tobytes() == project_col_stochastic(x[k]).tobytes()
 
 
 @pytest.mark.parametrize("name,op", [("box", prox_box01()), ("row", prox_row_stochastic())])

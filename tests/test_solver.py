@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 import math
 
@@ -14,6 +15,8 @@ from tosqap import (
     frobenius_inner,
     frobenius_norm,
     gaussian_noise_oracle,
+    initial_point,
+    load_instance,
     make_rng,
     permutation_to_matrix,
     run_tos,
@@ -22,7 +25,9 @@ from tosqap import (
     stationarity_gap,
     step_size_lipschitz,
 )
-from tosqap.prox import ProxOperator, prox_box01, prox_col_stochastic, prox_row_stochastic
+from tosqap import prox as prox_module
+from tosqap.prox import (ProxOperator, prox_affine_doubly_stochastic, prox_box01,
+                         prox_col_stochastic, prox_row_stochastic)
 from tosqap.qap import QapInstance, estimate_smoothness, qap_oracle
 from tosqap.solver import SNAPSHOT_CAP, STOP_CHECK_EVERY, power_of_two_schedule
 
@@ -558,3 +563,97 @@ class TestProductSpace:
             run_tos_product_space(zero_oracle(), [],
                                   SolverConfig(iters=1, step=StepRule.fixed(1.0)),
                                   np.ones((1, 1)))
+
+    def test_non_operator_entry_named(self):
+        # Rejected before the first iteration, not at the first trace row.
+        with pytest.raises(ValueError, match=r"^prox_list\[1\] must be a ProxOperator"):
+            run_tos_product_space(zero_oracle(), [prox_box01(), lambda p, s: p],
+                                  SolverConfig(iters=1, step=StepRule.fixed(1.0)),
+                                  np.ones((2, 2)))
+
+
+def per_block_product_space(oracle, prox_list, config, y1):
+    """The consensus run with h applied one block at a time: block 0 as is,
+    block i through ``prox_list[i - 1]`` on its own."""
+    m = len(prox_list)
+    zero = np.zeros_like(y1)
+    problem = CompositeProblem(
+        oracle=GradientOracle(
+            value=lambda z: oracle.value(z[0]),
+            gradient=lambda z: np.array([oracle.gradient(z[0])] + [zero] * m)),
+        prox_g=ProxOperator(lambda p, scale: p.sum(axis=0, keepdims=True) / len(p)),
+        prox_h=ProxOperator(
+            lambda p, scale: np.array(
+                [p[0]] + [prox(p[i], scale) for i, prox in enumerate(prox_list, 1)]),
+            lambda x: sum(prox.value(x[i]) for i, prox in enumerate(prox_list, 1))),
+        shape=(m + 1,) + y1.shape)
+    return run_tos(problem, config, np.array([y1] * (m + 1)))
+
+
+def chr12a_case():
+    inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+    step = StepRule.inv_smoothness(estimate_smoothness(inst))
+    return qap_oracle(inst), SolverConfig(iters=64, step=step), initial_point(12, 0)
+
+
+def quadratic_case(shape, seed):
+    # f(x) = ||x - c||^2 / 2 on a matrix of any shape.
+    c = make_rng(seed).standard_normal(shape)
+    oracle = GradientOracle(value=lambda x: 0.5 * frobenius_norm(x - c) ** 2,
+                            gradient=lambda x: x - c)
+    return (oracle, SolverConfig(iters=64, step=StepRule.fixed(0.5)),
+            make_rng(seed + 1).standard_normal(shape))
+
+
+ROW, COL, BOX = prox_row_stochastic(), prox_col_stochastic(), prox_box01()
+#: The prox of s ||x||^2 / 2: an operator the product-space prox cannot batch.
+SHRINK = ProxOperator(lambda p, scale: p / (1.0 + scale),
+                      lambda x: 0.5 * frobenius_norm(x) ** 2)
+
+
+def trace_bytes(trace):
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in vars(r).items()}
+            for r in trace]
+
+
+class TestProductSpaceProx:
+    """The consensus h-prox projects its simplex blocks of equal row length
+    in one call; every output byte is that of one call per block."""
+
+    @pytest.mark.parametrize("case, prox_list", [
+        (chr12a_case, [ROW, COL, BOX]),
+        (chr12a_case, [COL, ROW]),
+        (chr12a_case, [ROW, ROW, COL]),
+        (chr12a_case, [BOX]),
+        (chr12a_case, [prox_affine_doubly_stochastic(), COL]),
+        (chr12a_case, [SHRINK, COL, ROW]),
+        (lambda: quadratic_case((3, 5), 40), [ROW, COL]),
+        (lambda: quadratic_case((3, 5), 41), [COL, BOX, ROW, COL]),
+        (lambda: quadratic_case((1, 1), 42), [ROW, COL, BOX]),
+    ], ids=["row-col-box", "col-row", "row-row-col", "box", "affine-col", "custom-col-row",
+            "3x5-row-col", "3x5-col-box-row-col", "n1"])
+    def test_matches_per_block_loop(self, case, prox_list):
+        oracle, config, y1 = case()
+        got = run_tos_product_space(oracle, prox_list, config, y1)
+        want = per_block_product_space(oracle, prox_list, config, y1)
+        assert got.x_out.tobytes() == want.z_out[0].tobytes()
+        assert got.z_out.tobytes() == want.z_out.tobytes()
+        assert trace_bytes(got.trace) == trace_bytes(want.trace)
+        assert got.iterations_run == want.iterations_run == config.iters
+
+    @pytest.mark.parametrize("case, prox_list, calls", [
+        (chr12a_case, [ROW, COL, BOX], 1),
+        (lambda: quadratic_case((3, 5), 43), [ROW, COL, ROW], 2),  # rows of 5 and of 3
+    ], ids=["chr12a-row-col-box", "3x5-row-col-row"])
+    def test_one_simplex_call_per_row_length(self, monkeypatch, case, prox_list, calls):
+        oracle, config, y1 = case()
+        count = [0]
+        project = prox_module.project_simplex
+
+        def counted(v):
+            count[0] += 1
+            return project(v)
+
+        monkeypatch.setattr(prox_module, "project_simplex", counted)
+        run_tos_product_space(oracle, prox_list, config, y1)
+        assert count[0] == calls * config.iters
