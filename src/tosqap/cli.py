@@ -38,20 +38,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TRACE_COLUMNS = ("t", "f", "coupling", "certificate", "infeasibility", "nonstationarity")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return format(float(x), ".17g")
-
-
 def write_trace(path, records) -> None:
-    with open(path, "w") as f:
-        f.write(",".join(TRACE_COLUMNS) + "\n")
-        for r in records:
-            f.write(",".join([
-                str(r.t), _fmt(r.objective), _fmt(r.coupling), _fmt(r.certificate),
-                _fmt(r.infeasibility), _fmt(r.nonstationarity),
-            ]) + "\n")
+    """One CSV row per record, each entry ``%.17g``; a missing metric reads nan."""
+    rows = [(r.t, r.objective, r.coupling, r.certificate, r.infeasibility, r.nonstationarity)
+            for r in records]
+    np.savetxt(path, np.array(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS)), fmt="%.17g",
+               delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
 
 def environment() -> dict:
@@ -66,11 +58,6 @@ def environment() -> dict:
         "cpu_count": os.cpu_count(),
         **{name: os.environ.get(name) for name in THREAD_VARS},
     }
-
-
-def _out_dir(out) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _step_rule(spec, where: str) -> StepRule:
@@ -139,15 +126,15 @@ def cmd_solve(args) -> int:
         check_real(args.best_known, "--best-known", finite=True)
     inst = qap.load_instance(args.instance)
     inst = _resolve_best_known(inst, args.best_known)
-    out = _out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     y1 = qap.initial_point(inst.n, args.seed)
     summary, trace, iterate = _run_cell(
         inst, args.solver, args.iters, args.seed, step, args.tol, y1)
     summary["env"] = environment()
     stem = f"{inst.name}_{args.solver}_seed{args.seed}"
-    write_trace(os.path.join(out, stem + ".trace.csv"), trace)
-    np.savetxt(os.path.join(out, stem + ".iterate.txt"), iterate, fmt="%.17g")
-    with open(os.path.join(out, stem + ".summary.json"), "w") as f:
+    write_trace(os.path.join(args.out, stem + ".trace.csv"), trace)
+    np.savetxt(os.path.join(args.out, stem + ".iterate.txt"), iterate, fmt="%.17g")
+    with open(os.path.join(args.out, stem + ".summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -174,9 +161,9 @@ def cmd_bench(args) -> int:
         instances = manifest.get("instances", [])
         solvers = manifest.get("solvers", [])
         cfg = manifest.get("config", {})
-        out_dir = manifest.get("out_dir", args.out)
+        out = manifest.get("out_dir", args.out)
         for key, value, kind in (("instances", instances, list), ("solvers", solvers, list),
-                                 ("config", cfg, dict), ("out_dir", out_dir, str)):
+                                 ("config", cfg, dict), ("out_dir", out, str)):
             if not isinstance(value, kind):
                 noun = {list: "an array", dict: "an object", str: "a string"}[kind]
                 raise ValueError(f"{key}: expected {noun}, got {value!r}")
@@ -215,7 +202,7 @@ def cmd_bench(args) -> int:
         paths[inst.name] = entry["path"]
         cells.append((_resolve_best_known(inst, entry.get("best_known")),
                       qap.initial_point(inst.n, seed)))
-    out = _out_dir(out_dir)
+    os.makedirs(out, exist_ok=True)
 
     rows = []
     for inst, y1 in cells:

@@ -27,7 +27,7 @@ import numpy as np
 from .lap import permutation_to_matrix, solve_lap_min
 from .linalg import as_matrix, check_int, check_real, frobenius_inner
 from .qap import QapInstance, QapReport, _report, qap_gradient, qap_objective
-from .solver import TraceRecord, power_of_two_schedule, stationarity_gap
+from .solver import DivergenceError, TraceRecord, power_of_two_schedule, stationarity_gap
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ FEAS_TOL = 1e-6
 
 def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     """Frank-Wolfe with exact line search, started from a doubly
-    stochastic (to ``FEAS_TOL``) point."""
+    stochastic (to ``FEAS_TOL``) point.  A pass t whose gradient is not
+    finite raises ``DivergenceError(t)``."""
     x = as_matrix(y1, "y1", (inst.n, inst.n)).copy()
     _check_feasible(x, FEAS_TOL)
     schedule = power_of_two_schedule(config.max_iters)
@@ -85,7 +86,10 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         for exact in (traced, True):
             if exact:
                 grad, f_x = qap_gradient(inst, x), qap_objective(inst, x)
-            sol = solve_lap_min(grad, sol)
+            try:
+                sol = solve_lap_min(grad, sol)
+            except ValueError:  # its scan of the cost found a non-finite gradient
+                raise DivergenceError(t) from None
             s = permutation_to_matrix(sol.permutation)
             gap = stationarity_gap(grad, x, s)
             nonstationarity = abs(gap) / max(f_x, 1.0)

@@ -153,6 +153,8 @@ def qap_oracle(inst: QapInstance) -> GradientOracle:
 
 def permutation_objective(inst: QapInstance, perm: Permutation) -> float:
     """Combinatorial objective sum_ij A_ij B_{p(i) p(j)}."""
+    if perm.n != inst.n:
+        raise ValueError(f"perm has size {perm.n}, but instance {inst.name!r} has size {inst.n}")
     p = list(perm.mapping)
     return float(sum(inst.a[i, j] * inst.b[p[i], p[j]] for i in range(inst.n) for j in range(inst.n)))
 

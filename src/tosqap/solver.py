@@ -85,7 +85,9 @@ class CompositeProblem:
 
     The constants d_g (diameter of dom g), g_f (gradient bound on dom g)
     and the Lipschitz constants l_g, l_h feed the theory step sizes; they
-    may be left at 0 when a fixed or 1/L step is used instead.
+    may be left at 0 when a fixed or 1/L step is used instead.  Each field
+    is checked when the problem is made; a fault raises ``ValueError``
+    naming it.
     """
 
     oracle: GradientOracle
@@ -100,6 +102,18 @@ class CompositeProblem:
     batch: int = 1
 
     def __post_init__(self):
+        for name, kind in (("oracle", GradientOracle), ("prox_g", ProxOperator),
+                           ("prox_h", ProxOperator)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        if not (self.stochastic is None or isinstance(self.stochastic, StochasticGradientOracle)):
+            raise ValueError(f"stochastic must be None or a StochasticGradientOracle, "
+                             f"got {self.stochastic!r}")
+        if not isinstance(self.shape, tuple):
+            raise ValueError(f"shape must be a tuple of integers >= 1, got {self.shape!r}")
+        for k, size in enumerate(self.shape):
+            check_int(size, f"shape[{k}]", 1)
         for name in ("d_g", "g_f", "l_g", "l_h"):
             check_real(getattr(self, name), name, least=0)
         check_int(self.batch, "batch", 1)

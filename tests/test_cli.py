@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import json
+import math
 import os
 import platform
 import subprocess
@@ -11,9 +12,9 @@ import numpy as np
 import pytest
 
 from tosqap import initial_point, make_rng, qap, qap_objective
-from tosqap.cli import main, pairwise_tally
+from tosqap.cli import main, pairwise_tally, write_trace
 from tosqap.qap import QapInstance, build_problem, estimate_smoothness
-from tosqap.solver import StepRule
+from tosqap.solver import StepRule, TraceRecord
 
 
 def write_instance(path, n, seed):
@@ -177,6 +178,22 @@ class TestSolve:
             "5a3eff542a4714891f2ff3d5d206114988e507df3f3930f4781d2f1af14b6707",
             "cb198ec5321e08cdad8b5f9f8845c444969e91da1dfbbcafd25be91a64846d2d"]
 
+    @pytest.mark.parametrize("solver, digests", [
+        ("tos-split2", ["78403e0fd8c8e5a1aa0f92f06fed2c5a633c4dae9b3a23512ef9810fda8d0462",
+                        "fc9d1495d3a60bc46b318a4da80a2da00eabc508762ad852cbe37190d72fca11"]),
+        ("fw", ["7f687437565b1b9bd1e90b53167b0214e2c2e71635ae1844791866c696ba240c",
+                "12b33433187101094cba60101a4e385d6b184f921aabdd01252b2da7ec69b4d8"]),
+    ])
+    def test_chr12a_artifact_digests(self, tmp_path, solver, digests):
+        # The command above for the other two solvers: the sha256 of the trace
+        # CSV and iterate file, as written when each trace row was hand-joined.
+        inst_path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "out"
+        assert main(["solve", str(inst_path), "--solver", solver, "--step", "invL",
+                     "--iters", "512", "--out", str(out)]) == 0
+        assert [hashlib.sha256((out / f"chr12a_{solver}_seed0.{kind}").read_bytes()).hexdigest()
+                for kind in ("trace.csv", "iterate.txt")] == digests
+
     def test_non_utf8_file_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
         bad.write_bytes(b"2 0 1 1 0 0 2 2 \xe9")
@@ -316,6 +333,35 @@ class TestSolve:
         assert float(last[5]) == summary["nonstationarity"] < 1e-5
 
 
+HEADER = "t,f,coupling,certificate,infeasibility,nonstationarity\n"
+
+
+class TestWriteTrace:
+    def test_special_values_as_literal_text(self, tmp_path):
+        # Each entry is %.17g of the float, t included; a missing metric is nan.
+        path = tmp_path / "trace.csv"
+        write_trace(path, [
+            TraceRecord(t=0, objective=None, coupling=-0.0, certificate=math.inf,
+                        infeasibility=-math.inf, nonstationarity=math.nan),
+            TraceRecord(t=100000, objective=5e-324, coupling=1e300, certificate=1.2e17,
+                        infeasibility=np.float64(0.1), nonstationarity=2 / 3),
+            TraceRecord(t=7, objective=-1.5, coupling=0.0, certificate=1.0),
+        ])
+        assert path.read_text() == HEADER + (
+            "0,nan,-0,inf,-inf,nan\n"
+            "100000,4.9406564584124654e-324,1.0000000000000001e+300,1.2e+17,"
+            "0.10000000000000001,0.66666666666666663\n"
+            "7,-1.5,0,1,nan,nan\n")
+
+    def test_one_row_and_empty_traces(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace(path, [TraceRecord(t=1, objective=2.0, coupling=3.0, certificate=4.0,
+                                       infeasibility=5.0, nonstationarity=6.0)])
+        assert path.read_text() == HEADER + "1,2,3,4,5,6\n"
+        write_trace(path, [])
+        assert path.read_text() == HEADER
+
+
 class TestBench:
     def make_manifest(self, tmp_path, n_instances, solvers, iters=150, seed=0, step="invL"):
         entries = []
@@ -396,6 +442,20 @@ class TestBench:
                            "error": "non-finite iterate at iteration 2",
                            "stopped_by": "divergence", "iterations": 2}
         assert (rows[1]["stopped_by"], rows[1]["iterations"]) == ("cap", 150)
+
+    def test_diverged_fw_cell_says_so(self, tmp_path):
+        # FW's gradient 2e400 J/4 at the start point overflows.
+        p = tmp_path / "big.dat"
+        p.write_text("4\n" + " ".join(["1e200"] * 32) + "\n")
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"instances": [{"path": str(p)}], "solvers": ["fw"],
+                                  "out_dir": str(tmp_path / "bench_out")}))
+        with np.errstate(all="ignore"):
+            assert main(["bench", str(mp)]) == 1  # no cell succeeded
+        rows = json.loads((tmp_path / "bench_out" / "bench_summary.json").read_text())["rows"]
+        assert rows == [{"solver": "fw", "instance": "big",
+                         "error": "non-finite iterate at iteration 0",
+                         "stopped_by": "divergence", "iterations": 0}]
 
     def test_five_instances_tally_sums(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 5, ["tos-split2", "fw"], iters=100)

@@ -188,6 +188,23 @@ class TestRun:
         with pytest.raises(ValueError, match="^y1 must be an array of real numbers"):
             run_fw(random_instance(4, 8), "abc", FwConfig(max_iters=10))
 
+    def test_overflowing_start_gradient_is_divergence_at_pass_0(self):
+        # The gradient 2e400 J/4 overflows at the start point; the LAP's
+        # check of it is reported as TOS reports a non-finite iterate.
+        big = 1e200 * np.ones((4, 4))
+        with np.errstate(all="ignore"), pytest.raises(solver.DivergenceError) as err:
+            run_fw(QapInstance("big", big, big), uniform_start(4), FwConfig(max_iters=8))
+        assert err.value.iteration == 0
+
+    def test_overflow_after_a_step_is_divergence_at_its_pass(self):
+        # f = -1e308 X_11^2 is finite at J/2 with gradient -1e308 e_11; the
+        # concave step goes to eta = 1, X = I, where the gradient is -inf.
+        inst = QapInstance("concave", np.diag([-1e154, 0.0]), np.diag([1e154, 0.0]))
+        for max_iters in (1, 8):
+            with np.errstate(all="ignore"), pytest.raises(solver.DivergenceError) as err:
+                run_fw(inst, uniform_start(2), FwConfig(max_iters=max_iters))
+            assert err.value.iteration == 1
+
     def test_chr12a_desk_run(self):
         path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
         inst = load_instance(path, best_known=9552.0)

@@ -162,6 +162,16 @@ class TestObjectiveGradient:
         assert qap_objective(inst, np.eye(2)) == 4.0
         assert permutation_objective(inst, Permutation(2, (0, 1))) == 4.0
 
+    @pytest.mark.parametrize("perm", [Permutation(3, (0, 1, 2)), Permutation(1, (0,))])
+    def test_permutation_of_another_size_names_perm(self, perm):
+        # A 3-permutation of an n = 2 instance read 4.0 before this check.
+        with pytest.raises(ValueError, match=rf"^perm has size {perm.n}, but instance "
+                                             r"'instance' has size 2$"):
+            permutation_objective(parse_qaplib("2 0 1 1 0 0 2 2 0"), perm)
+        with pytest.raises(ValueError, match=rf"^perm has size {perm.n}, but instance "
+                                             r"'chr12a' has size 12$"):
+            permutation_objective(load_instance(chr12a_path()), perm)
+
     @pytest.mark.parametrize("fn", [qap_objective, qap_gradient])
     def test_wrong_shape_names_x(self, fn):
         with pytest.raises(ValueError, match=r"^x must have shape \(12, 12\), got \(3, 3\)$"):

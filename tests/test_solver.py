@@ -413,6 +413,33 @@ class TestCompositeProblem:
             CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
                              shape=(2, 2), d_g=value, g_f=value, l_g=value, l_h=value)
 
+    @pytest.mark.parametrize("name, kind", [("oracle", "GradientOracle"),
+                                            ("prox_g", "ProxOperator"),
+                                            ("prox_h", "ProxOperator")])
+    def test_callable_in_place_of_an_operator_names_the_field(self, name, kind):
+        fields = dict(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                      shape=(2, 2))
+        fields[name] = lambda *args: args[0]
+        with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got <function"):
+            CompositeProblem(**fields)
+
+    def test_stochastic_must_be_a_stochastic_oracle(self):
+        with pytest.raises(ValueError, match="^stochastic must be None or a "
+                                             "StochasticGradientOracle, got GradientOracle"):
+            CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                             shape=(2, 2), stochastic=zero_oracle())
+
+    @pytest.mark.parametrize("shape, message", [
+        ([3, 3], r"^shape must be a tuple of integers >= 1, got \[3, 3\]$"),
+        ((3, 3.0), r"^shape\[1\]: expected an integer >= 1, got 3.0$"),
+        ((0, 3), r"^shape\[0\]: expected an integer >= 1, got 0$"),
+        ((True, 3), r"^shape\[0\]: expected an integer >= 1, got True$"),
+    ], ids=["list", "float", "zero", "bool"])
+    def test_shape_must_be_a_tuple_of_positive_integers(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
+                             shape=shape)
+
     def test_numpy_integer_batch_accepted(self):
         problem = CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(),
                                    prox_h=prox_box01(), shape=(2, 2), batch=np.int64(3))
