@@ -13,6 +13,8 @@ import importlib.resources
 import json
 import os
 
+import numpy as np
+
 from tosqap import make_rng
 from tosqap.cli import main as cli_main
 
@@ -21,10 +23,7 @@ def write_random_instance(path, n, seed):
     rng = make_rng(seed)
     a = rng.integers(0, 100, (n, n))
     b = rng.integers(0, 100, (n, n))
-    lines = [str(n)] + [" ".join(map(str, row)) for row in a]
-    lines += [" ".join(map(str, row)) for row in b]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    np.savetxt(path, np.vstack([a, b]), fmt="%d", header=str(n), comments="")
 
 
 def main() -> int:

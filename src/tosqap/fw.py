@@ -89,7 +89,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
             try:
                 sol = solve_lap_min(grad, sol)
             except ValueError:  # its scan of the cost found a non-finite gradient
-                raise DivergenceError(t) from None
+                raise DivergenceError(t, "gradient") from None
             s = permutation_to_matrix(sol.permutation)
             gap = stationarity_gap(grad, x, s)
             nonstationarity = abs(gap) / max(f_x, 1.0)

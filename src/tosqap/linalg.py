@@ -14,7 +14,7 @@ import numbers
 import numpy as np
 
 
-def as_matrix(x, name: str = "matrix", shape=None) -> np.ndarray:
+def as_matrix(x, name: str, shape=None) -> np.ndarray:
     """Validate and return ``x`` as a C-contiguous float64 array: of exactly
     ``shape`` when given (any ndim), else 2-D with positive dimensions, and
     finite.  Each fault raises a ``ValueError`` naming ``name``."""
@@ -31,7 +31,7 @@ def as_matrix(x, name: str = "matrix", shape=None) -> np.ndarray:
     return a
 
 
-def as_square(x, name: str = "matrix") -> np.ndarray:
+def as_square(x, name: str) -> np.ndarray:
     """``as_matrix(x, name)``, which must also be square."""
     a = as_matrix(x, name)
     if a.shape[0] != a.shape[1]:

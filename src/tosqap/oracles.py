@@ -80,7 +80,7 @@ def minibatch_gradient(
 def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -> int:
     """Batch size ceil(T^(2/3) / (2 (G_f + L_g + L_h)^2)), floored at 1."""
     check_int(t_total, "t_total", 1)
-    s = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0)
+    s = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0, finite=True)
     q = t_total ** (2.0 / 3.0) / (2.0 * s**2)
     return max(1, math.ceil(q - 1e-8))
 

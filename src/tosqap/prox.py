@@ -6,14 +6,14 @@ on one hand, and box truncation plus the closed-form projection onto the
 doubly stochastic affine subspace on the other.
 
 ``product_space_prox`` builds the blockwise prox of the consensus
-splitting.  The row and column operators record the axis they project
-along, so it turns every simplex block so that axis is last and projects
-all blocks whose rows then have equal length (at n x n, the row and the
-column block alike) in one ``project_simplex`` call.  At n = 12 the fixed
-cost of a numpy call dominates: on a shared 2-core x86 VM with one BLAS
-thread, one 12 x 12 call takes 21-30 us and one call on the row and
-column blocks stacked 23-32 us.  Each row is projected on its own, so the
-bytes are those of one call per block.
+splitting.  The row and column operators are one class keyed by the axis
+they project along, so it turns every simplex block so that axis is last
+and projects all blocks whose rows then have equal length (at n x n, the
+row and the column block alike) in one ``project_simplex`` call.  At
+n = 12 the fixed cost of a numpy call dominates: on a shared 2-core x86
+VM with one BLAS thread, one 12 x 12 call takes 21-30 us and one call on
+the row and column blocks stacked 23-32 us.  Each row is projected on its
+own, so the bytes are those of one call per block.
 """
 
 from __future__ import annotations
@@ -72,14 +72,25 @@ def project_box01(x: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
 
+class _SimplexProjection(ProxOperator):
+    """Projection of each line along ``axis`` onto the unit simplex, which
+    ``product_space_prox`` batches with others.  ``axis`` is a plain
+    attribute; a dataclass field would add about 0.5 ms to the package's
+    import."""
+
+    def __init__(self, axis: int):
+        super().__init__(lambda p, scale: project_simplex(p.swapaxes(axis, -1)).swapaxes(axis, -1))
+        object.__setattr__(self, "axis", axis)
+
+
 def project_row_stochastic(x: np.ndarray) -> np.ndarray:
     """Project each row onto the unit simplex."""
-    return project_simplex(as_matrix(x))
+    return _SimplexProjection(-1)(as_matrix(x, "x"))
 
 
 def project_col_stochastic(x: np.ndarray) -> np.ndarray:
     """Project each column onto the unit simplex."""
-    return project_simplex(as_matrix(x).T).T
+    return _SimplexProjection(-2)(as_matrix(x, "x"))
 
 
 def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
@@ -89,7 +100,7 @@ def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
     s = 1^T X 1.  Derived from the KKT system of the constrained
     least-squares problem; verified against a dense solve in the tests.
     """
-    return _affine_closed_form(as_square(x))
+    return _affine_closed_form(as_square(x, "x"))
 
 
 def _affine_closed_form(x: np.ndarray) -> np.ndarray:
@@ -122,7 +133,7 @@ def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray
     next power of two.  Bytes, not values, are compared, because
     -0.0 == 0.0.
     """
-    x = as_square(x)
+    x = as_square(x, "x")
     check_int(iters, "iters", 1)
     far = near = (x.tobytes(), 0)  # (bytes, round): last power of two; a recent round
     for done in range(1, iters + 1):
@@ -140,31 +151,13 @@ def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray
     return x
 
 
-class _SimplexProjection(ProxOperator):
-    """Projection of each line along ``axis`` onto the unit simplex, which
-    ``product_space_prox`` batches with others.  The subclasses set ``axis``
-    as a class attribute; a dataclass field would add about 0.5 ms to the
-    package's import."""
-
-    axis: int
-
-
-class _RowProjection(_SimplexProjection):
-    axis = -1
-
-
-class _ColumnProjection(_SimplexProjection):
-    axis = -2
-
-
 def prox_row_stochastic() -> ProxOperator:
-    return _RowProjection(lambda p, scale: project_simplex(p))
+    return _SimplexProjection(-1)
 
 
 def prox_col_stochastic() -> ProxOperator:
     """Columns of a matrix, or of each matrix of a (k, n, n) stack."""
-    return _ColumnProjection(
-        lambda p, scale: project_simplex(p.swapaxes(-1, -2)).swapaxes(-1, -2))
+    return _SimplexProjection(-2)
 
 
 def prox_box01() -> ProxOperator:

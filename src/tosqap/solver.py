@@ -34,8 +34,9 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     (l_g = l_h = 0), with D_g the diameter of the set."""
     check_real(d_g, "d_g", above=0, finite=True)
     check_int(t_total, "t_total", 1)
-    bound = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0)
-    return d_g / (2.0 * bound * t_total ** (2.0 / 3.0))
+    bound = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0, finite=True)
+    return check_real(d_g / (2.0 * bound * t_total ** (2.0 / 3.0)), "theory step", above=0,
+                      finite=True)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class StepRule:
         if self.kind == "inv_smoothness":
             if self.l_smooth == 0.0:
                 raise ValueError("step 1/L needs the smoothness constant L, which is unset")
-            return 1.0 / self.l_smooth
+            return check_real(1.0 / self.l_smooth, "1/l_smooth", finite=True)
         return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
 
 
@@ -180,10 +181,10 @@ class RunResult:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate stops being finite."""
+    """Raised when ``what`` (a TOS iterate, FW's gradient) stops being finite."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"non-finite iterate at iteration {iteration}")
+    def __init__(self, iteration: int, what: str = "iterate"):
+        super().__init__(f"non-finite {what} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -335,7 +336,7 @@ def _steps(problem, gamma, y, rng, count):
         x = problem.prox_h(2.0 * z - y - gamma * u, gamma)
         y_next = y - z + x
         if not np.all(np.isfinite(y_next)):
-            raise DivergenceError(t)
+            raise DivergenceError(t, "iterate")
         yield t, u, z, x, y, y_next
         y = y_next
 

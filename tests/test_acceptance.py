@@ -5,6 +5,7 @@ plain ``pytest -s tests/test_acceptance.py`` run doubles as a checklist:
 
 1. averaged stationarity bound for the splitting method under the theory
    step size; 1b. its averaged infeasibility bound on the same runs;
+   1c. 1b's telescoped bound on every path of minibatch-noise runs;
 2. per-iteration certificate nonpositivity for convex g, h;
 3. desk-scale benchmark protocol on chr12a plus a small manifest sweep;
 4. minibatch variance law of the synthetic noise oracle;
@@ -15,6 +16,7 @@ plain ``pytest -s tests/test_acceptance.py`` run doubles as a checklist:
 8. byte-identical output files for repeated identical runs.
 """
 
+import dataclasses
 import importlib.resources
 import itertools
 import json
@@ -153,6 +155,43 @@ def test_criterion_1b_averaged_infeasibility_bound():
     report("1b", f"sum ||x_t - z_t||^2 within the telescoped certificate (worst "
                  f"{worst_sum:.2f} of it) and its mean within ||y_1 - x_ref||^2/T + "
                  f"D_g D_h/T^(2/3) (worst {worst_mean:.1e}) on 5 instances", ok)
+
+
+def test_criterion_1c_telescoped_bound_under_noise():
+    # 1b's telescoped bound uses only the optimality conditions of the two
+    # projections, not what u_t is, so it holds on every path of a stochastic
+    # run, with u_t the minibatch mean of noisy draws:
+    #     sum ||x_t - z_t||^2 <= ||y_1 - x_ref||^2 + 2 gamma sum <u_t, x_ref - x_t>.
+    # 1b's runs, with noise sigma in {0.1, 1, 10} G_f, the theory batch for T,
+    # and the instance's seed; the same rounding margin as 1b.
+    n = 8
+    y1 = np.full((n, n), 1.0 / n)
+    x_ref = y1
+    worst = 0.0
+    ok = True
+    for seed in range(5):
+        det = build_problem(random_uniform_instance(n, seed), SPLIT1)
+        for t_total, scale in itertools.product((8, 64, 512), (0.1, 1.0, 10.0)):
+            sto = dataclasses.replace(
+                det, stochastic=gaussian_noise_oracle(det.oracle, scale * det.g_f),
+                batch=batch_schedule_lipschitz(t_total, det.g_f, 0.0, 0.0))
+            gammas, squares, inners = set(), [], []
+
+            def hook(t, gamma, u, z, x, y, y_next):
+                gammas.add(gamma)
+                squares.append(frobenius_norm(x - z) ** 2)
+                inners.append(frobenius_inner(u, x_ref - x))
+
+            run_tos(sto, SolverConfig(iters=t_total, step=StepRule(kind="theory"), seed=seed),
+                    y1, iteration_hook=hook)
+            (gamma,) = gammas
+            margin = 2.0 * gamma * t_total * CERTIFICATE_SLACK
+            telescoped = frobenius_norm(y1 - x_ref) ** 2 + 2.0 * gamma * sum(inners)
+            ok &= sum(squares) <= telescoped + margin
+            worst = max(worst, sum(squares) / telescoped)
+    report("1c", f"sum ||x_t - z_t||^2 within the telescoped certificate under "
+                 f"minibatch noise, sigma up to 10 G_f (worst {worst:.3f} of it), "
+                 f"on 5 instances", ok)
 
 
 def test_criterion_2_certificate_nonpositivity():

@@ -454,7 +454,7 @@ class TestBench:
             assert main(["bench", str(mp)]) == 1  # no cell succeeded
         rows = json.loads((tmp_path / "bench_out" / "bench_summary.json").read_text())["rows"]
         assert rows == [{"solver": "fw", "instance": "big",
-                         "error": "non-finite iterate at iteration 0",
+                         "error": "non-finite gradient at iteration 0",
                          "stopped_by": "divergence", "iterations": 0}]
 
     def test_five_instances_tally_sums(self, tmp_path):

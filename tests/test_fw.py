@@ -189,12 +189,13 @@ class TestRun:
             run_fw(random_instance(4, 8), "abc", FwConfig(max_iters=10))
 
     def test_overflowing_start_gradient_is_divergence_at_pass_0(self):
-        # The gradient 2e400 J/4 overflows at the start point; the LAP's
-        # check of it is reported as TOS reports a non-finite iterate.
+        # The gradient 2e400 J/4 overflows at the finite start point; the
+        # LAP's check of it is reported as a divergence that names the gradient.
         big = 1e200 * np.ones((4, 4))
         with np.errstate(all="ignore"), pytest.raises(solver.DivergenceError) as err:
             run_fw(QapInstance("big", big, big), uniform_start(4), FwConfig(max_iters=8))
         assert err.value.iteration == 0
+        assert str(err.value) == "non-finite gradient at iteration 0"
 
     def test_overflow_after_a_step_is_divergence_at_its_pass(self):
         # f = -1e308 X_11^2 is finite at J/2 with gradient -1e308 e_11; the
@@ -204,6 +205,7 @@ class TestRun:
             with np.errstate(all="ignore"), pytest.raises(solver.DivergenceError) as err:
                 run_fw(inst, uniform_start(2), FwConfig(max_iters=max_iters))
             assert err.value.iteration == 1
+            assert str(err.value) == "non-finite gradient at iteration 1"
 
     def test_chr12a_desk_run(self):
         path = importlib.resources.files("tosqap") / "data" / "chr12a.dat"

@@ -176,7 +176,8 @@ def test_batch_schedule_rejects_bad_constants():
 
 @pytest.mark.parametrize("args, name", [
     ((2.5, 1.0, 0.0, 0.0), "t_total"), ((True, 1.0, 0.0, 0.0), "t_total"),
-    ((10, math.nan, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
+    ((10, math.nan, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
+    ((8, math.inf, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

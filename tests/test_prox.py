@@ -192,6 +192,15 @@ class TestRowColStochastic:
             project_col_stochastic(x), project_row_stochastic(x.T).T)
 
 
+@pytest.mark.parametrize("proj", [project_row_stochastic, project_col_stochastic,
+                                  project_affine_doubly_stochastic, project_birkhoff_alternating])
+def test_checked_projection_names_its_argument(proj):
+    with pytest.raises(ValueError, match="^x contains non-finite entries$"):
+        proj([[np.nan, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^x must be 2-D with positive dimensions, got shape \(3,\)$"):
+        proj(np.ones(3))
+
+
 class TestAffineDoublyStochastic:
     def test_fixed_point(self):
         x = np.array([[0.3, 0.7], [0.7, 0.3]])

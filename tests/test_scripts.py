@@ -31,3 +31,8 @@ def test_run_bench_prints_the_tally(tmp_path):
     assert [line.split(":")[0].strip() for line in tally.splitlines()] == [
         "tos-split1_vs_fw", "tos-split1_vs_tos-split2", "tos-split2_vs_fw"]
     assert (out / "bench_summary.json").exists()
+    # The instance of make_rng(0): n, then the rows of A and of B.
+    assert (out / "rand5_0.dat").read_text() == (
+        "5\n"
+        "85 63 51 26 30\n4 7 1 17 81\n64 91 50 60 97\n72 63 54 55 93\n27 81 67 0 39\n"
+        "85 55 3 76 72\n84 17 8 86 2\n54 8 29 48 42\n40 2 0 12 0\n67 52 64 25 61\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import itertools
 import math
@@ -11,6 +12,7 @@ from tosqap import (
     GradientOracle,
     SolverConfig,
     StepRule,
+    build_problem,
     certificate_residual,
     frobenius_inner,
     frobenius_norm,
@@ -76,10 +78,31 @@ class TestStepSizes:
 
     @pytest.mark.parametrize("args, name", [
         ((1.0, 1.0, 0.0, 0.0, 2.5), "t_total"), ((1.0, 1.0, 0.0, 0.0, True), "t_total"),
-        ((1.0, math.nan, 0.0, 0.0, 10), r"g_f \+ l_g \+ l_h")])
+        ((1.0, math.nan, 0.0, 0.0, 10), r"g_f \+ l_g \+ l_h"),
+        # An infinite sum, and a step that underflows to 0 or overflows.
+        ((1.0, math.inf, 0.0, 0.0, 8), r"g_f \+ l_g \+ l_h"),
+        ((1e-300, 1e300, 0.0, 0.0, 8), "theory step"),
+        ((1e300, 1e-300, 0.0, 0.0, 1), "theory step")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
+
+    def test_theory_run_on_infinite_gradient_bound_named(self):
+        # gradient_bound overflows to +inf on huge entries, which a problem
+        # accepts; a theory step from it would be 0.
+        rng = make_rng(3)
+        inst = QapInstance("r4", rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
+        problem = dataclasses.replace(build_problem(inst, "split2"), g_f=math.inf)
+        with pytest.raises(ValueError, match=r"^g_f \+ l_g \+ l_h: expected a finite number"):
+            run_tos(problem, SolverConfig(iters=8, step=StepRule(kind="theory")),
+                    np.full((4, 4), 0.25))
+
+    def test_overflowing_inverse_smoothness_named(self):
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        config = SolverConfig(iters=5, step=StepRule.inv_smoothness(1e-320))
+        with pytest.raises(ValueError, match="^1/l_smooth: expected a finite number, got inf$"):
+            run_tos(problem, config, np.full((2, 2), 0.5))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be .* got 'bogus'"):
@@ -364,6 +387,7 @@ class TestRunTos:
             run_tos(problem, SolverConfig(iters=100, step=StepRule.fixed(10.0)),
                     np.array([[2.0]]))
         assert err.value.iteration >= 1
+        assert str(err.value) == f"non-finite iterate at iteration {err.value.iteration}"
 
     def test_shape_mismatch_rejected(self):
         problem = scalar_problem(lambda v: 0.0, lambda v: 0.0)
@@ -386,6 +410,10 @@ class TestSolverConfig:
         fields = {"iters": 5, "seed": 0, field: value}
         with pytest.raises(ValueError, match=f"^{field}: expected an integer >= "):
             SolverConfig(step=StepRule.fixed(1.0), **fields)
+
+    def test_unknown_output_policy_named(self):
+        with pytest.raises(ValueError, match="^output policy must be 'last' or 'random', got 'best'$"):
+            SolverConfig(iters=5, step=StepRule.fixed(1.0), output="best")
 
     def test_numpy_integers_accepted(self):
         config = SolverConfig(iters=np.int64(5), step=StepRule.fixed(1.0), seed=np.uint32(3))
@@ -520,6 +548,18 @@ class TestStationarityGap:
 
 
 class TestProductSpace:
+    def test_theory_step_refused(self):
+        with pytest.raises(ValueError, match="^product-space runs require a fixed or 1/L step rule$"):
+            run_tos_product_space(zero_oracle(), [prox_box01()],
+                                  SolverConfig(iters=5, step=StepRule(kind="theory")),
+                                  np.full((2, 2), 0.5))
+
+    def test_empty_start_named(self):
+        with pytest.raises(ValueError, match=r"^y1 must be 2-D with positive dimensions, "
+                                             r"got shape \(0, 2\)$"):
+            run_tos_product_space(zero_oracle(), [prox_box01()],
+                                  SolverConfig(iters=5, step=StepRule.fixed(0.5)), np.ones((0, 2)))
+
     def test_identical_indicators_fixed_point(self):
         y1 = np.full((2, 2), 0.5)
         res = run_tos_product_space(
