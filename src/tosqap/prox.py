@@ -11,8 +11,8 @@ they project along, so it turns every simplex block so that axis is last
 and projects all blocks whose rows then have equal length (at n x n, the
 row and the column block alike) in one ``project_simplex`` call.  At
 n = 12 the fixed cost of a numpy call dominates: on a shared 2-core x86
-VM with one BLAS thread, one 12 x 12 call takes 21-30 us and one call on
-the row and column blocks stacked 23-32 us.  Each row is projected on its
+VM with one BLAS thread, one 12 x 12 call takes 12-13 us and one call on
+the row and column blocks stacked 14-15 us.  Each row is projected on its
 own, so the bytes are those of one call per block.
 """
 
@@ -58,18 +58,22 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
     rows = v.reshape(-1, v.shape[-1])
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    # rho is the last index with u_k * k > css_k; the test holds at k = 1.
-    rho = (n - 1) - np.argmax((u * np.arange(1, n + 1) > css)[:, ::-1], axis=1)
-    theta = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0).reshape(v.shape)
+    k = np.arange(1.0, rows.shape[1] + 1.0)
+    u = rows.copy()
+    u.sort()
+    u = u[:, ::-1]
+    css = u.cumsum(axis=1)
+    css -= 1.0
+    # rho is the last k with u_k * k > css_k (true at k = 1), as a negative index.
+    rho = -1 - (u * k > css)[:, ::-1].argmax(axis=1)
+    theta = css[np.arange(rows.shape[0]), rho] / k[rho]
+    out = rows - theta[:, None]
+    return np.maximum(out, 0.0, out=out).reshape(v.shape)
 
 
 def project_box01(x: np.ndarray) -> np.ndarray:
     """Entrywise clamp to [0, 1]."""
-    return np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    return np.asarray(x, dtype=np.float64).clip(0.0, 1.0)
 
 
 class _SimplexProjection(ProxOperator):

@@ -335,7 +335,7 @@ def _steps(problem, gamma, y, rng, count):
             u = problem.oracle.gradient(z)
         x = problem.prox_h(2.0 * z - y - gamma * u, gamma)
         y_next = y - z + x
-        if not np.all(np.isfinite(y_next)):
+        if not np.isfinite(y_next).all():
             raise DivergenceError(t, "iterate")
         yield t, u, z, x, y, y_next
         y = y_next

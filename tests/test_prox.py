@@ -69,6 +69,19 @@ def matrices():
     return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=batch_entries))
 
 
+#: Entries with both signed zeros.
+signed_zero_entries = st.one_of(st.sampled_from([0.0, -0.0]), batch_entries)
+
+
+def stacks(elements=signed_zero_entries):
+    """Vectors, matrices with rows up to 100 long, and (k, n, n) stacks."""
+    shapes = st.one_of(
+        st.tuples(st.integers(1, 100)),
+        st.tuples(st.integers(1, 6), st.integers(1, 100)),
+        st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(1, 3), st.just(n), st.just(n))))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
 class TestSimplex:
     def test_already_feasible(self):
         np.testing.assert_allclose(project_simplex([0.5, 0.5]), [0.5, 0.5])
@@ -92,15 +105,20 @@ class TestSimplex:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @settings(max_examples=200)
-    @given(matrices())
+    @given(stacks())
     @example(np.array([[3.0], [-2.0], [1e4]]))
     @example(np.full((3, 5), 0.25))
     @example(np.array([[1e4, 1e4, -1e4, 9999.5], [0.5, 0.5, 0.5, 0.5]]))
+    @example(np.array([0.0, -0.0, 0.0]))
+    @example(np.array([[-0.0, -0.0], [0.5, -0.0], [1.0, 0.0]]))
+    @example(np.full((2, 3, 3), -0.0))
+    @example(np.full((1, 100), 1e4))
     def test_batched_rows_match_row_by_row(self, x):
         got = project_simplex(x)
         assert got.shape == x.shape
-        assert np.array_equal(got, np.stack([project_simplex(row) for row in x]))
-        assert np.array_equal(got, np.stack([loop_simplex_projection(row) for row in x]))
+        rows = x.reshape(-1, x.shape[-1])
+        assert got.tobytes() == np.stack([project_simplex(row) for row in rows]).tobytes()
+        assert got.tobytes() == np.stack([loop_simplex_projection(row) for row in rows]).tobytes()
 
     @given(arrays(np.float64, 5, elements=moderate))
     def test_feasible_output(self, v):
@@ -166,6 +184,12 @@ class TestBox:
     def test_idempotent(self, x):
         once = project_box01(x)
         np.testing.assert_array_equal(project_box01(once), once)
+
+    @given(stacks(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), moderate)))
+    @example(np.array([[0.0, -0.0], [-1e-300, 1.0 + 2**-52]]))
+    @example(np.array([[[-0.0, 2.0], [-3.0, 0.5]], [[0.0, 1.0], [-0.0, -1.0]]]))
+    def test_bytes_match_np_clip(self, x):
+        assert project_box01(x).tobytes() == np.clip(x, 0.0, 1.0).tobytes()
 
 
 class TestRowColStochastic:

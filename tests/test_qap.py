@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import importlib.resources
@@ -32,7 +33,7 @@ from tosqap import (
     round_to_permutation,
     split_diameter,
 )
-from tosqap import fw, lap, linalg, prox, qap, solver
+from tosqap import fw, lap, linalg, oracles, prox, qap, solver
 from tosqap.lap import Permutation
 from tosqap.qap import SPLIT1, SPLIT2, SPLITS, build_problem, qap_oracle, split_proxes
 
@@ -640,6 +641,11 @@ class TestIterationPath:
     GOLDEN_FW = ("2145aa9cd6719fab663c13700fcac7b5ebe391d99b6255fef3a31f39737043fc",
                  "0320cc2bae035f49c4aa2195fed24fd05e6f07d8b9ccaa2600a5bdc8a587a936",
                  "0x1.4e1f729a114b2p+13", "0x1.4c6ae982d6a17p-10")
+    # split2 with the Gaussian minibatch oracle (sigma = 0.05 L, batch 8) and
+    # the random-iterate output, same start and step, SNAPSHOT_CAP + 64
+    # iterations so that z_tau is replayed: sha256 of z_out, and tau.  The
+    # box, affine and minibatch path; held at one and two OpenBLAS threads.
+    GOLDEN_STOCHASTIC = ("984c688cb67f86d60eeab34e5b8d0e3285872170c47efe9687d3f501617f5f0e", 1858)
 
     @pytest.mark.parametrize("split", SPLITS)
     def test_golden_relax_and_round(self, split):
@@ -683,6 +689,20 @@ class TestIterationPath:
         digest = hashlib.sha256(res.iterate.tobytes()).hexdigest()
         assert (digest, trace_digest(res.trace), res.relaxed_value.hex(),
                 res.nonstationarity.hex()) == self.GOLDEN_FW
+
+    def test_golden_stochastic_replay(self):
+        inst = load_instance(chr12a_path())
+        l_smooth = estimate_smoothness(inst)
+        problem = build_problem(inst, SPLIT2)
+        problem = dataclasses.replace(
+            problem, stochastic=oracles.gaussian_noise_oracle(problem.oracle, 0.05 * l_smooth),
+            batch=8)
+        res = solver.run_tos(problem, SolverConfig(iters=solver.SNAPSHOT_CAP + 64,
+                                                   step=StepRule.inv_smoothness(l_smooth),
+                                                   output="random"),
+                             initial_point(inst.n, 0))
+        assert res.iterations_run > solver.SNAPSHOT_CAP
+        assert (hashlib.sha256(res.z_out.tobytes()).hexdigest(), res.tau) == self.GOLDEN_STOCHASTIC
 
     @pytest.mark.parametrize("split", SPLITS)
     @pytest.mark.parametrize("iters", [64, 128])
