@@ -2,18 +2,15 @@
 """Solve the bundled chr12a instance with every solver and print a comparison.
 
 Runs both splitting decompositions (step size 1/L) and the Frank-Wolfe
-baseline from the same initial point, then reports relaxed value, rounded
-value, error metrics, and wall time per solver.
+baseline from the same initial point, each as the cell that ``tosqap solve``
+and ``tosqap bench`` run, then reports relaxed value, rounded value, error
+metrics, and wall time per solver.
 """
 
 import argparse
 import importlib.resources
 
-import numpy as np
-
-from tosqap import SolverConfig, StepRule, load_best_known, load_instance, relax_and_round
-from tosqap.fw import FwConfig, run_fw
-from tosqap.qap import SPLIT1, SPLIT2, initial_point
+from tosqap import StepRule, cli, initial_point, load_instance
 
 
 def main() -> int:
@@ -23,33 +20,21 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=1e-5)
     args = ap.parse_args()
 
-    data = importlib.resources.files("tosqap") / "data"
-    inst = load_instance(data / "chr12a.dat",
-                         best_known=load_best_known(data / "best_known.txt")["chr12a"])
+    inst = cli._resolve_best_known(
+        load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat"), None)
     y1 = initial_point(inst.n, args.seed)
-
-    rows = []
-    for split in (SPLIT1, SPLIT2):
-        res = relax_and_round(
-            inst, split,
-            SolverConfig(iters=args.iters, step=StepRule.inv_smoothness(), seed=args.seed),
-            tol=args.tol, y1=y1)
-        rows.append((f"tos-{split}", res.run.iterations_run, res.relaxed_value,
-                     res.rounded_value, res.infeasibility, res.nonstationarity,
-                     res.assignment_err, res.run.wall_time))
-
-    fw = run_fw(inst, np.array(y1), FwConfig(max_iters=args.iters, gap_tolerance=args.tol))
-    rows.append(("fw", fw.iterations_run, fw.relaxed_value, fw.rounded_value,
-                 fw.infeasibility, fw.nonstationarity, fw.assignment_err, fw.wall_time))
+    rows = [cli._run_cell(inst, solver, args.iters, args.seed, StepRule.inv_smoothness(),
+                          args.tol, y1)[0] for solver in cli.SOLVERS]
 
     header = f"{'solver':<12}{'iters':>8}{'relaxed':>12}{'rounded':>10}" \
              f"{'infeas':>11}{'nonstat':>11}{'assign err':>12}{'time (s)':>10}"
     print(f"chr12a (n={inst.n}, best known {inst.best_known:g})")
     print(header)
     print("-" * len(header))
-    for name, iters, relaxed, rounded, infeas, nonstat, err, wall in rows:
-        print(f"{name:<12}{iters:>8}{relaxed:>12.2f}{rounded:>10.0f}"
-              f"{infeas:>11.2e}{nonstat:>11.2e}{err:>12.4f}{wall:>10.2f}")
+    for r in rows:
+        print(f"{r['solver']:<12}{r['iterations']:>8}{r['relaxed_value']:>12.2f}"
+              f"{r['rounded_value']:>10.0f}{r['infeasibility']:>11.2e}"
+              f"{r['nonstationarity']:>11.2e}{r['assignment_error']:>12.4f}{r['wall_time']:>10.2f}")
     return 0
 
 

@@ -14,6 +14,7 @@ Everything algorithmic comes from flags or the manifest.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import itertools
 import json
@@ -46,16 +47,33 @@ def write_trace(path, records) -> None:
                delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
 
+def _blas_threads():
+    """The live thread count of numpy's OpenBLAS, asked through numpy's own
+    extension module, whose linked libraries a symbol lookup searches; None
+    when no such library or symbol is found."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                return get()
+    return None
+
+
 def environment() -> dict:
     """What besides the seed decides a run's bytes: interpreter and numpy
-    versions, the BLAS library numpy was built with, CPU count and the BLAS
-    thread variables (None when unset)."""
+    versions, the BLAS library numpy was built with, CPU count, the live
+    BLAS thread count and the thread variables (None when unset)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
+        "blas_threads": _blas_threads(),
         **{name: os.environ.get(name) for name in THREAD_VARS},
     }
 
@@ -161,7 +179,7 @@ def cmd_bench(args) -> int:
         instances = manifest.get("instances", [])
         solvers = manifest.get("solvers", [])
         cfg = manifest.get("config", {})
-        out = manifest.get("out_dir", args.out)
+        out = manifest.get("out_dir", "runs")
         for key, value, kind in (("instances", instances, list), ("solvers", solvers, list),
                                  ("config", cfg, dict), ("out_dir", out, str)):
             if not isinstance(value, kind):
@@ -268,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="run a benchmark manifest")
     pb.add_argument("manifest", help="JSON manifest of instances, solvers, and config")
-    pb.add_argument("--out", default="runs", help="fallback output directory")
     pb.set_defaults(func=cmd_bench)
 
     return p

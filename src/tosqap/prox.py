@@ -109,17 +109,16 @@ def project_affine_doubly_stochastic(x: np.ndarray) -> np.ndarray:
 
 def _affine_closed_form(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[0]
-    row_sums = x.sum(axis=1)
-    col_sums = x.sum(axis=0)
-    total = float(row_sums.sum())
-    out = x + (1.0 / n + total / n**2)
-    out -= row_sums[:, None] / n
-    out -= col_sums[None, :] / n
+    n = x.shape[-1]
+    # np.add.reduce is the reduction of ndarray.sum without its Python wrapper.
+    row_sums = np.add.reduce(x, -1)
+    out = x + (1.0 / n + np.add.reduce(row_sums, -1) / n**2)[..., None, None]
+    out -= row_sums[..., None] / n
+    out -= np.add.reduce(x, -2, keepdims=True) / n
     return out
 
 
-def project_birkhoff_alternating(x: np.ndarray, iters: int = 1000) -> np.ndarray:
+def project_birkhoff_alternating(x: np.ndarray, iters: int) -> np.ndarray:
     """Alternating projections between column- and row-stochastic sets.
 
     Returns exactly the iterate of ``iters`` rounds, each projecting onto
@@ -169,6 +168,7 @@ def prox_box01() -> ProxOperator:
 
 
 def prox_affine_doubly_stochastic() -> ProxOperator:
+    """A matrix, or each matrix of a (k, n, n) stack."""
     return ProxOperator(lambda p, scale: _affine_closed_form(p))
 
 

@@ -281,7 +281,7 @@ def initial_point(n: int, seed: int) -> np.ndarray:
     the Birkhoff polytope with ``INITIAL_POINT_ROUNDS`` alternating-projection
     rounds.  The bytes are exactly those of all the rounds, although
     ``project_birkhoff_alternating`` stops once the iterate repeats (for
-    chr12a's starts 0-5 within 66 rounds)."""
+    chr12a's starts 0-5 within 34-56 rounds)."""
     check_int(n, "n", 1)
     check_int(seed, "seed", 0)
     rng = make_rng(seed)

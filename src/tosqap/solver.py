@@ -45,7 +45,8 @@ class StepRule:
 
     kind is one of 'theory' (``step_size_lipschitz`` on the problem's
     d_g, g_f, l_g and l_h), 'fixed' (explicit gamma), or 'inv_smoothness'
-    (gamma = 1 / L with L the smoothness constant of f).
+    (gamma = 1 / L with L the smoothness constant of f).  A field the kind
+    ignores must stay 0.
     """
 
     kind: str
@@ -60,6 +61,11 @@ class StepRule:
         elif self.kind != "theory":
             raise ValueError(f"step rule kind must be 'theory', 'fixed' or "
                              f"'inv_smoothness', got {self.kind!r}")
+        own = {"fixed": "gamma", "inv_smoothness": "l_smooth"}.get(self.kind)
+        for name in ("gamma", "l_smooth"):
+            if name != own and getattr(self, name) != 0.0:
+                raise ValueError(f"{name}: a {self.kind!r} step rule takes no {name}, "
+                                 f"got {getattr(self, name)!r}")
 
     @staticmethod
     def fixed(gamma: float) -> "StepRule":

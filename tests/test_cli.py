@@ -216,6 +216,8 @@ class TestSolve:
         summary = json.loads((out / "env_tos-split2_seed0.summary.json").read_text())
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
+        threads = summary["env"].pop("blas_threads")
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
         assert summary["env"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -227,6 +229,17 @@ class TestSolve:
         }
         header = (out / "env_tos-split2_seed0.trace.csv").read_text().splitlines()[0]
         assert header == "t,f,coupling,certificate,infeasibility,nonstationarity"
+
+    def test_environment_records_the_live_blas_thread_count(self):
+        # In a fresh interpreter OpenBLAS reads the variable when it loads.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json; from tosqap.cli import environment; "
+                                   "print(json.dumps(environment()['blas_threads']))"],
+            env=env, check=True, capture_output=True, text=True, timeout=60)
+        assert json.loads(proc.stdout) in (None, 1)
 
     def test_byte_identical_traces_same_seed(self, tmp_path):
         inst_path = tmp_path / "rep.dat"
@@ -428,6 +441,19 @@ class TestBench:
         assert report["env"]["OMP_NUM_THREADS"] == "2"
         assert report["env"]["numpy"] == np.__version__
         assert "env" not in report["rows"][0]  # one record per report, not per row
+
+    def test_out_dir_defaults_to_runs(self, tmp_path, monkeypatch):
+        # The manifest's out_dir is the one way to set the directory.
+        p = tmp_path / "inst.dat"
+        write_instance(p, 4, 10)
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"instances": [{"path": str(p)}], "solvers": ["fw"],
+                                  "config": {"iters": 20}}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", str(mp)]) == 0
+        assert (tmp_path / "runs" / "bench_summary.json").exists()
+        with pytest.raises(SystemExit):
+            main(["bench", str(mp), "--out", str(tmp_path / "elsewhere")])
 
     def test_diverged_cell_says_so(self, tmp_path):
         # At the fixed step 1e300 split1's second iterate overflows, while

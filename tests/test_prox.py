@@ -216,8 +216,9 @@ class TestRowColStochastic:
             project_col_stochastic(x), project_row_stochastic(x.T).T)
 
 
-@pytest.mark.parametrize("proj", [project_row_stochastic, project_col_stochastic,
-                                  project_affine_doubly_stochastic, project_birkhoff_alternating])
+@pytest.mark.parametrize("proj", [
+    project_row_stochastic, project_col_stochastic, project_affine_doubly_stochastic,
+    pytest.param(lambda x: project_birkhoff_alternating(x, 1), id="project_birkhoff_alternating")])
 def test_checked_projection_names_its_argument(proj):
     with pytest.raises(ValueError, match="^x contains non-finite entries$"):
         proj([[np.nan, 1.0], [0.0, 1.0]])
@@ -467,6 +468,17 @@ def test_col_prox_projects_each_matrix_of_a_stack():
     np.testing.assert_allclose(y.sum(axis=-2), 1.0, atol=1e-12)
     for k in range(2):
         assert y[k].tobytes() == project_col_stochastic(x[k]).tobytes()
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12).flatmap(lambda n: arrays(
+    np.float64, st.tuples(st.integers(1, 4), st.just(n), st.just(n)),
+    elements=signed_zero_entries)))
+@example(make_rng(29).standard_normal((3, 4, 4)))
+def test_affine_prox_projects_each_matrix_of_a_stack(x):
+    # n and the sums come from each matrix, not from the stack axis.
+    y = prox_affine_doubly_stochastic()(x, 1.0)
+    assert y.tobytes() == np.array([project_affine_doubly_stochastic(m) for m in x]).tobytes()
 
 
 @pytest.mark.parametrize("name,op", [("box", prox_box01()), ("row", prox_row_stochastic())])

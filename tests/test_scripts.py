@@ -16,10 +16,19 @@ def run_script(name, *args, cwd):
 
 
 def test_run_chr12a_prints_one_row_per_solver(tmp_path):
-    proc = run_script("run_chr12a.py", "--iters", "64", cwd=tmp_path)
+    # The table at 64 iterations from seed 0, pinned in every column but the
+    # last, time (s).
+    proc = run_script("run_chr12a.py", "--iters", "64", "--seed", "0", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split()[0] for line in proc.stdout.splitlines()[3:]]
-    assert rows == ["tos-split1", "tos-split2", "fw"]
+    lines = proc.stdout.splitlines()
+    assert [line[:76] for line in lines] == [
+        "chr12a (n=12, best known 9552)",
+        "solver         iters     relaxed   rounded     infeas    nonstat  assign err",
+        "-" * 76,
+        "tos-split1        64    13342.40     11452   2.57e-04   2.19e-01      0.1989",
+        "tos-split2        64    13447.27     11452   2.55e-03   2.28e-01      0.1989",
+        "fw                64    10748.45     12746   0.00e+00   1.35e-02      0.3344"]
+    assert all(len(line) == 86 for line in lines[1:])
 
 
 def test_run_bench_prints_the_tally(tmp_path):

@@ -113,9 +113,17 @@ class TestStepSizes:
         ({"kind": "fixed", "gamma": math.nan}, "gamma"),
         ({"kind": "fixed", "gamma": math.inf}, "gamma"),
         ({"kind": "inv_smoothness", "l_smooth": -1.0}, "l_smooth"),
-        ({"kind": "inv_smoothness", "l_smooth": math.nan}, "l_smooth")])
+        ({"kind": "inv_smoothness", "l_smooth": math.nan}, "l_smooth"),
+        ({"kind": "theory", "gamma": 0.1}, "gamma"),
+        ({"kind": "theory", "l_smooth": 5.0}, "l_smooth"),
+        ({"kind": "fixed", "gamma": 0.1, "l_smooth": 5.0}, "l_smooth"),
+        ({"kind": "inv_smoothness", "gamma": 0.1}, "gamma")])
     def test_rule_built_directly_checks_its_field(self, fields, name):
-        with pytest.raises(ValueError, match=f"^{name}: expected a finite number"):
+        # A rule checks its own kind's field and rejects a value its kind ignores.
+        own = {"fixed": "gamma", "inv_smoothness": "l_smooth"}.get(fields["kind"])
+        pattern = ("expected a finite number" if name == own
+                   else f"a '{fields['kind']}' step rule takes no {name}, got {fields[name]!r}$")
+        with pytest.raises(ValueError, match=f"^{name}: {pattern}"):
             StepRule(**fields)
 
     def test_numpy_step_values_accepted(self):
