@@ -9,6 +9,7 @@ the pairwise win/tie/loss tally.
 """
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import os
@@ -17,6 +18,7 @@ import numpy as np
 
 from tosqap import make_rng
 from tosqap.cli import main as cli_main
+from tosqap.linalg import check_int
 
 
 def write_random_instance(path, n, seed):
@@ -35,6 +37,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--tol", type=float, default=1e-5)
     args = ap.parse_args()
+    try:
+        for name, least in (("instances", 0), ("size", 1), ("iters", 1), ("seed", 0)):
+            check_int(getattr(args, name), f"--{name}", least)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     os.makedirs(args.out, exist_ok=True)
     chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
@@ -55,8 +62,15 @@ def main() -> int:
     with open(manifest_path, "w") as f:
         json.dump(manifest, f, indent=2)
 
+    # The tally is read only from a summary this run wrote, so a run that
+    # fails before its sweep prints none.
+    summary_path = os.path.join(args.out, "bench_summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
     rc = cli_main(["bench", manifest_path])
-    with open(os.path.join(args.out, "bench_summary.json")) as f:
+    if not os.path.exists(summary_path):
+        return rc
+    with open(summary_path) as f:
         tally = json.load(f)["tally"]
     print("\npairwise win/tie/loss on rounded objective value:")
     for pair, t in sorted(tally.items()):

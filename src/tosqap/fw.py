@@ -6,8 +6,9 @@ and takes the exact minimizer of the (univariate quadratic) objective
 restriction along the segment.  Serves as the comparison baseline for
 the splitting solver.
 
-f is quadratic, so an iteration takes one gradient, 4 matrix products:
-with d = S - X, grad f(X + eta d) = grad f(X) + eta grad f(d) and
+f is quadratic, so an iteration takes one gradient, 4 matrix products (2 on
+a symmetric instance): with d = S - X,
+grad f(X + eta d) = grad f(X) + eta grad f(d) and
 f(X + eta d) = f(X) + eta b + eta^2 a, where a = <grad f(d), d> / 2 and
 b = <grad f(X), d> = -gap.  ``exact_line_step(a, b)`` takes the step.  The
 loop carries the gradient and the objective forward and refreshes both

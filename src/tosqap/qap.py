@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,10 +44,13 @@ SPLITS = (SPLIT1, SPLIT2)
 
 @dataclass(frozen=True)
 class QapInstance:
+    """A QAP instance.  ``symmetric`` is decided at construction: A = A^T and
+    B = B^T exactly, as for chr12a and most QAPLIB instances."""
     name: str
     a: np.ndarray
     b: np.ndarray
     best_known: Optional[float] = None
+    symmetric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_square(self.a, "A")
@@ -56,6 +59,7 @@ class QapInstance:
             check_real(self.best_known, "best_known", finite=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "symmetric", np.array_equal(a, a.T) and np.array_equal(b, b.T))
 
     @property
     def n(self) -> int:
@@ -139,8 +143,12 @@ def qap_objective(inst: QapInstance, x: np.ndarray) -> float:
 
 
 def qap_gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
-    """Gradient A X B^T + A^T X B of the quadratic objective."""
+    """Gradient A X B^T + A^T X B of the quadratic objective: 4 matrix
+    products, or 2 on a symmetric instance, where it equals 2 A X B."""
     x = _check_shape(inst, x)
+    if inst.symmetric:
+        h = inst.a @ x @ inst.b
+        return h + h
     return inst.a @ x @ inst.b.T + inst.a.T @ x @ inst.b
 
 
@@ -169,7 +177,8 @@ def estimate_smoothness(inst: QapInstance) -> float:
     """Smoothness constant of the objective: spectral norm of its Hessian map.
 
     The Hessian is the symmetric linear map D -> A D B^T + A^T D B on
-    n x n matrices; power iteration on that map converges to the largest
+    n x n matrices, which ``qap_gradient`` applies (as 2 A D B on a symmetric
+    instance); power iteration on that map converges to the largest
     absolute eigenvalue, which equals the Lipschitz constant of the
     gradient.  Emits a ``RuntimeWarning`` and returns the last estimate
     when ``SMOOTHNESS_MAX_ITERS`` iterations pass without converging.

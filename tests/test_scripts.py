@@ -45,3 +45,22 @@ def test_run_bench_prints_the_tally(tmp_path):
         "5\n"
         "85 63 51 26 30\n4 7 1 17 81\n64 91 50 60 97\n72 63 54 55 93\n27 81 67 0 39\n"
         "85 55 3 76 72\n84 17 8 86 2\n54 8 29 48 42\n40 2 0 12 0\n67 52 64 25 61\n")
+
+
+def test_run_bench_prints_no_tally_of_an_earlier_run(tmp_path):
+    # A run that fails before its sweep prints no tally, although the --out
+    # of an earlier run holds a bench_summary.json.
+    out = tmp_path / "bench"
+    args = ("--instances", "1", "--iters", "32", "--out", str(out))
+    assert run_script("run_bench.py", *args, "--size", "4", cwd=tmp_path).returncode == 0
+    assert (out / "bench_summary.json").exists()
+
+    bad_size = run_script("run_bench.py", *args, "--size", "0", cwd=tmp_path)
+    assert bad_size.returncode == 2
+    assert "--size: expected an integer >= 1, got 0" in bad_size.stderr
+    assert bad_size.stdout == "" and not (out / "rand0_0.dat").exists()
+
+    bad_tol = run_script("run_bench.py", *args, "--size", "4", "--tol", "-1", cwd=tmp_path)
+    assert bad_tol.returncode == 2
+    assert "manifest error: config.tol: expected a number >= 0, got -1.0" in bad_tol.stderr
+    assert "pairwise" not in bad_tol.stdout and not (out / "bench_summary.json").exists()
