@@ -18,7 +18,7 @@ import numpy as np
 
 from tosqap import make_rng
 from tosqap.cli import main as cli_main
-from tosqap.linalg import check_int
+from tosqap.linalg import check_int, check_real
 
 
 def write_random_instance(path, n, seed):
@@ -40,6 +40,7 @@ def main() -> int:
     try:
         for name, least in (("instances", 0), ("size", 1), ("iters", 1), ("seed", 0)):
             check_int(getattr(args, name), f"--{name}", least)
+        check_real(args.tol, "--tol", least=0)
     except ValueError as exc:
         ap.error(str(exc))
 

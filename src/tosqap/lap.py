@@ -8,11 +8,12 @@ nonnegative reduced costs, which the test suite checks explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_square
+from .linalg import as_square, check_int
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,17 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mapping) != self.n or sorted(self.mapping) != list(range(self.n)):
-            raise ValueError(f"mapping is not a bijection on 0..{self.n - 1}: {self.mapping}")
+        check_int(self.n, "n", 1)
+        try:  # sorted takes 1.0 and True for 1, so the entries' types are tested
+            types = {*map(type, self.mapping)}
+            ok = ((types == {int} or all(issubclass(t, numbers.Integral) and t is not bool
+                                         for t in types))
+                  and sorted(self.mapping) == list(range(self.n)))
+        except TypeError:  # not iterable
+            ok = False
+        if not ok:
+            raise ValueError(f"mapping is not a bijection of integers on 0..{self.n - 1}: "
+                             f"{self.mapping}")
 
 
 @dataclass(frozen=True)
@@ -75,45 +85,44 @@ def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution
     # scalar on every access.  Each step is one IEEE double operation in a
     # fixed order, so the result matches a numpy-scalar loop bit for bit.
     inf = math.inf
-    # 1-based lists; index 0 is the virtual unmatched column.  Each row of
-    # costs gets a leading pad so that column j sits at index j.
-    rows = [[0.0] + r for r in c.tolist()]
-    u = [0.0] * (n + 1)
+    # 0-based lists, so that column j of a cost row sits at index j; index n
+    # is the virtual unmatched column, and -1 in p marks a free column.
+    rows = c.tolist()
+    u = [0.0] * n
     v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j
+    p = [-1] * (n + 1)  # p[j]: row matched to column j
     way = [0] * (n + 1)
-    pending = range(1, n + 1)
+    pending = range(n)
     if dual_col is not None:
         # u_i = min_j (c_ij - v_j) keeps every reduced cost >= 0 and makes
         # each row's argmin edge tight; argmin keeps the lowest index on a
-        # tie.  A row whose argmin column is still free takes it.
-        reduced = c - dual_col
-        best = reduced.argmin(axis=1)
-        v = [0.0] + dual_col.tolist()
-        u = [0.0] + reduced[np.arange(n), best].tolist()
+        # tie.  A row whose argmin column is still free takes it.  u_i is
+        # the same IEEE subtraction as numpy's c - dual_col at that entry.
+        v = dual_col.tolist() + [0.0]
         pending = []
-        for i, j in enumerate(best.tolist(), 1):
-            if p[j + 1] == 0:
-                p[j + 1] = i
+        for i, j in enumerate((c - dual_col).argmin(axis=1).tolist()):
+            u[i] = rows[i][j] - v[j]
+            if p[j] < 0:
+                p[j] = i
             else:
                 pending.append(i)
 
     for i in pending:
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
+        p[n] = i
+        j0 = n
+        minv = [inf] * n
         # Columns off the alternating tree, kept in ascending order so the
         # strict < below keeps the lowest index on a tie; columns on it, in
         # the order they joined (each is updated once per step, so the
         # order changes no bit).
-        free = list(range(1, n + 1))
-        used = [0]
+        free = list(range(n))
+        used = [n]
         while True:
             i0 = p[j0]
-            row = rows[i0 - 1]
+            row = rows[i0]
             u_i0 = u[i0]
             delta = inf
-            j1 = 0
+            j1 = n
             for j in free:
                 cur = row[j] - u_i0 - v[j]
                 low = minv[j]
@@ -131,29 +140,30 @@ def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution
             free.remove(j1)
             used.append(j1)
             j0 = j1
-            if p[j0] == 0:
+            if p[j0] < 0:
                 break
-        while j0 != 0:
+        while j0 != n:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
 
     mapping = [0] * n
-    for j in range(1, n + 1):
-        mapping[p[j] - 1] = j - 1
+    for j in range(n):
+        mapping[p[j]] = j
     perm = Permutation(n, tuple(mapping))
-    value = float(sum(rows[i][mapping[i] + 1] for i in range(n)))
+    value = float(sum([row[j] for row, j in zip(rows, mapping)]))
     return LapSolution(
         permutation=perm,
         value=value,
-        dual_row=np.array(u[1:]),
-        dual_col=np.array(v[1:]),
+        dual_row=np.array(u),
+        dual_col=np.array(v[:n]),
     )
 
 
 def permutation_to_matrix(perm: Permutation) -> np.ndarray:
     """0/1 matrix with a one at (i, mapping[i]) for each row i."""
-    out = np.zeros((perm.n, perm.n))
-    out[np.arange(perm.n), list(perm.mapping)] = 1.0
-    return out
+    n = perm.n
+    out = np.zeros(n * n)
+    out[np.arange(0, n * n, n) + perm.mapping] = 1.0  # flat index i n + mapping[i]
+    return out.reshape(n, n)
 

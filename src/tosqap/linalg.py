@@ -26,7 +26,7 @@ def as_matrix(x, name: str, shape=None) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if shape is None and (a.ndim != 2 or a.size == 0):
         raise ValueError(f"{name} must be 2-D with positive dimensions, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

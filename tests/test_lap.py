@@ -5,12 +5,15 @@ import time
 import numpy as np
 import pytest
 
+import tosqap.fw
 from tosqap import (
+    FwConfig,
     initial_point,
     load_instance,
     make_rng,
     permutation_to_matrix,
     qap_gradient,
+    run_fw,
     solve_lap_max,
     solve_lap_min,
 )
@@ -29,16 +32,29 @@ def brute_force_min(cost):
     return best_perm, best_val
 
 
-def reference_lap_min(c):
-    """The Hungarian loop on numpy arrays and scalars, which solve_lap_min
-    must match byte for byte: (mapping, value, dual_row, dual_col)."""
+def reference_lap_min(c, dual_col=None):
+    """The Hungarian loop on numpy arrays and scalars, warm-started from the
+    column duals ``dual_col`` when given, which solve_lap_min must match byte
+    for byte: (mapping, value, dual_row, dual_col)."""
     n = c.shape[0]
     inf = np.inf
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
     p = np.zeros(n + 1, dtype=np.int64)
     way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
+    pending = range(1, n + 1)
+    if dual_col is not None:
+        reduced = c - dual_col
+        best = reduced.argmin(axis=1)
+        v[1:] = dual_col
+        u[1:] = reduced[np.arange(n), best]
+        pending = []
+        for i, j in enumerate(best, 1):
+            if p[j + 1] == 0:
+                p[j + 1] = i
+            else:
+                pending.append(i)
+    for i in pending:
         p[0] = i
         j0 = 0
         minv = np.full(n + 1, inf)
@@ -96,15 +112,18 @@ def identity_costs():
     return costs
 
 
+def assert_same_bytes(sol, reference):
+    mapping, value, dual_row, dual_col = reference
+    assert sol.permutation.mapping == mapping
+    assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
+    for got, want in ((sol.dual_row, dual_row), (sol.dual_col, dual_col)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestReferenceIdentity:
     @pytest.mark.parametrize("cost", identity_costs())
     def test_same_bytes_as_numpy_scalar_loop(self, cost):
-        mapping, value, dual_row, dual_col = reference_lap_min(cost)
-        sol = solve_lap_min(cost)
-        assert sol.permutation.mapping == mapping
-        assert np.float64(sol.value).tobytes() == np.float64(value).tobytes()
-        for got, want in ((sol.dual_row, dual_row), (sol.dual_col, dual_col)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_bytes(solve_lap_min(cost), reference_lap_min(cost))
 
 
 def warm_cases():
@@ -150,6 +169,37 @@ class TestWarmStart:
                 + np.abs(warm.dual_row).max() + np.abs(warm.dual_col).max())
         reduced = cost - warm.dual_row[:, None] - warm.dual_col[None, :]
         assert reduced.min() >= -(2 * n * n + n + 5) * eps * size
+
+    @pytest.mark.parametrize("kind, cost, dual_col", warm_cases())
+    def test_same_bytes_as_numpy_scalar_loop(self, kind, cost, dual_col):
+        assert_same_bytes(solve_lap_min(cost, carrying(dual_col)),
+                          reference_lap_min(cost, dual_col))
+
+    def test_signed_zeros_same_bytes(self):
+        # Every sign pattern of a 2 x 2 zero cost under every sign pattern of
+        # zero duals: the prelude's u_i = c_ij - v_j keeps numpy's signs.
+        for signs in itertools.product((0.0, -0.0), repeat=6):
+            cost, dual_col = np.array(signs[:4]).reshape(2, 2), np.array(signs[4:])
+            assert_same_bytes(solve_lap_min(cost, carrying(dual_col)),
+                              reference_lap_min(cost, dual_col))
+
+    def test_fw_chain_same_bytes(self, monkeypatch):
+        # The warm solves of a chr12a Frank-Wolfe run, each from the previous
+        # solve's duals, as run_fw makes them.
+        calls = []
+
+        def recording(cost, warm=None):
+            sol = solve_lap_min(cost, warm)
+            calls.append((cost.copy(), warm, sol))
+            return sol
+
+        monkeypatch.setattr(tosqap.fw, "solve_lap_min", recording)
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        run_fw(inst, initial_point(12, 0), FwConfig(max_iters=64))
+        assert len(calls) > 64 and calls[0][1] is None
+        assert all(warm is earlier[2] for earlier, (_, warm, _) in zip(calls, calls[1:]))
+        for cost, warm, sol in calls:
+            assert_same_bytes(sol, reference_lap_min(cost, warm and warm.dual_col))
 
     @pytest.mark.parametrize("warm", [
         np.zeros((3, 1)), np.zeros(2), np.array([0.0, np.nan, 0.0]),
@@ -254,3 +304,23 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation(3, (0, 0, 2))
+
+    @pytest.mark.parametrize("n, mapping, named", [
+        (2, (True, False), "mapping"), (2, (1.0, 0.0), "mapping"),
+        (2, (np.True_, np.False_), "mapping"), (2, None, "mapping"),
+        (2.0, (0, 1), "n"), (True, (0,), "n"), (0, (), "n")],
+        ids=["bools", "floats", "numpy-bools", "none", "float-n", "bool-n", "empty"])
+    def test_rejects_non_integers_named(self, n, mapping, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            Permutation(n, mapping)
+
+    def test_numpy_integers_accepted(self):
+        perm = Permutation(np.int64(3), (np.int64(2), np.int32(0), 1))
+        assert np.array_equal(permutation_to_matrix(perm), np.eye(3)[[2, 0, 1]])
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 100])
+    def test_matrix_same_bytes_as_eye_rows(self, n):
+        mapping = tuple(make_rng(n).permutation(n).tolist())
+        got, want = permutation_to_matrix(Permutation(n, mapping)), np.eye(n)[list(mapping)]
+        assert got.dtype == np.float64 and got.shape == (n, n) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -62,5 +64,16 @@ def test_run_bench_prints_no_tally_of_an_earlier_run(tmp_path):
 
     bad_tol = run_script("run_bench.py", *args, "--size", "4", "--tol", "-1", cwd=tmp_path)
     assert bad_tol.returncode == 2
-    assert "manifest error: config.tol: expected a number >= 0, got -1.0" in bad_tol.stderr
-    assert "pairwise" not in bad_tol.stdout and not (out / "bench_summary.json").exists()
+    assert "--tol: expected a number >= 0, got -1.0" in bad_tol.stderr
+    assert bad_tol.stdout == "" and (out / "bench_summary.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_run_bench_checks_tol_before_writing(tmp_path, tol):
+    # A --tol the CLI would refuse leaves no instance file or manifest behind.
+    out = tmp_path / "bench"
+    proc = run_script("run_bench.py", "--instances", "2", "--size", "4", "--tol", tol,
+                      "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"--tol: expected a number >= 0, got {float(tol)!r}" in proc.stderr
+    assert proc.stdout == "" and not out.exists()
