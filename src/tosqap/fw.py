@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass
 import numpy as np
 
-from .lap import permutation_to_matrix, solve_lap_min
-from .linalg import as_matrix, check_int, check_real, frobenius_inner
+from .lap import solve_lap_min
+from .linalg import _inner, as_matrix, check_int, check_real
 from .qap import QapInstance, QapReport, _report, qap_gradient, qap_objective
 from .solver import DivergenceError, TraceRecord, power_of_two_schedule, stationarity_gap
 
@@ -78,6 +78,9 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     # Each LAP is warm-started from the previous solution, whose column duals
     # consecutive gradients leave nearly optimal; the first solves cold.
     sol = None
+    # Vertex S is the rows of one identity in the solve's column order: the
+    # bytes of permutation_to_matrix, without its flat index arithmetic.
+    eye = np.eye(inst.n)
     # Pass t evaluates x, the point after t steps.
     for t in range(config.max_iters + 1):
         # Trace rows hold exact values: refresh the carried gradient and
@@ -91,7 +94,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
                 sol = solve_lap_min(grad, sol)
             except ValueError:  # its scan of the cost found a non-finite gradient
                 raise DivergenceError(t, "gradient") from None
-            s = permutation_to_matrix(sol.permutation)
+            s = eye.take(sol.permutation.mapping, axis=0)
             gap = stationarity_gap(grad, x, s)
             nonstationarity = abs(gap) / max(f_x, 1.0)
             # gap <= 0: x minimizes its linearization; tol: relax_and_round's strict test.
@@ -108,7 +111,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
         # <grad, d> = -gap exactly, as d = -(x - s).
         direction = s - x
         grad_d = qap_gradient(inst, direction)
-        a, b = 0.5 * frobenius_inner(grad_d, direction), -gap
+        a, b = 0.5 * _inner(grad_d, direction), -gap  # two loop-made arrays of one shape
         eta = exact_line_step(a, b)
         x = x + eta * direction
         grad = grad + eta * grad_d

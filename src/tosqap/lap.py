@@ -24,17 +24,29 @@ class Permutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        check_int(self.n, "n", 1)
+        n = int(check_int(self.n, "n", 1))
         try:  # sorted takes 1.0 and True for 1, so the entries' types are tested
-            types = {*map(type, self.mapping)}
+            mapping = tuple(self.mapping)
+            types = {*map(type, mapping)}
             ok = ((types == {int} or all(issubclass(t, numbers.Integral) and t is not bool
                                          for t in types))
-                  and sorted(self.mapping) == list(range(self.n)))
+                  and sorted(mapping) == list(range(n)))
         except TypeError:  # not iterable
             ok = False
         if not ok:
-            raise ValueError(f"mapping is not a bijection of integers on 0..{self.n - 1}: "
+            raise ValueError(f"mapping is not a bijection of integers on 0..{n - 1}: "
                              f"{self.mapping}")
+        # A list, range or array mapping, or numpy integers, compare and hash
+        # as the tuple of Python ints.
+        self.__dict__.update(n=n, mapping=tuple(map(int, mapping)))
+
+    @classmethod
+    def _trusted(cls, n: int, mapping: tuple[int, ...]) -> Permutation:
+        """``Permutation(n, mapping)`` without the check, for a ``mapping``
+        built as a tuple of Python ints that is a bijection on 0..n-1."""
+        perm = object.__new__(cls)
+        perm.__dict__.update(n=n, mapping=mapping)
+        return perm
 
 
 @dataclass(frozen=True)
@@ -147,13 +159,14 @@ def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution
             p[j0] = p[j1]
             j0 = j1
 
+    # Every row is matched to exactly one column, so the mapping is a
+    # bijection of Python ints by construction and skips the check.
     mapping = [0] * n
     for j in range(n):
         mapping[p[j]] = j
-    perm = Permutation(n, tuple(mapping))
     value = float(sum([row[j] for row, j in zip(rows, mapping)]))
     return LapSolution(
-        permutation=perm,
+        permutation=Permutation._trusted(n, tuple(mapping)),
         value=value,
         dual_row=np.array(u),
         dual_col=np.array(v[:n]),

@@ -68,6 +68,11 @@ def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    return _inner(x, y)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> float:
+    """``frobenius_inner`` of two float64 arrays of one shape, unchecked."""
     return float(np.dot(x.ravel(), y.ravel()))
 
 

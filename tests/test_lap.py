@@ -308,8 +308,8 @@ class TestPermutation:
     @pytest.mark.parametrize("n, mapping, named", [
         (2, (True, False), "mapping"), (2, (1.0, 0.0), "mapping"),
         (2, (np.True_, np.False_), "mapping"), (2, None, "mapping"),
-        (2.0, (0, 1), "n"), (True, (0,), "n"), (0, (), "n")],
-        ids=["bools", "floats", "numpy-bools", "none", "float-n", "bool-n", "empty"])
+        (2.0, (0, 1), "n"), (True, (0,), "n"), (0, (), "n"), (3, range(4), "mapping")],
+        ids=["bools", "floats", "numpy-bools", "none", "float-n", "bool-n", "empty", "range-of-4"])
     def test_rejects_non_integers_named(self, n, mapping, named):
         with pytest.raises(ValueError, match=f"^{named}"):
             Permutation(n, mapping)
@@ -318,9 +318,60 @@ class TestPermutation:
         perm = Permutation(np.int64(3), (np.int64(2), np.int32(0), 1))
         assert np.array_equal(permutation_to_matrix(perm), np.eye(3)[[2, 0, 1]])
 
+    @pytest.mark.parametrize("mapping", [
+        [2, 0, 1], range(3), np.array([2, 0, 1]), np.array([0, 1, 2], dtype=np.int32),
+        (np.int64(2), 0, np.int32(1))], ids=["list", "range", "ndarray", "int32-ndarray", "mixed"])
+    def test_any_container_stored_as_tuple_of_ints(self, mapping):
+        perm = Permutation(np.int64(3), mapping)
+        assert type(perm.n) is int and type(perm.mapping) is tuple
+        assert all(type(j) is int for j in perm.mapping)
+        same = Permutation(3, tuple(int(j) for j in mapping))
+        assert perm == same and hash(perm) == hash(same)
+
     @pytest.mark.parametrize("n", [1, 2, 12, 100])
     def test_matrix_same_bytes_as_eye_rows(self, n):
         mapping = tuple(make_rng(n).permutation(n).tolist())
         got, want = permutation_to_matrix(Permutation(n, mapping)), np.eye(n)[list(mapping)]
         assert got.dtype == np.float64 and got.shape == (n, n) and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+def tie_heavy_costs():
+    """Random and tied costs at n = 1-8: Gaussian, small integers, all ones,
+    and zeros of mixed sign."""
+    rng = make_rng(28)
+    costs = []
+    for n in range(1, 9):
+        costs += [rng.standard_normal((n, n)), rng.integers(-1, 2, (n, n)).astype(float),
+                  np.ones((n, n)), np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)]
+    return costs
+
+
+class TestSolverPermutations:
+    """The solver builds its permutations without the constructor's check;
+    each must still pass it and hold Python ints."""
+
+    @staticmethod
+    def assert_checked(sol, n):
+        perm = sol.permutation
+        assert type(perm.n) is int and perm.n == n and type(perm.mapping) is tuple
+        assert all(type(j) is int for j in perm.mapping)
+        checked = Permutation(n, perm.mapping)
+        assert checked == perm and hash(checked) == hash(perm)
+
+    @pytest.mark.parametrize("cost", tie_heavy_costs())
+    def test_cold_and_max(self, cost):
+        n = cost.shape[0]
+        self.assert_checked(solve_lap_min(cost), n)
+        self.assert_checked(solve_lap_max(cost), n)
+
+    @pytest.mark.parametrize("cost", tie_heavy_costs())
+    def test_warm(self, cost):
+        # Warm starts from tied and random duals, so that rows collide on
+        # their argmin columns and the augmenting search runs.
+        n = cost.shape[0]
+        rng = make_rng(n)
+        for dual_col in (np.zeros(n), np.ones(n), rng.integers(-2, 3, n).astype(float),
+                         rng.standard_normal(n)):
+            self.assert_checked(solve_lap_min(cost, carrying(dual_col)), n)
+        self.assert_checked(solve_lap_min(cost, solve_lap_min(cost.T.copy())), n)

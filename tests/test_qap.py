@@ -721,6 +721,22 @@ class TestIterationPath:
     GOLDEN_FW = ("2145aa9cd6719fab663c13700fcac7b5ebe391d99b6255fef3a31f39737043fc",
                  "0320cc2bae035f49c4aa2195fed24fd05e6f07d8b9ccaa2600a5bdc8a587a936",
                  "0x1.4e1f729a114b2p+13", "0x1.4c6ae982d6a17p-10")
+    # run_fw as the chr12a FW cell runs it, FwConfig(max_iters=4096,
+    # gap_tolerance=1e-5), from initial_point(12, start) for starts 0-4:
+    # iterations, stop reason, sha256 of the iterate and of the trace rows,
+    # and the rounded value.  Held at one and two OpenBLAS threads.
+    GOLDEN_FW_CELL = {
+        0: (4096, "cap", "2d4a86fcf3a38a5380cc4b3a339ac63bddaf4a4c104a87c42d32979dc5ccea82",
+            "c41fa4e885c9cc00b977ac9bb6fbae1c6e7213142fae67cbb1dc4d2f66ab369c", 12746.0),
+        1: (4096, "cap", "c3645986d1cee9e5c3d2c0127e587f5cc3b2d3167c5adc8272e254d3f9178eb5",
+            "5d0a84f7abe55a296e7fde707a0d7ee4b7d08f0c4d98190b12d77c89aef0bd58", 14828.0),
+        2: (4096, "cap", "f04de4045c0a782621d7508cfcc131d2b97316af42424f66ee18945ca31d6aa7",
+            "b0cda9e0865a5d77722484d879fe9f38bb08ac28039d585e38e61502a67dcee9", 21390.0),
+        3: (14, "tol", "fd0e8212e82760a6b8af0d662dbb6a45c5a428dada968418c44076221165af10",
+            "3f761ec0a291ee3fc6eb4f036a79c9b84bd6b415537ed4adb1ecc90dec62b96c", 11864.0),
+        4: (4096, "cap", "e96d595a270d33b950bb4a244cf6df18579c074000717e9c9488ff0bd4fa7f9e",
+            "9a8cd87e0aa08838dd99e575c508fd94f8efcd73fb13426a4fc76284f092af28", 14346.0),
+    }
     # split2 with the Gaussian minibatch oracle (sigma = 0.05 L, batch 8) and
     # the random-iterate output, same start and step, SNAPSHOT_CAP + 64
     # iterations so that z_tau is replayed: sha256 of z_out, and tau.  The
@@ -769,6 +785,14 @@ class TestIterationPath:
         digest = hashlib.sha256(res.iterate.tobytes()).hexdigest()
         assert (digest, trace_digest(res.trace), res.relaxed_value.hex(),
                 res.nonstationarity.hex()) == self.GOLDEN_FW
+
+    @pytest.mark.parametrize("start", sorted(GOLDEN_FW_CELL))
+    def test_golden_fw_cell(self, start):
+        res = fw.run_fw(load_instance(chr12a_path()), initial_point(12, start),
+                        fw.FwConfig(max_iters=4096, gap_tolerance=1e-5))
+        digest = hashlib.sha256(res.iterate.tobytes()).hexdigest()
+        assert (res.iterations_run, res.stopped_by, digest, trace_digest(res.trace),
+                res.rounded_value) == self.GOLDEN_FW_CELL[start]
 
     def test_golden_stochastic_replay(self):
         inst = load_instance(chr12a_path())
