@@ -47,26 +47,43 @@ def write_trace(path, records) -> None:
                delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
 
 
-def _blas_threads():
-    """The live thread count of numpy's OpenBLAS, asked through numpy's own
-    extension module, whose linked libraries a symbol lookup searches; None
-    when no such library or symbol is found."""
+def _openblas(name: str):
+    """The function ``name`` of numpy's OpenBLAS (``get_num_threads``, say),
+    looked up through numpy's own extension module, whose linked libraries a
+    symbol lookup searches; None when no such library or symbol is found."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except (AttributeError, OSError):
         return None
     for prefix in ("scipy_openblas", "openblas"):
         for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            if get is not None:
-                return get()
+            fn = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if fn is not None:
+                return fn
     return None
+
+
+def _blas_threads():
+    """The live thread count of numpy's OpenBLAS, or None."""
+    get = _openblas("get_num_threads")
+    return None if get is None else get()
+
+
+def _blas_core():
+    """The core type whose kernels numpy's OpenBLAS runs (``"SkylakeX"``,
+    ``"Haswell"``, ...; ``OPENBLAS_CORETYPE`` forces one), or None."""
+    get = _openblas("get_corename")
+    if get is None:
+        return None
+    get.restype = ctypes.c_char_p
+    return get().decode()
 
 
 def environment() -> dict:
     """What besides the seed decides a run's bytes: interpreter and numpy
     versions, the BLAS library numpy was built with, CPU count, the live
-    BLAS thread count and the thread variables (None when unset)."""
+    BLAS thread count and core type, and the thread variables (None when
+    unset)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "python": platform.python_version(),
@@ -74,6 +91,7 @@ def environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
         "blas_threads": _blas_threads(),
+        "blas_core": _blas_core(),
         **{name: os.environ.get(name) for name in THREAD_VARS},
     }
 

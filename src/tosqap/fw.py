@@ -10,7 +10,11 @@ f is quadratic, so an iteration takes one gradient, 4 matrix products (2 on
 a symmetric instance): with d = S - X,
 grad f(X + eta d) = grad f(X) + eta grad f(d) and
 f(X + eta d) = f(X) + eta b + eta^2 a, where a = <grad f(d), d> / 2 and
-b = <grad f(X), d> = -gap.  ``exact_line_step(a, b)`` takes the step.  The
+b = <grad f(X), d>.  One inner product gives both the gap and the slope:
+the loop forms d once per pass, takes gap = 0.0 - <grad f(X), d>, the bits
+of <grad f(X), X - S> (``0.0 -`` keeps a zero gap +0.0, where bare
+negation would write -0.0), and steps with b = -gap.
+``exact_line_step(a, b)`` takes the step.  The
 loop carries the gradient and the objective forward and refreshes both
 exactly at t = 0, at each power of two and at the cap, so every trace row
 holds its own point's exact numbers; a stop the carried values call
@@ -28,7 +32,7 @@ import numpy as np
 from .lap import solve_lap_min
 from .linalg import _inner, as_matrix, check_int, check_real
 from .qap import QapInstance, QapReport, _report, qap_gradient, qap_objective
-from .solver import DivergenceError, TraceRecord, power_of_two_schedule, stationarity_gap
+from .solver import DivergenceError, TraceRecord, _gap, power_of_two_schedule
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,8 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
                 sol = solve_lap_min(grad, sol)
             except ValueError:  # its scan of the cost found a non-finite gradient
                 raise DivergenceError(t, "gradient") from None
-            s = eye.take(sol.permutation.mapping, axis=0)
-            gap = stationarity_gap(grad, x, s)
+            direction = eye.take(sol.permutation.mapping, axis=0) - x
+            gap = _gap(grad, direction)  # stationarity_gap(grad, x, vertex) of loop-made arrays
             nonstationarity = abs(gap) / max(f_x, 1.0)
             # gap <= 0: x minimizes its linearization; tol: relax_and_round's strict test.
             stopped_by = ("gap" if gap <= 0.0 else "tol" if nonstationarity < config.gap_tolerance
@@ -108,10 +112,8 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
                                      infeasibility=0.0, nonstationarity=nonstationarity))
         if stopped_by:
             break
-        # <grad, d> = -gap exactly, as d = -(x - s).
-        direction = s - x
         grad_d = qap_gradient(inst, direction)
-        a, b = 0.5 * _inner(grad_d, direction), -gap  # two loop-made arrays of one shape
+        a, b = 0.5 * _inner(grad_d, direction), -gap  # b = <grad, d>, the gap's own product
         eta = exact_line_step(a, b)
         x = x + eta * direction
         grad = grad + eta * grad_d

@@ -40,17 +40,13 @@ class Permutation:
         # as the tuple of Python ints.
         self.__dict__.update(n=n, mapping=tuple(map(int, mapping)))
 
-    @classmethod
-    def _trusted(cls, n: int, mapping: tuple[int, ...]) -> Permutation:
-        """``Permutation(n, mapping)`` without the check, for a ``mapping``
-        built as a tuple of Python ints that is a bijection on 0..n-1."""
-        perm = object.__new__(cls)
-        perm.__dict__.update(n=n, mapping=mapping)
-        return perm
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LapSolution:
+    """An optimal assignment and its dual potentials.  Equality is
+    identity, and the hash is the object's: comparing the dual arrays by
+    value would raise numpy's ambiguous-truth error."""
+
     permutation: Permutation
     value: float
     dual_row: np.ndarray
@@ -165,12 +161,18 @@ def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution
     for j in range(n):
         mapping[p[j]] = j
     value = float(sum([row[j] for row, j in zip(rows, mapping)]))
-    return LapSolution(
-        permutation=Permutation._trusted(n, tuple(mapping)),
-        value=value,
-        dual_row=np.array(u),
-        dual_col=np.array(v[:n]),
-    )
+    return _unchecked(LapSolution, permutation=_unchecked(Permutation, n=n, mapping=tuple(mapping)),
+                      value=value, dual_row=np.array(u), dual_col=np.array(v[:n]))
+
+
+def _unchecked(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass without its ``__init__``,
+    which sets each field through ``object.__setattr__`` and runs
+    ``__post_init__``'s checks: only for fields that meet them by
+    construction, as the solver's do."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def permutation_to_matrix(perm: Permutation) -> np.ndarray:

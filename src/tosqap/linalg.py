@@ -64,11 +64,16 @@ def check_real(value, name: str, *, least=-math.inf, above=None, finite: bool = 
 
 def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
     """Standard trace inner product sum_ij X_ij * Y_ij."""
+    return _inner(*_same_shape(x, y))
+
+
+def _same_shape(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float64 arrays, which must have one shape."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return _inner(x, y)
+    return x, y
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linalg import as_matrix, check_int, check_real, draw_uniform_index
-from .linalg import frobenius_inner, frobenius_norm, make_rng
+from .linalg import _inner, _same_shape, frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
 from .prox import ProxOperator, product_space_prox
 
@@ -238,7 +238,15 @@ def stationarity_gap(grad: np.ndarray, z: np.ndarray, vertex: np.ndarray) -> flo
     set, so the gap is <grad, z - vertex>.  Over the Birkhoff polytope it is
     the permutation matrix of a linear assignment solve on ``grad``.
     """
-    return frobenius_inner(grad, z - vertex)
+    return _gap(*_same_shape(grad, vertex - z))
+
+
+def _gap(grad: np.ndarray, d: np.ndarray) -> float:
+    """``stationarity_gap`` from ``d = vertex - z``, for float64 arrays of
+    one shape, unchecked: -<grad, d>, the bits of <grad, z - vertex>, as
+    negation commutes with every rounding.  ``0.0 -`` keeps a zero gap
+    +0.0, the sign of that sum, where bare negation would make it -0.0."""
+    return 0.0 - _inner(grad, d)
 
 
 IterationHook = Callable[[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]

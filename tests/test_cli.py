@@ -16,6 +16,8 @@ from tosqap.cli import main, pairwise_tally, write_trace
 from tosqap.qap import QapInstance, build_problem, estimate_smoothness
 from tosqap.solver import StepRule, TraceRecord
 
+from pins import on_core
+
 
 def write_instance(path, n, seed):
     rng = make_rng(seed)
@@ -174,15 +176,23 @@ class TestSolve:
         l_smooth = estimate_smoothness(qap.load_instance(inst_path))
         assert (summary["l_smooth"], summary["gamma"]) == (l_smooth, 1.0 / l_smooth)
         assert [hashlib.sha256((out / f"chr12a_tos-split1_seed0.{kind}").read_bytes()).hexdigest()
-                for kind in ("trace.csv", "iterate.txt")] == [
-            "5a3eff542a4714891f2ff3d5d206114988e507df3f3930f4781d2f1af14b6707",
-            "cb198ec5321e08cdad8b5f9f8845c444969e91da1dfbbcafd25be91a64846d2d"]
+                for kind in ("trace.csv", "iterate.txt")] == on_core(
+            SkylakeX=["5a3eff542a4714891f2ff3d5d206114988e507df3f3930f4781d2f1af14b6707",
+                      "cb198ec5321e08cdad8b5f9f8845c444969e91da1dfbbcafd25be91a64846d2d"],
+            Haswell=["023384a5eac178a945a2f313e9b477e1d32dc34c14a7720cafd1aa042856e9e2",
+                     "a5ed4646839080ec6e03c2d6678a254bddf88ab2a0619b90bcc2a45324263dba"])
 
     @pytest.mark.parametrize("solver, digests", [
-        ("tos-split2", ["78403e0fd8c8e5a1aa0f92f06fed2c5a633c4dae9b3a23512ef9810fda8d0462",
-                        "fc9d1495d3a60bc46b318a4da80a2da00eabc508762ad852cbe37190d72fca11"]),
-        ("fw", ["7f687437565b1b9bd1e90b53167b0214e2c2e71635ae1844791866c696ba240c",
-                "12b33433187101094cba60101a4e385d6b184f921aabdd01252b2da7ec69b4d8"]),
+        ("tos-split2", {
+            "SkylakeX": ["78403e0fd8c8e5a1aa0f92f06fed2c5a633c4dae9b3a23512ef9810fda8d0462",
+                         "fc9d1495d3a60bc46b318a4da80a2da00eabc508762ad852cbe37190d72fca11"],
+            "Haswell": ["8fe02fe53df5d29c453f4e145dd212ac994e1f5a1d4fd254ac937639ed239825",
+                        "84258f018abcfa4c2b01c55b64b1d616af6abe426f34e5be79ced89c78129559"]}),
+        ("fw", {
+            "SkylakeX": ["7f687437565b1b9bd1e90b53167b0214e2c2e71635ae1844791866c696ba240c",
+                         "12b33433187101094cba60101a4e385d6b184f921aabdd01252b2da7ec69b4d8"],
+            "Haswell": ["b894f3c0e393d57633e0f9a52a29099c40a72289fc96cbafe0b5bd6915ea657e",
+                        "b68cfe1da2463b2965b8ab74a23b89aa3390b0b9e7dc0f6b17172bdaf7fa984b"]}),
     ])
     def test_chr12a_artifact_digests(self, tmp_path, solver, digests):
         # The command above for the other two solvers: the sha256 of the trace
@@ -192,7 +202,7 @@ class TestSolve:
         assert main(["solve", str(inst_path), "--solver", solver, "--step", "invL",
                      "--iters", "512", "--out", str(out)]) == 0
         assert [hashlib.sha256((out / f"chr12a_{solver}_seed0.{kind}").read_bytes()).hexdigest()
-                for kind in ("trace.csv", "iterate.txt")] == digests
+                for kind in ("trace.csv", "iterate.txt")] == on_core(**digests)
 
     def test_non_utf8_file_is_named(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
@@ -218,6 +228,8 @@ class TestSolve:
         assert isinstance(blas["name"], str) and isinstance(blas["version"], str)
         threads = summary["env"].pop("blas_threads")
         assert threads is None or (isinstance(threads, int) and threads >= 1)
+        core = summary["env"].pop("blas_core")
+        assert core is None or (isinstance(core, str) and core)
         assert summary["env"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -240,6 +252,18 @@ class TestSolve:
                                    "print(json.dumps(environment()['blas_threads']))"],
             env=env, check=True, capture_output=True, text=True, timeout=60)
         assert json.loads(proc.stdout) in (None, 1)
+
+    def test_environment_records_the_live_blas_core(self):
+        # OPENBLAS_CORETYPE forces the kernels OpenBLAS loads.  Haswell's
+        # need AVX2, as the Haswell values of the pinned outputs do.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import json; from tosqap.cli import environment; "
+                                   "print(json.dumps(environment()['blas_core']))"],
+            env=env, check=True, capture_output=True, text=True, timeout=60)
+        assert json.loads(proc.stdout) in (None, "Haswell")
 
     def test_byte_identical_traces_same_seed(self, tmp_path):
         inst_path = tmp_path / "rep.dat"
@@ -402,20 +426,22 @@ class TestBench:
         digests = {r["y1_digest"] for r in rows}
         assert len(digests) == 1  # every solver saw the same initial point
         # Both TOS cells run to the 150 cap (rows 1, 2, ..., 128, 150); FW's
-        # gap rounds to <= 0 after 37 steps (rows 0, 1, ..., 32, 37).
+        # gap rounds to <= 0 after 37 steps (rows 0, 1, ..., 32, 37) on
+        # SkylakeX kernels, after 66 (rows 0, 1, ..., 64, 66) on Haswell's.
         assert [(r["stopped_by"], r["iterations"], r["checkpoints"]) for r in rows] == [
-            ("cap", 150, 9), ("cap", 150, 9), ("gap", 37, 8)]
+            ("cap", 150, 9), ("cap", 150, 9),
+            on_core(SkylakeX=("gap", 37, 8), Haswell=("gap", 66, 9))]
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
 
     def test_rows_count_checks_beside_trace_rows(self, tmp_path):
         # Without a tol a TOS cell checks its trace rows alone; FW checks
-        # every point it reaches, 38 for its 37 steps.
+        # every point it reaches, 38 for its 37 steps (67 for 66 on Haswell).
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "fw"])
         assert main(["bench", str(mp)]) == 0
         rows = json.loads((out / "bench_summary.json").read_text())["rows"]
         assert [(r["stopped_by"], r["checkpoints"], r["checks"]) for r in rows] == [
-            ("cap", 9, 9), ("gap", 8, 38)]
+            ("cap", 9, 9), on_core(SkylakeX=("gap", 8, 38), Haswell=("gap", 9, 67))]
 
     def test_rows_report_the_resolved_step(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 2, ["tos-split1", "fw"], iters=20,

@@ -24,6 +24,8 @@ from tosqap import fw, solver
 from tosqap.fw import FwConfig, exact_line_step, run_fw
 from tosqap.lap import Permutation
 
+from pins import on_core
+
 
 def random_instance(n, seed, best_known=None):
     rng = make_rng(seed)
@@ -314,13 +316,25 @@ class TestRun:
     def test_gap_exit(self):
         # The n = 4 instance of the CLI tests' bench manifest, from
         # initial_point(4, 0): the exact gap, at rounding level (about 1e-14
-        # on f = 381) from step 34 on, first rounds to <= 0 after 37 steps.
+        # on f = 381) from step 34 on, first rounds to <= 0 after 37 steps on
+        # SkylakeX kernels, after 66 on Haswell's.
         rng = make_rng(10)
         a = rng.integers(0, 10, (4, 4)).astype(float)
         inst = QapInstance("inst0", a, rng.integers(0, 10, (4, 4)).astype(float))
         res = run_fw(inst, initial_point(4, 0), FwConfig(max_iters=150))
-        assert (res.stopped_by, res.iterations_run, res.checks) == ("gap", 37, 38)
+        assert (res.stopped_by, res.iterations_run, res.checks) == on_core(
+            SkylakeX=("gap", 37, 38), Haswell=("gap", 66, 67))
         assert res.trace[-1].coupling <= 0.0
+
+    def test_zero_gap_is_positive_zero(self):
+        # f(X) = -<X, X> is concave, and from a permutation P the assignment
+        # solve on grad f(P) = -2P returns P itself: the gap is exactly zero
+        # and stops the run at t = 0.  It is written +0.0, the sign of
+        # <grad, X - S>; -<grad, S - X> alone would write -0.0.
+        res = run_fw(QapInstance("neg", -np.eye(4), np.eye(4)), np.eye(4)[[2, 0, 3, 1]],
+                     FwConfig(max_iters=8))
+        assert (res.stopped_by, res.iterations_run, len(res.trace)) == ("gap", 0, 1)
+        assert res.trace[0].coupling == 0.0 and math.copysign(1, res.trace[0].coupling) == 1
 
     def test_gap_nonnegative_on_trace(self):
         # Every start is a convex combination of permutations, so each

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import itertools
 import time
@@ -348,11 +349,16 @@ def tie_heavy_costs():
 
 
 class TestSolverPermutations:
-    """The solver builds its permutations without the constructor's check;
-    each must still pass it and hold Python ints."""
+    """The solver builds its solutions and their permutations without the
+    constructors; each must still pass the permutation's check, hold
+    Python ints, and carry the field types of a constructed solution."""
 
     @staticmethod
     def assert_checked(sol, n):
+        assert type(sol) is LapSolution and type(sol.value) is float
+        assert list(vars(sol)) == [f.name for f in dataclasses.fields(LapSolution)]
+        for dual in (sol.dual_row, sol.dual_col):
+            assert type(dual) is np.ndarray and dual.dtype == np.float64 and dual.shape == (n,)
         perm = sol.permutation
         assert type(perm.n) is int and perm.n == n and type(perm.mapping) is tuple
         assert all(type(j) is int for j in perm.mapping)
@@ -375,3 +381,20 @@ class TestSolverPermutations:
                          rng.standard_normal(n)):
             self.assert_checked(solve_lap_min(cost, carrying(dual_col)), n)
         self.assert_checked(solve_lap_min(cost, solve_lap_min(cost.T.copy())), n)
+
+
+class TestLapSolutionEquality:
+    """A ``LapSolution`` is equal only to itself and hashes by identity:
+    comparing its dual arrays by value would raise numpy's ambiguous-truth
+    error for n >= 2."""
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_compares_and_hashes_by_identity(self, n):
+        cost = make_rng(n).standard_normal((n, n))
+        cold = solve_lap_min(cost)
+        sols = [cold, solve_lap_min(cost), solve_lap_min(cost, cold), solve_lap_max(cost)]
+        for sol in sols:
+            TestSolverPermutations.assert_checked(sol, n)
+            assert sol == sol and hash(sol) == hash(sol)
+            assert [other == sol for other in sols] == [other is sol for other in sols]
+        assert len(set(sols)) == len(sols)
