@@ -22,13 +22,22 @@ def as_matrix(x, name: str, shape=None) -> np.ndarray:
         a = np.ascontiguousarray(x, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of real numbers ({exc})") from None
-    if shape is not None and a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if shape is None and (a.ndim != 2 or a.size == 0):
+    if shape is not None:
+        _shaped(a, name, shape)
+    elif a.ndim != 2 or a.size == 0:
         raise ValueError(f"{name} must be 2-D with positive dimensions, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _shaped(x, name: str, shape) -> np.ndarray:
+    """``x`` as a float64 array of exactly ``shape``, else a ``ValueError``
+    naming ``name``; its entries are not scanned."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
+    return x
 
 
 def as_square(x, name: str) -> np.ndarray:
@@ -63,17 +72,9 @@ def check_real(value, name: str, *, least=-math.inf, above=None, finite: bool = 
 
 
 def frobenius_inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Standard trace inner product sum_ij X_ij * Y_ij."""
-    return _inner(*_same_shape(x, y))
-
-
-def _same_shape(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as float64 arrays, which must have one shape."""
+    """Trace inner product sum_ij X_ij * Y_ij; ``y`` must have ``x``'s shape."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return x, y
+    return _inner(x, _shaped(y, "y", x.shape))
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> float:

@@ -36,6 +36,9 @@ class StochasticGradientOracle:
     gradient: Callable[[np.ndarray], np.ndarray]
     sigma: float
 
+    def __post_init__(self):
+        check_real(self.sigma, "sigma", least=0, finite=True)
+
 
 def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGradientOracle:
     """Exact gradient plus isotropic Gaussian noise with E||noise||^2 = sigma^2.
@@ -44,7 +47,6 @@ def gaussian_noise_oracle(exact: GradientOracle, sigma: float) -> StochasticGrad
     the generator, so a zero-variance stochastic run collapses bitwise onto
     the deterministic one.
     """
-    check_real(sigma, "sigma", least=0, finite=True)
     return StochasticGradientOracle(gradient=exact.gradient, sigma=sigma)
 
 
@@ -80,7 +82,8 @@ def minibatch_gradient(
 def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -> int:
     """Batch size ceil(T^(2/3) / (2 (G_f + L_g + L_h)^2)), floored at 1."""
     check_int(t_total, "t_total", 1)
-    s = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0, finite=True)
+    s = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
+                   + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
     q = t_total ** (2.0 / 3.0) / (2.0 * s**2)
     return max(1, math.ceil(q - 1e-8))
 

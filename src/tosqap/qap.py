@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .lap import Permutation, permutation_to_matrix, solve_lap_max, solve_lap_min
-from .linalg import as_matrix, as_square, check_int, check_real, frobenius_norm, make_rng
+from .linalg import _shaped, as_matrix, as_square, check_int, check_real, frobenius_norm, make_rng
 from .oracles import GradientOracle
 from .prox import (
     prox_affine_doubly_stochastic,
@@ -114,14 +114,14 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
 
 def qap_objective(inst: QapInstance, x: np.ndarray) -> float:
     """trace(A X B^T X^T)."""
-    x = _check_shape(inst, x)
+    x = _shaped(x, "x", (inst.n, inst.n))
     return float(np.trace(inst.a @ x @ inst.b.T @ x.T))
 
 
 def qap_gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
     """Gradient A X B^T + A^T X B of the quadratic objective: 4 matrix
     products, or 2 on a symmetric instance, where it equals 2 A X B."""
-    x = _check_shape(inst, x)
+    x = _shaped(x, "x", (inst.n, inst.n))
     if inst.symmetric:
         h = inst.a @ x @ inst.b
         return h + h
@@ -354,13 +354,6 @@ def relax_and_round(
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
     return QapResult(**_report(inst, run.z_out, run.trace[-1], "tol" if run.stopped else "cap",
                                run.checks), relaxed_iterate=run.z_out, run=run)
-
-
-def _check_shape(inst: QapInstance, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (inst.n, inst.n):
-        raise ValueError(f"x must have shape {(inst.n, inst.n)}, got {x.shape}")
-    return x
 
 
 def _check_split(split: str) -> None:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linalg import as_matrix, check_int, check_real, draw_uniform_index
-from .linalg import _inner, _same_shape, frobenius_inner, frobenius_norm, make_rng
+from .linalg import _inner, _shaped, frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
 from .prox import ProxOperator, product_space_prox
 
@@ -34,7 +34,8 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     (l_g = l_h = 0), with D_g the diameter of the set."""
     check_real(d_g, "d_g", above=0, finite=True)
     check_int(t_total, "t_total", 1)
-    bound = check_real(g_f + l_g + l_h, "g_f + l_g + l_h", above=0, finite=True)
+    bound = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
+                       + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
     return check_real(d_g / (2.0 * bound * t_total ** (2.0 / 3.0)), "theory step", above=0,
                       finite=True)
 
@@ -240,7 +241,8 @@ def stationarity_gap(grad: np.ndarray, z: np.ndarray, vertex: np.ndarray) -> flo
     set, so the gap is <grad, z - vertex>.  Over the Birkhoff polytope it is
     the permutation matrix of a linear assignment solve on ``grad``.
     """
-    return _gap(*_same_shape(grad, vertex - z))
+    grad = np.asarray(grad, dtype=np.float64)
+    return _gap(grad, _shaped(vertex - z, "vertex - z", grad.shape))
 
 
 def _gap(grad: np.ndarray, d: np.ndarray) -> float:

@@ -180,19 +180,31 @@ class TestSolve:
             SkylakeX=["5a3eff542a4714891f2ff3d5d206114988e507df3f3930f4781d2f1af14b6707",
                       "cb198ec5321e08cdad8b5f9f8845c444969e91da1dfbbcafd25be91a64846d2d"],
             Haswell=["023384a5eac178a945a2f313e9b477e1d32dc34c14a7720cafd1aa042856e9e2",
-                     "a5ed4646839080ec6e03c2d6678a254bddf88ab2a0619b90bcc2a45324263dba"])
+                     "a5ed4646839080ec6e03c2d6678a254bddf88ab2a0619b90bcc2a45324263dba"],
+            Sandybridge=["37955201b39d5c5b814b9cb4a3c088efb32b74c2f884440f61e60f79ad6ae122",
+                         "00a623ab682bcd10c0406e41415f203cc6eefd29ace84fd5a0ef2933e42661f5"],
+            Nehalem=["405db29138d1f2aee74cd7ed662f1ef5cda69a04ee4d06ddf4d17f3c8db65bf0",
+                     "00a623ab682bcd10c0406e41415f203cc6eefd29ace84fd5a0ef2933e42661f5"])
 
     @pytest.mark.parametrize("solver, digests", [
         ("tos-split2", {
             "SkylakeX": ["78403e0fd8c8e5a1aa0f92f06fed2c5a633c4dae9b3a23512ef9810fda8d0462",
                          "fc9d1495d3a60bc46b318a4da80a2da00eabc508762ad852cbe37190d72fca11"],
             "Haswell": ["8fe02fe53df5d29c453f4e145dd212ac994e1f5a1d4fd254ac937639ed239825",
-                        "84258f018abcfa4c2b01c55b64b1d616af6abe426f34e5be79ced89c78129559"]}),
+                        "84258f018abcfa4c2b01c55b64b1d616af6abe426f34e5be79ced89c78129559"],
+            "Sandybridge": ["0abcbf84bda1f4eb85b977d1ec29d0a0606d5509e6b9a50a77452127fc6365d1",
+                            "73ba88954b49f06a856220af46b17e2280cc6f0a0ae593a179296c7031837ec6"],
+            "Nehalem": ["d5cbc7bf7a85c31939e5b02aa94d8e254d74f29c365e18d3ebf79dd346a96604",
+                        "73ba88954b49f06a856220af46b17e2280cc6f0a0ae593a179296c7031837ec6"]}),
         ("fw", {
             "SkylakeX": ["7f687437565b1b9bd1e90b53167b0214e2c2e71635ae1844791866c696ba240c",
                          "12b33433187101094cba60101a4e385d6b184f921aabdd01252b2da7ec69b4d8"],
             "Haswell": ["b894f3c0e393d57633e0f9a52a29099c40a72289fc96cbafe0b5bd6915ea657e",
-                        "b68cfe1da2463b2965b8ab74a23b89aa3390b0b9e7dc0f6b17172bdaf7fa984b"]}),
+                        "b68cfe1da2463b2965b8ab74a23b89aa3390b0b9e7dc0f6b17172bdaf7fa984b"],
+            "Sandybridge": ["ed1f6eb0bfd071b7dd9e817291ede53ddad9895702d39269cebfd7bd0ca31a6e",
+                            "6f93ae36a2013eea5e64c9759be905dfecccd022c7c480b00c74b659affb664c"],
+            "Nehalem": ["86038969ad6194217e965cb7215add288202a6f1b3f1d78660f9e0dab7e76cbc",
+                        "eb75e4c8e991df52b43ece54ea49dfbd582e8645e273787a2cc947bc9f16cc6c"]}),
     ])
     def test_chr12a_artifact_digests(self, tmp_path, solver, digests):
         # The command above for the other two solvers: the sha256 of the trace
@@ -427,21 +439,25 @@ class TestBench:
         assert len(digests) == 1  # every solver saw the same initial point
         # Both TOS cells run to the 150 cap (rows 1, 2, ..., 128, 150); FW's
         # gap rounds to <= 0 after 37 steps (rows 0, 1, ..., 32, 37) on
-        # SkylakeX kernels, after 66 (rows 0, 1, ..., 64, 66) on Haswell's.
+        # SkylakeX kernels, after 66 (rows 0, 1, ..., 64, 66) on Haswell's,
+        # after 42 on Sandybridge's and 38 on Nehalem's.
         assert [(r["stopped_by"], r["iterations"], r["checkpoints"]) for r in rows] == [
             ("cap", 150, 9), ("cap", 150, 9),
-            on_core(SkylakeX=("gap", 37, 8), Haswell=("gap", 66, 9))]
+            on_core(SkylakeX=("gap", 37, 8), Haswell=("gap", 66, 9), Sandybridge=("gap", 42, 8),
+                    Nehalem=("gap", 38, 8))]
         assert set(report["tally"]) == {
             "tos-split1_vs_tos-split2", "tos-split1_vs_fw", "tos-split2_vs_fw"}
 
     def test_rows_count_checks_beside_trace_rows(self, tmp_path):
         # Without a tol a TOS cell checks its trace rows alone; FW checks
-        # every point it reaches, 38 for its 37 steps (67 for 66 on Haswell).
+        # every point it reaches, 38 for its 37 steps (67 for 66 on Haswell,
+        # 43 for 42 on Sandybridge, 39 for 38 on Nehalem).
         mp, out = self.make_manifest(tmp_path, 1, ["tos-split1", "fw"])
         assert main(["bench", str(mp)]) == 0
         rows = json.loads((out / "bench_summary.json").read_text())["rows"]
         assert [(r["stopped_by"], r["checkpoints"], r["checks"]) for r in rows] == [
-            ("cap", 9, 9), on_core(SkylakeX=("gap", 8, 38), Haswell=("gap", 9, 67))]
+            ("cap", 9, 9), on_core(SkylakeX=("gap", 8, 38), Haswell=("gap", 9, 67),
+                                   Sandybridge=("gap", 8, 43), Nehalem=("gap", 8, 39))]
 
     def test_rows_report_the_resolved_step(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 2, ["tos-split1", "fw"], iters=20,

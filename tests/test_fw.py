@@ -317,13 +317,15 @@ class TestRun:
         # The n = 4 instance of the CLI tests' bench manifest, from
         # initial_point(4, 0): the exact gap, at rounding level (about 1e-14
         # on f = 381) from step 34 on, first rounds to <= 0 after 37 steps on
-        # SkylakeX kernels, after 66 on Haswell's.
+        # SkylakeX kernels, after 66 on Haswell's, 42 on Sandybridge's and 38
+        # on Nehalem's.
         rng = make_rng(10)
         a = rng.integers(0, 10, (4, 4)).astype(float)
         inst = QapInstance("inst0", a, rng.integers(0, 10, (4, 4)).astype(float))
         res = run_fw(inst, initial_point(4, 0), FwConfig(max_iters=150))
         assert (res.stopped_by, res.iterations_run, res.checks) == on_core(
-            SkylakeX=("gap", 37, 38), Haswell=("gap", 66, 67))
+            SkylakeX=("gap", 37, 38), Haswell=("gap", 66, 67), Sandybridge=("gap", 42, 43),
+            Nehalem=("gap", 38, 39))
         assert res.trace[-1].coupling <= 0.0
 
     def test_zero_gap_is_positive_zero(self):

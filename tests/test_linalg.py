@@ -30,7 +30,7 @@ def test_inner_elementwise_sum():
 
 
 def test_inner_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^y must have shape \(2, 2\), got \(3, 3\)$"):
         frobenius_inner(np.eye(2), np.eye(3))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from tosqap import (
     GradientOracle,
+    StochasticGradientOracle,
     batch_schedule_lipschitz,
     frobenius_norm,
     gaussian_noise_oracle,
@@ -113,6 +114,14 @@ def test_sigma_must_be_nonnegative_and_finite(exact, sigma):
         gaussian_noise_oracle(exact, sigma)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0, True, "1"])
+def test_oracle_built_directly_checks_sigma(exact, sigma):
+    # The oracle checks its own sigma, as a problem checks its constants: a
+    # NaN sigma would otherwise surface only as a divergence at iteration 1.
+    with pytest.raises(ValueError, match=r"^sigma: expected a finite number >= 0, got "):
+        StochasticGradientOracle(gradient=exact.gradient, sigma=sigma)
+
+
 def test_minibatch_determinism(exact):
     noisy = gaussian_noise_oracle(exact, 1.0)
     x = np.full((3, 3), 0.25)
@@ -176,8 +185,16 @@ def test_batch_schedule_rejects_bad_constants():
 
 @pytest.mark.parametrize("args, name", [
     ((2.5, 1.0, 0.0, 0.0), "t_total"), ((True, 1.0, 0.0, 0.0), "t_total"),
-    ((10, math.nan, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((8, math.inf, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
+    ((10, 1e308, 1e308, 0.0), r"g_f \+ l_g \+ l_h"),
+    ((8, math.inf, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
+    # Each constant is checked before the sum: g_f = -1.0 would give the
+    # batch of the sum 1, and a string g_f a TypeError naming nothing.
+    ((8, -1.0, 2.0, 0.0), "g_f"), ((8, "1", 2.0, 0.0), "g_f"),
+    ((8, 1.0, math.nan, 0.0), "l_g"), ((8, 1.0, -1.0, 0.0), "l_g"),
+    ((8, 1.0, 2.0, True), "l_h"), ((8, 1.0, 2.0, -0.5), "l_h"),
+    # Each may be +inf; the sum refuses it.
+    ((8, 0.0, math.inf, 0.0), r"g_f \+ l_g \+ l_h"),
+    ((8, 0.0, 0.0, math.inf), r"g_f \+ l_g \+ l_h")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

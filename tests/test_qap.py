@@ -343,7 +343,8 @@ class TestSmoothness:
         # four-product gradient.  L sets the step 1/L of every TOS run, so a
         # change here moves every chr12a digest.
         assert estimate_smoothness(load_instance(chr12a_path())).hex() == on_core(
-            SkylakeX="0x1.180c7c66fd04dp+17", Haswell="0x1.180c7c66fd04ep+17")
+            SkylakeX="0x1.180c7c66fd04dp+17", Haswell="0x1.180c7c66fd04ep+17",
+            Sandybridge="0x1.180c7c66fd04dp+17", Nehalem="0x1.180c7c66fd04dp+17")
 
 
 class TestSplitGeometry:
@@ -707,12 +708,30 @@ class TestIterationPath:
                      "29fa5d061793e375fbc864c56cf66bb8b583f789e8941616d22de3a5e81a51f1",
                      "cd980c3982d6b40096a84b87c59db275d9e1b52af6cc71d985e5d14e94791af2"),
         },
+        "Sandybridge": {
+            SPLIT1: ("4764842f33d6e865197b8c92e93b72aabde4be14abf6d8989588d3c68f3a9de2",
+                     "0a866b90efc747ab52bfe298970cee618896f7bd39469f9f2b7423165f46c292",
+                     "efc1996d25b1f94dd7c86029d3758a349ba2e33e8e87147426a94e7f220ac517"),
+            SPLIT2: ("8063cbbc1b78ee63a47ccc1a799ef8575e4b377638627ec3a2366b2cd42d093c",
+                     "c31676474e523a9471cadb114da599982ddb7abcaa6cd496a524976ada2867eb",
+                     "87be64a83f24f4647591832b2dd74e7f5b5116e24fd118c98e1168f90986ec23"),
+        },
+        "Nehalem": {
+            SPLIT1: ("4764842f33d6e865197b8c92e93b72aabde4be14abf6d8989588d3c68f3a9de2",
+                     "82cb78be70dc17dadace92170943bac16500db8c8c29f064a1e6e9d731a66e09",
+                     "2ad8476107dbbec7e58c35d85a0ccdf7185c7399be0ef689b6e45a614e42bcbd"),
+            SPLIT2: ("8063cbbc1b78ee63a47ccc1a799ef8575e4b377638627ec3a2366b2cd42d093c",
+                     "c49795d1d289f3dd433ddbf6e88500e9b095c2acfcae9ddb62d464079e1522a7",
+                     "965b2482480fb6df581aa0220d072f6852d4889ec6ce3326f917c73f09ef5580"),
+        },
     }
     # run_tos_product_space over the row, column and box proxes, same start,
     # step and cap: sha256 of x_out.
     GOLDEN_CONSENSUS = {
         "SkylakeX": "058be8445ea0bb30e5e8de63bc0228ddc0a8a0f9d0cc2972c2bd26d9e43583ab",
         "Haswell": "5c803b4ab807a267460ee3c7a12a8453360129e6f100caefa977c19d0f245763",
+        "Sandybridge": "24bba9a89966238f099555a2d333dbe7117818e10b9b47b618feeab99a7f74a9",
+        "Nehalem": "24bba9a89966238f099555a2d333dbe7117818e10b9b47b618feeab99a7f74a9",
     }
     # run_fw, same start and cap: iterate, trace rows, and float.hex of the
     # relaxed value and nonstationarity.  The gradient and objective that
@@ -726,6 +745,12 @@ class TestIterationPath:
         "Haswell": ("c5b8a4d6ea4c4d423fde7f3cdf9a642f425f4bb2957529f909b92cf7a026ab35",
                     "bc7482376e32dbc623704a5e60019aec6130c8f23f16d3d834acf892c0f3a3b2",
                     "0x1.4e1f729a114b2p+13", "0x1.4c6ae982d79fdp-10"),
+        "Sandybridge": ("13b632083b519318bca532ae581f2ff8e58e0c847cf3044573a0db7c418f90c1",
+                        "dcb5521d8aee2343b43306b2a3a7253c8530004f87f529ba6242244dd5a188b9",
+                        "0x1.4e1f729a114b3p+13", "0x1.4c6ae982d6d70p-10"),
+        "Nehalem": ("190e47eeba246886c4d903e54f5dd8a558a4e4a9b897bdf784677eecbed6f81f",
+                    "a9e56627f554ee652e3ebe9f0515657dc9244a75bcbf91ae7ed9b62670fe2493",
+                    "0x1.4e1f729a114b4p+13", "0x1.4c6ae982d7943p-10"),
     }
     # run_fw as the chr12a FW cell runs it, FwConfig(max_iters=4096,
     # gap_tolerance=1e-5), from initial_point(12, start) for starts 0-4:
@@ -755,6 +780,30 @@ class TestIterationPath:
                 "237594aeaaca339c99d0d6bc242e5e134a580820a6e437115077ce7fff65fd41", 11864.0),
             4: (4096, "cap", "a89f43c872889c7657cc2015b70c52f3a7b8e28ab68fb72215b1b76bdd21ce15",
                 "4df2dc78d53d23dc9ea79e69ffb44dbf610bbb6bc3d654022ad9825c95e01da5", 14346.0),
+        },
+        "Sandybridge": {
+            0: (4096, "cap", "e547a2556e4e84bab0d1dcc06a3af02ff419ad7457141caf29ebc4ad7ac82b97",
+                "d4b8e1177131bcc2d710ebe239a0f251c55ef05b4555998a2627a2f6453b83e9", 12746.0),
+            1: (4096, "cap", "4856b50a997b01638df9cfa52829a5ba53cc0592829822a0fe00574f6fb6b033",
+                "20f73ff34e7bbe93a20231bd782e2d7b7a2fe1d3d5be0be8f3d501c228b11470", 14828.0),
+            2: (4096, "cap", "bf4b08f8a39d0db21e6a1b7aafbc73feb4aca56079c1a5131e4023a2fa43b68e",
+                "bf3b6c68e12da812bfbe3dc0299a45676596acf043562a70b89466302ba1e9ce", 21390.0),
+            3: (14, "tol", "cedf8fe518d11e1cd5b4ea08056c76d3e385dfd9f9d685072a5565f48557f60c",
+                "e0a62900162f9a36b42e334925d17a6d9aff734555ae49531b8838fd78c3ea5d", 11864.0),
+            4: (4096, "cap", "0fb827e49a68ff6760d0ab7234f5a7f8899849cfbd436f1b4b67209c4bf670e0",
+                "e771b02d8237bc869865adf413d1c0c7d5301476a51fd5633e60621cfc0e79a8", 14346.0),
+        },
+        "Nehalem": {
+            0: (4096, "cap", "36e8faeffb7aef0d71dcf46308c40c0edd4ae0956c5cdc152d7ed78df329856d",
+                "2a2c437993448593bd4c3bc704c98eabf3f5d9fa09bb11508a856ec25d8b4e03", 12746.0),
+            1: (4096, "cap", "199b2cce5bb057db8f689c6471749e501e45ccb3f07e95bd44646d6d577f2f2e",
+                "b4d96fd35ea088811f2cc07aa143f45fec2fa747a51791d1a5f388759b868e7f", 14828.0),
+            2: (4096, "cap", "4939a06e3c947c39e3f0960c94577f7bd7048756332a3297b5f10aa7421f440a",
+                "67beb90b962605ce7b717badde98f415df8489ee23c6e6f75dfee6b3a61d7b95", 21390.0),
+            3: (14, "tol", "6be5d35f92fe1cb6883769242bc6a929559fe023832e21a8063d84bb065e34ee",
+                "3e91d99f7d1df69f74bbbf7e716941cac80b5293dc614f87bd3b23f39042eddb", 11864.0),
+            4: (4096, "cap", "bce06e3775d7b7fe4861fa3dd8b07d8c9eec12acad1cf760e5268beae1c33960",
+                "9f1cfe60de59406e834afb6108f8b40d61a560b8d9882038d8a0f9c0b037bf50", 14346.0),
         },
     }
     # The same for the composite workload's FW cell, as `tosqap bench` runs
@@ -790,6 +839,34 @@ class TestIterationPath:
             5: (1000, "cap", "bc40c29be3a90d8eb422816f327d11287a00744583d3834457932fa9bd4af75f",
                 "56ac96c78bc5f536f88025bd98edecfad6611ec41d5b4b99f98c0efed1617ea4", 18508.0),
         },
+        "Sandybridge": {
+            0: (1000, "cap", "d50262976180109449b869885f6eb47bf1390d73d1768ce956b1c3abe68c9b36",
+                "5041dc3bd03cc10101079af7e3a1cbfcab3965a13cde9707ebe85bff7d95dfe0", 12746.0),
+            1: (1000, "cap", "71f56f75a41b7e8729f6d5069cdabebdc1d8de54246318ecd5d04097890efb69",
+                "536ae4d9b4c63905ecfc0146268b061e04c04c7dc66b668c837c735ab8ae0a4c", 14828.0),
+            2: (1000, "cap", "acc1ccb52ddbae2f6590e1e8c8c392ae55817c7fea5fcc0d54d0a691db10d782",
+                "5afcb7632f40d31c77d97f2d447ff28400d52746d4f16cfef2303ac6090c7e94", 21390.0),
+            3: (14, "tol", "cedf8fe518d11e1cd5b4ea08056c76d3e385dfd9f9d685072a5565f48557f60c",
+                "e0a62900162f9a36b42e334925d17a6d9aff734555ae49531b8838fd78c3ea5d", 11864.0),
+            4: (1000, "cap", "64bbc5b9c3686fe79b859e7434a5c7d94696acfd91f381e6e3495bfd250d73a9",
+                "0b23056be0099808d2502ae1448fe862adb45967585c5f4d1948cfe07093e8f4", 14346.0),
+            5: (1000, "cap", "1dd9dad151949904b3b100682d30a487df6250a99dd9bd8f154296f207353b88",
+                "29c21b15d4751f0a98fc147739366253d48cb5098eb715bf0f7ba3dc65bec766", 18508.0),
+        },
+        "Nehalem": {
+            0: (1000, "cap", "2161eb0552b2ad148e1efe78aa76cc73de6f0c5fc0d4554ef486442e541226f7",
+                "b98701aa1c5ec85feb81c634916f9dda7ab345a1ffff5e8d435a35f6e2636801", 12746.0),
+            1: (1000, "cap", "6bffb7e8e124af40a137851fe2d917b27f7eb3db957c9e08fe1c27c0507b76af",
+                "bbe574c72a26ed685683804040fedaae7fec78fb59688a39cc15e88e78c65b74", 14828.0),
+            2: (1000, "cap", "8e2cef16c202a2241f272380f8c1b86dbe5e01e29d1a09739ee3b40b308bec6a",
+                "041f11a9186f0e47402db069eaca4f34ea339c552c1e33da54169ce5f7e319f8", 21390.0),
+            3: (14, "tol", "6be5d35f92fe1cb6883769242bc6a929559fe023832e21a8063d84bb065e34ee",
+                "3e91d99f7d1df69f74bbbf7e716941cac80b5293dc614f87bd3b23f39042eddb", 11864.0),
+            4: (1000, "cap", "d45424d1634832f04d63a3b75a1b4503536c1f033af47d089a9c2b5aaf22e266",
+                "8368918739c51017884e635bd528704fa23203d74b2d7eafd9d67bd934096d62", 14346.0),
+            5: (1000, "cap", "b0f4eed34aaca41de1426e0b6faa281ed1287da8e53fb8f506ea5671f2507ee7",
+                "6ae2d0033d995f55b4637d3cc60fcce47147074113ea4fc796a67510a28689e0", 18508.0),
+        },
     }
     # split2 with the Gaussian minibatch oracle (sigma = 0.05 L, batch 8) and
     # the random-iterate output, same start and step, SNAPSHOT_CAP + 64
@@ -798,6 +875,8 @@ class TestIterationPath:
     GOLDEN_STOCHASTIC = {
         "SkylakeX": ("984c688cb67f86d60eeab34e5b8d0e3285872170c47efe9687d3f501617f5f0e", 1858),
         "Haswell": ("fdddeaca08a4ef85c8e2c0b5033c6d9cf3bb89afb10b82d4db167df581488a84", 1858),
+        "Sandybridge": ("b72c452897f8be84630f73cb41b9b120e106c5a486ee8097495173376381634f", 1858),
+        "Nehalem": ("b72c452897f8be84630f73cb41b9b120e106c5a486ee8097495173376381634f", 1858),
     }
 
     @pytest.mark.parametrize("split", SPLITS)

@@ -78,11 +78,20 @@ class TestStepSizes:
 
     @pytest.mark.parametrize("args, name", [
         ((1.0, 1.0, 0.0, 0.0, 2.5), "t_total"), ((1.0, 1.0, 0.0, 0.0, True), "t_total"),
-        ((1.0, math.nan, 0.0, 0.0, 10), r"g_f \+ l_g \+ l_h"),
-        # An infinite sum, and a step that underflows to 0 or overflows.
+        # A sum that overflows, an infinite one, and a step that underflows
+        # to 0 or overflows.
+        ((1.0, 1e308, 1e308, 0.0, 10), r"g_f \+ l_g \+ l_h"),
         ((1.0, math.inf, 0.0, 0.0, 8), r"g_f \+ l_g \+ l_h"),
         ((1e-300, 1e300, 0.0, 0.0, 8), "theory step"),
-        ((1e300, 1e-300, 0.0, 0.0, 1), "theory step")])
+        ((1e300, 1e-300, 0.0, 0.0, 1), "theory step"),
+        # Each constant is checked before the sum: g_f = -1.0 would give the
+        # step of the sum 1, and a string g_f a TypeError naming nothing.
+        ((1.0, -1.0, 2.0, 0.0, 8), "g_f"), ((1.0, "1", 2.0, 0.0, 8), "g_f"),
+        ((1.0, 1.0, math.nan, 0.0, 8), "l_g"), ((1.0, 1.0, -1.0, 0.0, 8), "l_g"),
+        ((1.0, 1.0, 2.0, True, 8), "l_h"), ((1.0, 1.0, 2.0, -0.5, 8), "l_h"),
+        # Each may be +inf; the sum refuses it.
+        ((1.0, 0.0, math.inf, 0.0, 8), r"g_f \+ l_g \+ l_h"),
+        ((1.0, 0.0, 0.0, math.inf, 8), r"g_f \+ l_g \+ l_h")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
@@ -545,6 +554,10 @@ class TestStationarityGap:
         grad = rng.standard_normal((4, 4))
         z = self.birkhoff_lmo(grad)
         assert stationarity_gap(grad, z, self.birkhoff_lmo(grad)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_shape_mismatch_named(self):
+        with pytest.raises(ValueError, match=r"^vertex - z must have shape \(3, 3\), got \(2, 2\)$"):
+            stationarity_gap(np.zeros((3, 3)), np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_matches_permutation_enumeration(self, n):
