@@ -23,8 +23,8 @@ def main() -> int:
     inst = cli._resolve_best_known(
         load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat"), None)
     y1 = initial_point(inst.n, args.seed)
-    rows = [cli._run_cell(inst, solver, args.iters, args.seed, StepRule.inv_smoothness(),
-                          args.tol, y1)[0] for solver in cli.SOLVERS]
+    rows = [cli._run_cell(inst, solver, args.iters, StepRule.inv_smoothness(), args.tol, y1)[0]
+            for solver in cli.SOLVERS]
 
     header = f"{'solver':<12}{'iters':>8}{'relaxed':>12}{'rounded':>10}" \
              f"{'infeas':>11}{'nonstat':>11}{'assign err':>12}{'time (s)':>10}"

@@ -124,13 +124,12 @@ def _resolve_best_known(inst: qap.QapInstance, override):
     return inst if best is None else replace(inst, best_known=best)
 
 
-def _run_cell(inst: qap.QapInstance, solver: str, iters: int, seed: int,
-              step: StepRule, tol, y1):
+def _run_cell(inst: qap.QapInstance, solver: str, iters: int, step: StepRule, tol, y1):
     if solver == "fw":
         res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
         run, iterate, gamma, l_smooth = res, res.iterate, None, None
     else:
-        config = SolverConfig(iters=iters, step=step, seed=seed)
+        config = SolverConfig(iters=iters, step=step)
         res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
         run, iterate = res.run, res.relaxed_iterate
         gamma, l_smooth = run.gamma, run.l_smooth
@@ -166,8 +165,7 @@ def cmd_solve(args) -> int:
     inst = _resolve_best_known(inst, args.best_known)
     os.makedirs(args.out, exist_ok=True)
     y1 = qap.initial_point(inst.n, args.seed)
-    summary, trace, iterate = _run_cell(
-        inst, args.solver, args.iters, args.seed, step, args.tol, y1)
+    summary, trace, iterate = _run_cell(inst, args.solver, args.iters, step, args.tol, y1)
     summary["env"] = environment()
     stem = f"{inst.name}_{args.solver}_seed{args.seed}"
     write_trace(os.path.join(args.out, stem + ".trace.csv"), trace)
@@ -246,7 +244,7 @@ def cmd_bench(args) -> int:
     for inst, y1 in cells:
         for solver in solvers:
             try:
-                summary, trace, _ = _run_cell(inst, solver, iters, seed, step, tol, y1)
+                summary, trace, _ = _run_cell(inst, solver, iters, step, tol, y1)
                 write_trace(os.path.join(out, f"{inst.name}_{solver}_seed{seed}.trace.csv"), trace)
                 rows.append(summary)
             except Exception as exc:  # cell failures are recorded, the sweep continues

@@ -81,9 +81,23 @@ def minibatch_gradient(
 
 def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -> int:
     """Batch size ceil(T^(2/3) / (2 (G_f + L_g + L_h)^2)), floored at 1."""
+    power, s = _theory_terms(t_total, g_f, l_g, l_h)
+    try:
+        return max(1, math.ceil(power / (2.0 * s**2) - 1e-8))
+    except (OverflowError, ZeroDivisionError):
+        if s > 1.0:  # s**2 overflows, and the quotient is below 1
+            return 1
+        raise ValueError(f"g_f + l_g + l_h: expected a sum with a finite batch, got {s!r}") from None
+
+
+def _theory_terms(t_total: int, g_f: float, l_g: float, l_h: float) -> tuple[float, float]:
+    """T^(2/3) and G_f + L_g + L_h of the theory step and batch rules, each input
+    checked: the sum must be finite and > 0; a fault raises ``ValueError`` naming it."""
     check_int(t_total, "t_total", 1)
     s = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
                    + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
-    q = t_total ** (2.0 / 3.0) / (2.0 * s**2)
-    return max(1, math.ceil(q - 1e-8))
-
+    try:
+        return t_total ** (2.0 / 3.0), s
+    except OverflowError:
+        raise ValueError(f"t_total: expected an integer a float can hold, got a "
+                         f"{t_total.bit_length()}-bit integer") from None

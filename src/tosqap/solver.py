@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import as_matrix, check_int, check_real, draw_uniform_index
 from .linalg import _inner, _shaped, frobenius_inner, frobenius_norm, make_rng
-from .oracles import GradientOracle, StochasticGradientOracle, minibatch_gradient
+from .oracles import GradientOracle, StochasticGradientOracle, _theory_terms, minibatch_gradient
 from .prox import ProxOperator, product_space_prox
 
 
@@ -33,11 +33,8 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     cases: g and h Lipschitz; g an indicator (l_g = 0); both indicators
     (l_g = l_h = 0), with D_g the diameter of the set."""
     check_real(d_g, "d_g", above=0, finite=True)
-    check_int(t_total, "t_total", 1)
-    bound = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
-                       + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
-    return check_real(d_g / (2.0 * bound * t_total ** (2.0 / 3.0)), "theory step", above=0,
-                      finite=True)
+    power, bound = _theory_terms(t_total, g_f, l_g, l_h)
+    return check_real(d_g / (2.0 * bound * power), "theory step", above=0, finite=True)
 
 
 @dataclass(frozen=True)
@@ -216,9 +213,10 @@ def certificate_residual(
             <= (1/2 gamma) (||y - x_ref||^2 - ||y_next - x_ref||^2
                             - ||x - z||^2)
 
-    which holds for every genuine iteration of the splitting whenever g
-    and h are convex and x_ref lies in dom(f + g + h).
+    which holds for every genuine iteration of the splitting, with a step
+    ``gamma`` > 0, whenever g and h are convex and x_ref lies in dom(f + g + h).
     """
+    check_real(gamma, "gamma", above=0, finite=True)
     lhs = (
         frobenius_inner(u, x - x_ref)
         + g_value(z)
@@ -253,16 +251,12 @@ def _gap(grad: np.ndarray, d: np.ndarray) -> float:
     return 0.0 - _inner(grad, d)
 
 
-IterationHook = Callable[[int, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
-
-
 def run_tos(
     problem: CompositeProblem,
     config: SolverConfig,
     y1: np.ndarray,
     metric_fn: Optional[Callable[[np.ndarray], tuple[float, float]]] = None,
     stop_when: Optional[Callable[[TraceRecord], bool]] = None,
-    iteration_hook: Optional[IterationHook] = None,
 ) -> RunResult:
     """Run the three-operator splitting iteration from ``y1``.
 
@@ -272,8 +266,6 @@ def run_tos(
     in between, every ``STOP_CHECK_EVERY`` iterations; if it returns True
     the loop exits there and that record is the last trace row, while a
     record between trace points that does not stop is dropped.
-    ``iteration_hook`` receives the full tuple
-    (t, gamma, u_t, z_t, x_t, y_t, y_{t+1}) of every iteration.
 
     ``y1``, of any shape equal to ``problem.shape``, is checked here, once;
     inside the loop only the finiteness of each y_{t+1} is, and a non-finite
@@ -294,21 +286,13 @@ def run_tos(
     checks = 0
     stopped = False
     for t, u, z, x, y, y_next in _steps(problem, gamma, y1, rng, t_total):
-        if iteration_hook is not None:
-            iteration_hook(t, gamma, u, z, x, y, y_next)
         traced = t in schedule
         if traced or (stop_when is not None and t % STOP_CHECK_EVERY == 0):
             checks += 1
-            cert = certificate_residual(
-                gamma, u, x, z, y, y_next, y1,
-                problem.prox_g.value, problem.prox_h.value,
-            )
-            rec = TraceRecord(
-                t=t,
-                objective=problem.oracle.value(z),
-                coupling=frobenius_norm(x - z),
-                certificate=cert,
-            )
+            cert = certificate_residual(gamma, u, x, z, y, y_next, y1,
+                                        problem.prox_g.value, problem.prox_h.value)
+            rec = TraceRecord(t=t, objective=problem.oracle.value(z),
+                              coupling=frobenius_norm(x - z), certificate=cert)
             if metric_fn is not None:
                 rec.infeasibility, rec.nonstationarity = metric_fn(z)
             stopped = stop_when is not None and stop_when(rec)

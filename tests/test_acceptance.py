@@ -14,6 +14,10 @@ plain ``pytest -s tests/test_acceptance.py`` run doubles as a checklist:
 7. bit-identical collapse of the zero-variance stochastic run onto the
    deterministic one;
 8. byte-identical output files for repeated identical runs.
+
+Criteria 1, 1b, 1c, 2 and 7 read every iteration of a run from
+``iterations.iterations``, the step generator ``run_tos`` consumes;
+``test_solver.py`` checks that the two agree bit for bit.
 """
 
 import dataclasses
@@ -49,7 +53,6 @@ from tosqap import (
     qap_objective,
     relax_and_round,
     round_to_permutation,
-    run_tos,
     solve_lap_min,
     split_diameter,
     stationarity_gap,
@@ -58,6 +61,8 @@ from tosqap.cli import main as cli_main
 from tosqap.lap import Permutation
 from tosqap.prox import prox_box01
 from tosqap.qap import SPLIT1, SPLIT2
+
+from iterations import iterations
 
 
 def report(num, label, ok):
@@ -88,15 +93,12 @@ def test_criterion_1_averaged_stationarity_bound():
         d_g = split_diameter(8, SPLIT1)
         for t_total in (8, 64, 512):
             gaps, grad_norms = [], []
-
-            def hook(t, gamma, u, z, x, y, y_next):
+            for t, gamma, u, z, x, y, y_next in iterations(
+                    problem, SolverConfig(iters=t_total, step=StepRule(kind="theory")),
+                    np.full((8, 8), 1.0 / 8)):
                 g = qap_gradient(inst, z)
                 grad_norms.append(frobenius_norm(g))
                 gaps.append(stationarity_gap(g, z, birkhoff_lmo(g)))
-
-            run_tos(problem,
-                    SolverConfig(iters=t_total, step=StepRule(kind="theory")),
-                    np.full((8, 8), 1.0 / 8), iteration_hook=hook)
             avg = float(np.mean(gaps))
             bound = 4.0 * max(grad_norms) * d_g / t_total ** (1.0 / 3.0)
             ok &= avg <= bound + 1e-9
@@ -135,14 +137,11 @@ def test_criterion_1b_averaged_infeasibility_bound():
         assert problem.g_f == gradient_bound(inst, SPLIT1)
         for t_total in (8, 64, 512):
             gammas, squares, inners = set(), [], []
-
-            def hook(t, gamma, u, z, x, y, y_next):
+            for t, gamma, u, z, x, y, y_next in iterations(
+                    problem, SolverConfig(iters=t_total, step=StepRule(kind="theory")), y1):
                 gammas.add(gamma)
                 squares.append(frobenius_norm(x - z) ** 2)
                 inners.append(frobenius_inner(u, x_ref - x))
-
-            run_tos(problem, SolverConfig(iters=t_total, step=StepRule(kind="theory")),
-                    y1, iteration_hook=hook)
             (gamma,) = gammas
             margin = 2.0 * gamma * t_total * CERTIFICATE_SLACK
             telescoped = frobenius_norm(y1 - x_ref) ** 2 + 2.0 * gamma * sum(inners)
@@ -176,14 +175,11 @@ def test_criterion_1c_telescoped_bound_under_noise():
                 det, stochastic=gaussian_noise_oracle(det.oracle, scale * det.g_f),
                 batch=batch_schedule_lipschitz(t_total, det.g_f, 0.0, 0.0))
             gammas, squares, inners = set(), [], []
-
-            def hook(t, gamma, u, z, x, y, y_next):
+            for t, gamma, u, z, x, y, y_next in iterations(
+                    sto, SolverConfig(iters=t_total, step=StepRule(kind="theory"), seed=seed), y1):
                 gammas.add(gamma)
                 squares.append(frobenius_norm(x - z) ** 2)
                 inners.append(frobenius_inner(u, x_ref - x))
-
-            run_tos(sto, SolverConfig(iters=t_total, step=StepRule(kind="theory"), seed=seed),
-                    y1, iteration_hook=hook)
             (gamma,) = gammas
             margin = 2.0 * gamma * t_total * CERTIFICATE_SLACK
             telescoped = frobenius_norm(y1 - x_ref) ** 2 + 2.0 * gamma * sum(inners)
@@ -213,17 +209,12 @@ def test_criterion_2_certificate_nonpositivity():
             inst = random_uniform_instance(n, 100 + run)
             problem = build_problem(inst, SPLIT1)
             refs = [random_doubly_stochastic(rng, n) for _ in range(5)]
-        residuals = []
-
-        def hook(t, gamma, u, z, x, y, y_next, problem=problem, refs=refs):
-            for ref in refs:
-                residuals.append(certificate_residual(
-                    gamma, u, x, z, y, y_next, ref,
-                    problem.prox_g.value, problem.prox_h.value))
-
         y1 = rng.uniform(0, 1, (n, n))
-        run_tos(problem, SolverConfig(iters=40, step=StepRule.fixed(0.2)), y1,
-                iteration_hook=hook)
+        residuals = [certificate_residual(gamma, u, x, z, y, y_next, ref,
+                                          problem.prox_g.value, problem.prox_h.value)
+                     for t, gamma, u, z, x, y, y_next in iterations(
+                         problem, SolverConfig(iters=40, step=StepRule.fixed(0.2)), y1)
+                     for ref in refs]
         worst = max(worst, max(residuals))
     ok = worst <= 1e-9
     report(2, f"certificate residual <= 1e-9 over 20 runs x 5 references "
@@ -396,13 +387,9 @@ def test_criterion_7_stochastic_deterministic_collapse():
         stochastic=gaussian_noise_oracle(det.oracle, 0.0), batch=batch)
     cfg = SolverConfig(iters=t_total, step=StepRule.fixed(0.01), seed=5)
     y1 = np.full((6, 6), 1.0 / 6)
-    traj_det, traj_sto = [], []
-    run_tos(det, cfg, y1,
-            iteration_hook=lambda t, g, u, z, x, y, yn: traj_det.append(
-                (z.tobytes(), x.tobytes(), y.tobytes())))
-    run_tos(sto, cfg, y1,
-            iteration_hook=lambda t, g, u, z, x, y, yn: traj_sto.append(
-                (z.tobytes(), x.tobytes(), y.tobytes())))
+    traj_det, traj_sto = (
+        [(z.tobytes(), x.tobytes(), y.tobytes()) for t, g, u, z, x, y, yn in iterations(p, cfg, y1)]
+        for p in (det, sto))
     ok = traj_det == traj_sto
     report(7, f"zero-variance stochastic trajectory bit-identical to "
               f"deterministic (batch {batch}, {t_total} iters)", ok)

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import importlib.resources
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from tosqap import initial_point, make_rng, qap, qap_objective
-from tosqap.cli import main, pairwise_tally, write_trace
+from tosqap.cli import environment, main, pairwise_tally, write_trace
 from tosqap.qap import QapInstance, build_problem, estimate_smoothness
 from tosqap.solver import StepRule, TraceRecord
 
@@ -28,6 +29,10 @@ def write_instance(path, n, seed):
     lines += [" ".join(str(v) for v in row) for row in b]
     path.write_text("\n".join(lines) + "\n")
     return QapInstance(path.stem, a.astype(float), b.astype(float))
+
+
+def cannot_load(path):
+    raise OSError(f"{path}: cannot open shared object file")
 
 
 class TestSolve:
@@ -276,6 +281,15 @@ class TestSolve:
                                    "print(json.dumps(environment()['blas_core']))"],
             env=env, check=True, capture_output=True, text=True, timeout=60)
         assert json.loads(proc.stdout) in (None, "Haswell")
+
+    @pytest.mark.parametrize("cdll", [cannot_load, lambda path: object()],
+                             ids=["unloadable", "no-openblas-symbol"])
+    def test_environment_without_openblas(self, monkeypatch, cdll):
+        # numpy's extension module cannot be loaded, or links no OpenBLAS:
+        # the live thread count and core type read None, and nothing raises.
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        env = environment()
+        assert (env["blas_threads"], env["blas_core"]) == (None, None)
 
     def test_byte_identical_traces_same_seed(self, tmp_path):
         inst_path = tmp_path / "rep.dat"

@@ -176,6 +176,12 @@ def test_batch_schedule_indicator_examples():
     assert batch_schedule_lipschitz(10**6, 1.0, 0.0, 0.0) == 5000
 
 
+def test_batch_schedule_floors_an_overflowing_square():
+    # (G_f + L_g + L_h)^2 overflows a float; the quotient is below 1.
+    assert batch_schedule_lipschitz(8, 1e200, 0.0, 0.0) == 1
+    assert batch_schedule_lipschitz(10**300, 1e200, 0.0, 0.0) == 1
+
+
 def test_batch_schedule_rejects_bad_constants():
     with pytest.raises(ValueError):
         batch_schedule_lipschitz(10, 0.0, 0.0, 0.0)
@@ -194,7 +200,12 @@ def test_batch_schedule_rejects_bad_constants():
     ((8, 1.0, 2.0, True), "l_h"), ((8, 1.0, 2.0, -0.5), "l_h"),
     # Each may be +inf; the sum refuses it.
     ((8, 0.0, math.inf, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((8, 0.0, 0.0, math.inf), r"g_f \+ l_g \+ l_h")])
+    ((8, 0.0, 0.0, math.inf), r"g_f \+ l_g \+ l_h"),
+    # A horizon whose T^(2/3) a float cannot hold; a sum whose square
+    # underflows to 0, or whose batch overflows a float.
+    ((10**400, 1.0, 0.0, 0.0), "t_total"),
+    ((10**9, 1e-200, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
+    ((10**9, 1e-160, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

@@ -33,6 +33,8 @@ from tosqap.prox import (ProxOperator, prox_affine_doubly_stochastic, prox_box01
 from tosqap.qap import QapInstance, estimate_smoothness, qap_oracle
 from tosqap.solver import SNAPSHOT_CAP, STOP_CHECK_EVERY, power_of_two_schedule
 
+from iterations import iterations
+
 
 def zero_oracle():
     return GradientOracle(value=lambda x: 0.0, gradient=lambda x: np.zeros_like(x))
@@ -91,7 +93,9 @@ class TestStepSizes:
         ((1.0, 1.0, 2.0, True, 8), "l_h"), ((1.0, 1.0, 2.0, -0.5, 8), "l_h"),
         # Each may be +inf; the sum refuses it.
         ((1.0, 0.0, math.inf, 0.0, 8), r"g_f \+ l_g \+ l_h"),
-        ((1.0, 0.0, 0.0, math.inf, 8), r"g_f \+ l_g \+ l_h")])
+        ((1.0, 0.0, 0.0, math.inf, 8), r"g_f \+ l_g \+ l_h"),
+        # A horizon whose T^(2/3) a float cannot hold.
+        ((1.0, 1.0, 0.0, 0.0, 10**400), "t_total")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
@@ -151,13 +155,51 @@ class TestStepSizes:
 
 
 class TestRunTos:
+    @pytest.mark.parametrize("stop_at", [None, 3 * STOP_CHECK_EVERY], ids=["cap", "stop"])
+    @pytest.mark.parametrize("output", ["last", "random"])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["exact", "minibatch"])
+    def test_run_is_the_step_generator(self, noisy, output, stop_at):
+        # The paper's gates read iterations off solver._steps (iterations.py);
+        # run_tos must give the trace rows, iteration count, step and output of
+        # exactly those iterations.  At 2 * SNAPSHOT_CAP + 3 iterations the
+        # marks are 3 apart, so z_tau is replayed from a mark.  With f linear
+        # and g = h = 0, z_t drifts by -gamma u_t and never repeats, so a row,
+        # mark or output taken from the wrong iteration shows.
+        c = np.array([[1.0, -2.0], [0.5, 3.0]])
+        oracle = GradientOracle(value=lambda x: frobenius_inner(c, x), gradient=lambda x: c.copy())
+        identity = ProxOperator(lambda p, s: p)
+        problem = CompositeProblem(
+            oracle=oracle, prox_g=identity, prox_h=identity, shape=(2, 2),
+            stochastic=gaussian_noise_oracle(oracle, 0.5) if noisy else None, batch=2)
+        config = SolverConfig(iters=2 * SNAPSHOT_CAP + 3, step=StepRule.fixed(0.2),
+                              output=output, seed=1)
+        y1 = np.full((2, 2), 0.5)
+        res = run_tos(problem, config, y1,
+                      stop_when=None if stop_at is None else lambda rec: rec.t == stop_at)
+        steps = list(iterations(problem, config, y1))
+        assert len({z.tobytes() for _, _, _, z, *_ in steps}) == len(steps)
+        ran = stop_at or config.iters
+        assert (res.iterations_run, res.stopped) == (ran, stop_at is not None)
+        assert [r.t for r in res.trace] == sorted(
+            {t for t in power_of_two_schedule(config.iters) if t <= ran} | {ran})
+        for rec in res.trace:
+            t, gamma, u, z, x, y, y_next = steps[rec.t - 1]
+            assert (rec.objective, rec.coupling, rec.certificate) == (
+                oracle.value(z), frobenius_norm(x - z),
+                certificate_residual(gamma, u, x, z, y, y_next, y1,
+                                     problem.prox_g.value, problem.prox_h.value))
+        assert res.gamma == steps[0][1]
+        out = ran if output == "last" else res.tau
+        assert 1 <= out <= ran
+        assert res.z_out.tobytes() == steps[out - 1][3].tobytes()
+
     def test_feasible_fixed_point(self):
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
         y1 = np.full((2, 2), 0.5)
-        ys = []
-        res = run_tos(problem, SolverConfig(iters=20, step=StepRule.fixed(0.5)), y1,
-                      iteration_hook=lambda t, gamma, u, z, x, y, y_next: ys.append(y_next))
+        config = SolverConfig(iters=20, step=StepRule.fixed(0.5))
+        res = run_tos(problem, config, y1)
+        ys = [y_next for *_, y_next in iterations(problem, config, y1)]
         np.testing.assert_array_equal(res.z_out, y1)
         np.testing.assert_array_equal(ys[-1], y1)
 
@@ -261,12 +303,13 @@ class TestRunTos:
         problem = CompositeProblem(
             oracle=GradientOracle(value=lambda x: 0.0, gradient=gradient),
             prox_g=prox_g, prox_h=prox_h, shape=(2, 2))
-        zs = []
-        run_tos(problem, SolverConfig(iters=5, step=StepRule.fixed(0.3)),
-                np.full((2, 2), 0.4),
-                iteration_hook=lambda t, g, u, z, x, y, yn: zs.append(np.array(z)))
+        config = SolverConfig(iters=5, step=StepRule.fixed(0.3))
+        y1 = np.full((2, 2), 0.4)
+        run_tos(problem, config, y1)
         assert calls == ["g", "f", "h"] * 5
-        for z, arg in zip(zs, seen_grad_args):
+        zs = [z for _, _, _, z, *_ in iterations(problem, config, y1)]
+        assert len(seen_grad_args) == 10  # the run's five, then the generator's
+        for z, arg in zip(zs, seen_grad_args[:5]):
             np.testing.assert_array_equal(z, arg)  # gradient evaluated at z_t
 
     def test_iterate_feasibility(self):
@@ -277,11 +320,9 @@ class TestRunTos:
             gradient=lambda x: x - m)
         problem = CompositeProblem(
             oracle=oracle, prox_g=prox_box01(), prox_h=prox_box01(), shape=(3, 3))
-        feas = []
-        run_tos(problem, SolverConfig(iters=100, step=StepRule.fixed(0.5)),
-                np.full((3, 3), 0.2),
-                iteration_hook=lambda t, g, u, z, x, y, yn: feas.append(
-                    float(np.max(np.maximum(z - 1, 0) + np.maximum(-z, 0)))))
+        feas = [float(np.max(np.maximum(z - 1, 0) + np.maximum(-z, 0))) for _, _, _, z, *_
+                in iterations(problem, SolverConfig(iters=100, step=StepRule.fixed(0.5)),
+                              np.full((3, 3), 0.2))]
         assert max(feas) <= 1e-12
 
     def test_reproducibility(self):
@@ -315,17 +356,15 @@ class TestRunTos:
             stochastic=gaussian_noise_oracle(oracle, 0.0), batch=7)
         cfg = SolverConfig(iters=64, step=StepRule.fixed(0.4), seed=3)
         y1 = np.full((2, 2), 0.1)
-        za, zb = [], []
-        run_tos(det, cfg, y1, iteration_hook=lambda t, g, u, z, x, y, yn: za.append(z.tobytes()))
-        run_tos(sto, cfg, y1, iteration_hook=lambda t, g, u, z, x, y, yn: zb.append(z.tobytes()))
+        za = [z.tobytes() for _, _, _, z, *_ in iterations(det, cfg, y1)]
+        zb = [z.tobytes() for _, _, _, z, *_ in iterations(sto, cfg, y1)]
         assert za == zb
 
     def test_random_iterate_policy_snapshot(self):
         problem = scalar_problem(lambda v: (v - 2) ** 2, lambda v: 2 * (v - 2))
         cfg = SolverConfig(iters=30, step=StepRule.fixed(0.1), output="random", seed=9)
-        zs = {}
-        res = run_tos(problem, cfg, np.array([[0.5]]),
-                      iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, np.array(z)))
+        res = run_tos(problem, cfg, np.array([[0.5]]))
+        zs = {t: z for t, _, _, z, *_ in iterations(problem, cfg, np.array([[0.5]]))}
         assert 1 <= res.tau <= 30
         np.testing.assert_array_equal(res.z_out, zs[res.tau])
 
@@ -333,15 +372,14 @@ class TestRunTos:
         problem = scalar_problem(lambda v: (v - 2) ** 2, lambda v: 2 * (v - 2))
         cfg = SolverConfig(iters=SNAPSHOT_CAP + 30, step=StepRule.fixed(0.1),
                            output="random", seed=9)
-        zs = {}
-        res = run_tos(problem, cfg, np.array([[0.5]]),
-                      iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, np.array(z)))
+        res = run_tos(problem, cfg, np.array([[0.5]]))
+        zs = {t: z for t, _, _, z, *_ in iterations(problem, cfg, np.array([[0.5]]))}
         np.testing.assert_array_equal(res.z_out, zs[res.tau])
 
     @staticmethod
     def noisy_random_run(iters, seed, stop_when=None):
-        """A noisy 2 x 2 run under output="random": (result, {t: z_t bytes},
-        exact gradient calls)."""
+        """A noisy 2 x 2 run under output="random": (result, {t: z_t bytes}
+        of the iterations it ran, the run's exact gradient calls)."""
         m = np.array([[0.3, 0.6], [0.8, 0.2]])
         calls = []
         oracle = GradientOracle(
@@ -352,10 +390,11 @@ class TestRunTos:
             oracle=oracle, prox_g=prox_box01(), prox_h=identity, shape=(2, 2),
             stochastic=gaussian_noise_oracle(oracle, 0.5), batch=2)
         cfg = SolverConfig(iters=iters, step=StepRule.fixed(0.2), output="random", seed=seed)
-        zs = {}
-        res = run_tos(problem, cfg, np.full((2, 2), 0.5), stop_when=stop_when,
-                      iteration_hook=lambda t, g, u, z, x, y, yn: zs.__setitem__(t, z.tobytes()))
-        return res, zs, len(calls)
+        res = run_tos(problem, cfg, np.full((2, 2), 0.5), stop_when=stop_when)
+        run_calls = len(calls)
+        zs = {t: z.tobytes() for t, _, _, z, *_
+              in iterations(problem, cfg, np.full((2, 2), 0.5), res.iterations_run)}
+        return res, zs, run_calls
 
     @pytest.mark.parametrize("iters, seed", [
         (SNAPSHOT_CAP - 1, 1), (SNAPSHOT_CAP, 1), (SNAPSHOT_CAP + 1, 3), (2 * SNAPSHOT_CAP + 3, 1)])
@@ -506,16 +545,23 @@ class TestCertificate:
             lambda v: 0.0, lambda v: 0.0)
         assert r == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True])
+    def test_bad_step_named(self, gamma):
+        # 0 divided by zero, -1 gave 0.0 and NaN gave NaN, neither named.
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match=f"^gamma: expected a finite number > 0, got {gamma!r}$"):
+            certificate_residual(gamma, eye, eye, eye, eye, eye, eye,
+                                 lambda v: 0.0, lambda v: 0.0)
+
     def test_stationary_trajectory_residual(self):
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
         y1 = np.full((2, 2), 0.5)
-        recs = []
-        run_tos(problem, SolverConfig(iters=10, step=StepRule.fixed(1.0)), y1,
-                iteration_hook=lambda t, g, u, z, x, y, yn: recs.append(
-                    certificate_residual(g, u, x, z, y, yn, y1,
-                                         problem.prox_g.value, problem.prox_h.value)))
-        assert all(abs(r) <= 1e-15 for r in recs)
+        recs = [certificate_residual(g, u, x, z, y, yn, y1,
+                                     problem.prox_g.value, problem.prox_h.value)
+                for t, g, u, z, x, y, yn in iterations(
+                    problem, SolverConfig(iters=10, step=StepRule.fixed(1.0)), y1)]
+        assert len(recs) == 10 and all(abs(r) <= 1e-15 for r in recs)
 
     def test_property_sweep_random_references(self):
         rng = make_rng(21)
@@ -528,16 +574,12 @@ class TestCertificate:
             problem = CompositeProblem(
                 oracle=oracle, prox_g=box, prox_h=box, shape=(3, 3))
             refs = [rng.uniform(0, 1, (3, 3)) for _ in range(5)]
-            worst = [-np.inf]
-
-            def hook(t, g, u, z, x, y, yn):
-                for ref in refs:
-                    worst[0] = max(worst[0], certificate_residual(
-                        g, u, x, z, y, yn, ref, box.value, box.value))
-
-            run_tos(problem, SolverConfig(iters=40, step=StepRule.fixed(0.37)),
-                    rng.uniform(0, 1, (3, 3)), iteration_hook=hook)
-            assert worst[0] <= 1e-9
+            worst = max(certificate_residual(g, u, x, z, y, yn, ref, box.value, box.value)
+                        for t, g, u, z, x, y, yn in iterations(
+                            problem, SolverConfig(iters=40, step=StepRule.fixed(0.37)),
+                            rng.uniform(0, 1, (3, 3)))
+                        for ref in refs)
+            assert worst <= 1e-9
 
 
 class TestStationarityGap:
