@@ -32,7 +32,7 @@ import numpy as np
 from .lap import solve_lap_min
 from .linalg import _inner, as_matrix, check_int, check_real
 from .qap import QapInstance, QapReport, _report, qap_gradient, qap_objective
-from .solver import DivergenceError, TraceRecord, _gap, power_of_two_schedule
+from .solver import DivergenceError, TraceRecord, _gap, _trace_point
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     finite raises ``DivergenceError(t)``."""
     x = as_matrix(y1, "y1", (inst.n, inst.n)).copy()
     _check_feasible(x, FEAS_TOL)
-    schedule = power_of_two_schedule(config.max_iters)
     trace: list[TraceRecord] = []
     t_start = time.perf_counter()
     # Each LAP is warm-started from the previous solution, whose column duals
@@ -89,7 +88,7 @@ def run_fw(inst: QapInstance, y1: np.ndarray, config: FwConfig) -> FwResult:
     for t in range(config.max_iters + 1):
         # Trace rows hold exact values: refresh the carried gradient and
         # objective at t = 0, at the power-of-two points and at the cap.
-        traced = t == 0 or t in schedule
+        traced = _trace_point(t, config.max_iters)
         # A stop the carried values call elsewhere is decided from exact ones.
         for exact in (traced, True):
             if exact:

@@ -64,8 +64,12 @@ def check_real(value, name: str, *, least=-math.inf, above=None, finite: bool = 
     not NaN) >= ``least``, > ``above`` if given, and finite if ``finite``;
     otherwise raise a ``ValueError`` naming ``name``."""
     if (isinstance(value, numbers.Real) and not isinstance(value, bool) and value >= least
-            and (above is None or value > above) and (not finite or math.isfinite(value))):
-        return value  # NaN fails value >= least
+            and (above is None or value > above)):
+        try:
+            if not finite or math.isfinite(value):
+                return value  # NaN fails value >= least
+        except OverflowError:  # an int too large for a float is not finite
+            pass
     bound = f" > {above}" if above is not None else f" >= {least}" if least > -math.inf else ""
     kind = "a finite number" if finite else "a number"
     raise ValueError(f"{name}: expected {kind}{bound}, got {value!r}")

@@ -91,13 +91,13 @@ def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -
 
 
 def _theory_terms(t_total: int, g_f: float, l_g: float, l_h: float) -> tuple[float, float]:
-    """T^(2/3) and G_f + L_g + L_h of the theory step and batch rules, each input
-    checked: the sum must be finite and > 0; a fault raises ``ValueError`` naming it."""
+    """T^(2/3) and G_f + L_g + L_h of the theory step and batch rules as Python floats,
+    each input checked: the sum must be finite and > 0; a fault raises ``ValueError`` naming it."""
     check_int(t_total, "t_total", 1)
     s = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
                    + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
     try:
-        return t_total ** (2.0 / 3.0), s
+        return float(t_total) ** (2.0 / 3.0), float(s)
     except OverflowError:
         raise ValueError(f"t_total: expected an integer a float can hold, got a "
                          f"{t_total.bit_length()}-bit integer") from None

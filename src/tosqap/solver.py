@@ -15,7 +15,6 @@ stacked copies of the variable.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,7 +31,7 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
     """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) of the paper's three
     cases: g and h Lipschitz; g an indicator (l_g = 0); both indicators
     (l_g = l_h = 0), with D_g the diameter of the set."""
-    check_real(d_g, "d_g", above=0, finite=True)
+    d_g = float(check_real(d_g, "d_g", above=0, finite=True))
     power, bound = _theory_terms(t_total, g_f, l_g, l_h)
     return check_real(d_g / (2.0 * bound * power), "theory step", above=0, finite=True)
 
@@ -76,11 +75,11 @@ class StepRule:
 
     def resolve(self, problem: "CompositeProblem", t_total: int) -> float:
         if self.kind == "fixed":
-            return self.gamma
+            return float(self.gamma)
         if self.kind == "inv_smoothness":
             if self.l_smooth == 0.0:
                 raise ValueError("step 1/L needs the smoothness constant L, which is unset")
-            return check_real(1.0 / self.l_smooth, "1/l_smooth", finite=True)
+            return check_real(1.0 / float(self.l_smooth), "1/l_smooth", finite=True)
         return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
 
 
@@ -152,15 +151,9 @@ class SolverConfig:
 STOP_CHECK_EVERY = 128
 
 
-def power_of_two_schedule(t_total: int) -> frozenset[int]:
-    """Indices 1, 2, 4, 8, ... plus the final iteration."""
-    s = set()
-    t = 1
-    while t <= t_total:
-        s.add(t)
-        t *= 2
-    s.add(t_total)
-    return frozenset(s)
+def _trace_point(t: int, t_total: int) -> bool:
+    """Whether iteration t of t_total is a trace row: 0, each power of two, the cap."""
+    return t & (t - 1) == 0 or t == t_total
 
 
 @dataclass
@@ -275,10 +268,9 @@ def run_tos(
 
     t_total = config.iters
     gamma = config.step.resolve(problem, t_total)
-    schedule = power_of_two_schedule(t_total)
     rng = make_rng(config.seed)
 
-    stride = math.ceil(t_total / SNAPSHOT_CAP)
+    stride = (t_total - 1) // SNAPSHOT_CAP + 1  # ceil(T / SNAPSHOT_CAP) in integers
     marks = [(y1, rng.bit_generator.state)] if config.output == "random" else None
 
     t_start = time.perf_counter()
@@ -286,7 +278,7 @@ def run_tos(
     checks = 0
     stopped = False
     for t, u, z, x, y, y_next in _steps(problem, gamma, y1, rng, t_total):
-        traced = t in schedule
+        traced = _trace_point(t, t_total)
         if traced or (stop_when is not None and t % STOP_CHECK_EVERY == 0):
             checks += 1
             cert = certificate_residual(gamma, u, x, z, y, y_next, y1,

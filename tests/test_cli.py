@@ -72,6 +72,15 @@ class TestSolve:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    @pytest.mark.parametrize("solver", ["tos-split2", "fw"])
+    def test_horizon_beyond_a_float_stops_on_tol(self, tmp_path, solver):
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "out"
+        assert main(["solve", str(chr12a), "--solver", solver, "--iters", "1" + "0" * 400,
+                     "--tol", "1e9", "--out", str(out)]) == 0
+        summary = json.loads((out / f"chr12a_{solver}_seed0.summary.json").read_text())
+        assert (summary["stopped_by"], summary["iterations"]) == ("tol", int(solver != "fw"))
+
     def test_malformed_file_names_token(self, tmp_path, capsys):
         bad = tmp_path / "bad.dat"
         bad.write_text("2 0 1 1 oops 0 2 2 0")
@@ -674,6 +683,16 @@ class TestBench:
         assert main(["bench", str(mp)]) == 2
         assert ("manifest error: instances[0].best_known: expected a finite number, "
                 f"got {value!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_best_known_beyond_a_float_names_its_entry(self, tmp_path, capsys):
+        mp, out = self.make_manifest(tmp_path, 1, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"][0]["best_known"] = 10**400  # a 401-digit literal
+        mp.write_text(json.dumps(manifest))
+        assert main(["bench", str(mp)]) == 2
+        assert ("manifest error: instances[0].best_known: expected a finite number, "
+                f"got {10**400}" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_instance_file_is_named(self, tmp_path, capsys):

@@ -378,7 +378,7 @@ class TestRun:
         # plus the second solve of a stop between trace rows.
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
         *_, exact = exact_recompute_fw(inst, initial_point(12, 0), FwConfig(max_iters=1024))
-        schedule = solver.power_of_two_schedule(1024)
+        schedule = {2**j for j in range(11)}  # the trace rows of a 1024 cap, after t = 0
         ks = [k for k in range(1, 1024) if k not in schedule
               and exact[k] < (1 - 1e-5) * min(exact[:k])]
         laps = []
@@ -437,6 +437,23 @@ class TestRun:
         config = FwConfig(max_iters=np.int64(5), gap_tolerance=math.inf)
         assert run_fw(random_instance(4, 9), uniform_start(4), config).iterations_run == 0
         assert FwConfig(max_iters=5, gap_tolerance=np.float64(1e-3)).gap_tolerance == 1e-3
+
+    def test_trace_rows_are_the_start_the_powers_of_two_and_the_cap(self):
+        # Every horizon to 300, and each power of two to 2^14 with its
+        # neighbours; from this start the gap stays positive, so every run
+        # reaches its cap.
+        horizons = set(range(1, 301)) | {2**k + d for k in range(1, 15) for d in (-1, 0, 1)}
+        inst = random_instance(3, 0)
+        for t_total in sorted(horizons):
+            res = run_fw(inst, uniform_start(3), FwConfig(max_iters=t_total))
+            assert (res.iterations_run, res.stopped_by) == (t_total, "cap")
+            assert [r.t for r in res.trace] == sorted(
+                {0} | {2**k for k in range(t_total.bit_length())} | {t_total}), t_total
+
+    def test_horizon_beyond_a_float_stops_on_tol(self):
+        res = run_fw(random_instance(4, 9), uniform_start(4),
+                     FwConfig(max_iters=10**400, gap_tolerance=1e9))
+        assert (res.iterations_run, res.stopped_by, [r.t for r in res.trace]) == (0, "tol", [0])
 
     def test_trace_iterations_increasing(self):
         inst = random_instance(4, 9)

@@ -124,6 +124,8 @@ def test_check_int_accepts(value):
     (0.0, {"above": 0}, "x: expected a number > 0, got 0.0"),
     (math.inf, {"finite": True}, "x: expected a finite number, got inf"),
     (-math.inf, {"least": 0, "finite": True}, "x: expected a finite number >= 0, got -inf"),
+    pytest.param(-10**400, {"finite": True}, f"x: expected a finite number, got {-10**400}",
+                 id="int-beyond-a-float"),
 ])
 def test_check_real_rejects_with_its_rule(value, kwargs, message):
     with pytest.raises(ValueError) as err:
@@ -133,7 +135,8 @@ def test_check_real_rejects_with_its_rule(value, kwargs, message):
 
 @pytest.mark.parametrize("value, kwargs", [
     (-3, {}), (-math.inf, {}), (math.inf, {"least": 0}), (np.float32(0.5), {"above": 0}),
-    (np.int64(2), {"finite": True}), (0.0, {"least": 0, "finite": True})])
+    (np.int64(2), {"finite": True}), (0.0, {"least": 0, "finite": True}),
+    pytest.param(10**400, {"least": 0}, id="int-beyond-a-float")])
 def test_check_real_accepts(value, kwargs):
     assert check_real(value, "x", **kwargs) is value
 

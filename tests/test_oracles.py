@@ -12,6 +12,7 @@ from tosqap import (
     make_rng,
     minibatch_gradient,
 )
+from tosqap.oracles import _theory_terms
 
 
 def quadratic_oracle(m):
@@ -182,6 +183,16 @@ def test_batch_schedule_floors_an_overflowing_square():
     assert batch_schedule_lipschitz(10**300, 1e200, 0.0, 0.0) == 1
 
 
+def test_theory_terms_are_python_floats():
+    # Numpy constants would make the sum's square a numpy power, which warns
+    # on overflow instead of raising; the rules compute in Python floats.
+    assert batch_schedule_lipschitz(8, np.float64(1e200), 0.0, 0.0) == 1
+    assert batch_schedule_lipschitz(np.int64(1000), np.float32(2.0), 0.0, 0.0) == 13
+    power, s = _theory_terms(np.int64(8), np.float32(0.3), 0.0, np.float64(0.0))
+    assert (type(power), type(s)) == (float, float)
+    assert (power, s) == _theory_terms(8, float(np.float32(0.3)), 0.0, 0.0)
+
+
 def test_batch_schedule_rejects_bad_constants():
     with pytest.raises(ValueError):
         batch_schedule_lipschitz(10, 0.0, 0.0, 0.0)
@@ -205,7 +216,9 @@ def test_batch_schedule_rejects_bad_constants():
     # underflows to 0, or whose batch overflows a float.
     ((10**400, 1.0, 0.0, 0.0), "t_total"),
     ((10**9, 1e-200, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((10**9, 1e-160, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
+    ((10**9, 1e-160, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
+    # An integer too large for a float is not finite.
+    ((8, 10**400, 0, 0), r"g_f \+ l_g \+ l_h")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

@@ -130,7 +130,8 @@ class TestParsing:
         with pytest.raises(ValueError, match="^A must be an array of real numbers"):
             QapInstance("x", [["a"]], [[1.0]])
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "9552"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "9552",
+                                       pytest.param(10**400, id="int-beyond-a-float")])
     def test_best_known_must_be_a_finite_number(self, tmp_path, value):
         with pytest.raises(ValueError, match="best_known: expected a finite number"):
             QapInstance("bad", np.ones((2, 2)), np.ones((2, 2)), best_known=value)
@@ -557,6 +558,11 @@ class TestPipeline:
     def test_infinite_tol_stops_on_tol_after_one_check(self):
         res = relax_and_round(load_instance(chr12a_path()), SPLIT1,
                               SolverConfig(iters=100, step=StepRule.inv_smoothness()), tol=math.inf)
+        assert (res.run.iterations_run, res.checks, res.stopped_by) == (1, 1, "tol")
+
+    def test_horizon_beyond_a_float_stops_on_tol(self):
+        res = relax_and_round(random_instance(3, 2), SPLIT2,
+                              SolverConfig(iters=10**400, step=StepRule.fixed(0.1)), tol=1e9)
         assert (res.run.iterations_run, res.checks, res.stopped_by) == (1, 1, "tol")
 
     def test_cap_run_checks_its_trace_rows(self):

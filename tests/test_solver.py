@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.resources
 import itertools
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from tosqap import prox as prox_module
 from tosqap.prox import (ProxOperator, prox_affine_doubly_stochastic, prox_box01,
                          prox_col_stochastic, prox_row_stochastic)
 from tosqap.qap import QapInstance, estimate_smoothness, qap_oracle
-from tosqap.solver import SNAPSHOT_CAP, STOP_CHECK_EVERY, power_of_two_schedule
+from tosqap.solver import SNAPSHOT_CAP, STOP_CHECK_EVERY
 
 from iterations import iterations
 
@@ -95,7 +96,9 @@ class TestStepSizes:
         ((1.0, 0.0, math.inf, 0.0, 8), r"g_f \+ l_g \+ l_h"),
         ((1.0, 0.0, 0.0, math.inf, 8), r"g_f \+ l_g \+ l_h"),
         # A horizon whose T^(2/3) a float cannot hold.
-        ((1.0, 1.0, 0.0, 0.0, 10**400), "t_total")])
+        ((1.0, 1.0, 0.0, 0.0, 10**400), "t_total"),
+        # Integers too large for a float are not finite.
+        ((10**400, 1.0, 0.0, 0.0, 8), "d_g"), ((1.0, 10**400, 0, 0, 8), r"g_f \+ l_g \+ l_h")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
@@ -130,7 +133,9 @@ class TestStepSizes:
         ({"kind": "theory", "gamma": 0.1}, "gamma"),
         ({"kind": "theory", "l_smooth": 5.0}, "l_smooth"),
         ({"kind": "fixed", "gamma": 0.1, "l_smooth": 5.0}, "l_smooth"),
-        ({"kind": "inv_smoothness", "gamma": 0.1}, "gamma")])
+        ({"kind": "inv_smoothness", "gamma": 0.1}, "gamma"),
+        ({"kind": "fixed", "gamma": 10**400}, "gamma"),
+        ({"kind": "inv_smoothness", "l_smooth": 10**400}, "l_smooth")])
     def test_rule_built_directly_checks_its_field(self, fields, name):
         # A rule checks its own kind's field and rejects a value its kind ignores.
         own = {"fixed": "gamma", "inv_smoothness": "l_smooth"}.get(fields["kind"])
@@ -142,6 +147,25 @@ class TestStepSizes:
     def test_numpy_step_values_accepted(self):
         assert StepRule.fixed(np.float32(0.5)).gamma == 0.5
         assert StepRule.inv_smoothness(np.float64(2.0)).l_smooth == 2.0
+
+    def test_numpy_scalars_resolve_to_python_floats(self):
+        # A numpy constant must not set the step's precision: each rule
+        # computes in Python floats from the values of its inputs.
+        gamma = step_size_lipschitz(1.0, np.float32(0.3), 0.0, 0.0, 7)
+        assert type(gamma) is float
+        assert gamma == step_size_lipschitz(1.0, float(np.float32(0.3)), 0.0, 0.0, 7)
+        gamma = step_size_lipschitz(np.float32(2.0), 1.0, np.float64(0.0), 0.0, np.int64(8))
+        assert type(gamma) is float and gamma == step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8)
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2),
+            d_g=np.float32(2.0), g_f=np.float32(1.0))
+        for rule, expected in ((StepRule.fixed(np.float32(1e-5)), float(np.float32(1e-5))),
+                               (StepRule.inv_smoothness(np.float32(3.0)), 1.0 / 3.0),
+                               (StepRule(kind="theory"), step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8))):
+            resolved = rule.resolve(problem, 8)
+            assert type(resolved) is float and resolved == expected
+            res = run_tos(problem, SolverConfig(iters=8, step=rule), np.full((2, 2), 0.5))
+            assert type(res.gamma) is float and json.loads(json.dumps(res.gamma)) == expected
 
     def test_unset_smoothness_constant_named(self):
         problem = CompositeProblem(
@@ -181,7 +205,7 @@ class TestRunTos:
         ran = stop_at or config.iters
         assert (res.iterations_run, res.stopped) == (ran, stop_at is not None)
         assert [r.t for r in res.trace] == sorted(
-            {t for t in power_of_two_schedule(config.iters) if t <= ran} | {ran})
+            {2**k for k in range(ran.bit_length())} | {ran})
         for rec in res.trace:
             t, gamma, u, z, x, y, y_next = steps[rec.t - 1]
             assert (rec.objective, rec.coupling, rec.certificate) == (
@@ -232,7 +256,7 @@ class TestRunTos:
 
     def test_no_stop_when_measures_only_trace_rows(self):
         res, calls = self.counted_run(1000)
-        assert [r.t for r in res.trace] == sorted(power_of_two_schedule(1000))
+        assert [r.t for r in res.trace] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1000]
         assert calls == len(res.trace)
 
     def test_stop_when_also_asked_every_stop_check(self):
@@ -245,7 +269,7 @@ class TestRunTos:
         res, calls = self.counted_run(4000, stop)
         stop_t = 5 * STOP_CHECK_EVERY
         checks = set(range(STOP_CHECK_EVERY, stop_t + 1, STOP_CHECK_EVERY))
-        assert seen == sorted({t for t in power_of_two_schedule(4000) if t <= stop_t} | checks)
+        assert seen == sorted({2**k for k in range(10)} | checks)
         assert calls == len(seen)
         # The stop row closes the trace; the check at 384 before it did not
         # stop and left no row.
@@ -277,6 +301,30 @@ class TestRunTos:
                       np.array([[0.5]]))
         assert abs(float(res.z_out[0, 0]) - expected) <= 1e-3
 
+    def test_trace_rows_are_the_powers_of_two_and_the_cap(self):
+        # Every horizon to 300, and each power of two to 2^14 with its
+        # neighbours, where the cap is or is next to a power of two.
+        horizons = set(range(1, 301)) | {2**k + d for k in range(1, 15) for d in (-1, 0, 1)}
+        identity = ProxOperator(lambda p, s: p)
+        problem = CompositeProblem(oracle=zero_oracle(), prox_g=identity, prox_h=identity,
+                                   shape=(1, 1))
+        for t_total in sorted(horizons):
+            res = run_tos(problem, SolverConfig(iters=t_total, step=StepRule.fixed(1.0)),
+                          np.zeros((1, 1)))
+            assert [r.t for r in res.trace] == sorted(
+                {2**k for k in range(t_total.bit_length())} | {t_total}), t_total
+
+    @pytest.mark.parametrize("output", ["last", "random"])
+    def test_horizon_beyond_a_float_runs(self, output):
+        # The mark stride ceil(T / SNAPSHOT_CAP) is taken in integers, so a
+        # horizon no float can hold still runs, here until stop_when ends it.
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        res = run_tos(problem, SolverConfig(iters=10**400, step=StepRule.fixed(1.0), output=output),
+                      np.full((2, 2), 0.5), stop_when=lambda rec: rec.t == 2)
+        assert (res.iterations_run, res.stopped, [r.t for r in res.trace]) == (2, True, [1, 2])
+        assert res.tau in ((None,) if output == "last" else (1, 2))
+
     def test_exact_iteration_count_and_power_of_two_trace(self):
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
@@ -285,7 +333,7 @@ class TestRunTos:
         assert res.iterations_run == 37
         ts = [r.t for r in res.trace]
         assert ts == sorted(set(ts))
-        assert ts == sorted(power_of_two_schedule(37))
+        assert ts == [1, 2, 4, 8, 16, 32, 37]
         assert ts[-1] == 37
 
     def test_step_order_per_iteration(self):
