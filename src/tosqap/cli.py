@@ -63,35 +63,22 @@ def _openblas(name: str):
     return None
 
 
-def _blas_threads():
-    """The live thread count of numpy's OpenBLAS, or None."""
-    get = _openblas("get_num_threads")
-    return None if get is None else get()
-
-
-def _blas_core():
-    """The core type whose kernels numpy's OpenBLAS runs (``"SkylakeX"``,
-    ``"Haswell"``, ...; ``OPENBLAS_CORETYPE`` forces one), or None."""
-    get = _openblas("get_corename")
-    if get is None:
-        return None
-    get.restype = ctypes.c_char_p
-    return get().decode()
-
-
 def environment() -> dict:
     """What besides the seed decides a run's bytes: interpreter and numpy
     versions, the BLAS library numpy was built with, CPU count, the live
-    BLAS thread count and core type, and the thread variables (None when
-    unset)."""
+    BLAS thread count and core type (``OPENBLAS_CORETYPE`` forces one), and
+    the thread variables (None when unset)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    threads, core = _openblas("get_num_threads"), _openblas("get_corename")
+    if core is not None:
+        core.restype = ctypes.c_char_p
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
-        "blas_threads": _blas_threads(),
-        "blas_core": _blas_core(),
+        "blas_threads": None if threads is None else threads(),
+        "blas_core": None if core is None else core().decode(),
         **{name: os.environ.get(name) for name in THREAD_VARS},
     }
 
@@ -161,6 +148,8 @@ def cmd_solve(args) -> int:
         check_real(args.tol, "--tol", least=0)
     if args.best_known is not None:
         check_real(args.best_known, "--best-known", finite=True)
+    if args.out == "":
+        raise ValueError("--out: expected a directory name, got ''")
     inst = qap.load_instance(args.instance)
     inst = _resolve_best_known(inst, args.best_known)
     os.makedirs(args.out, exist_ok=True)
@@ -203,6 +192,8 @@ def cmd_bench(args) -> int:
             if not isinstance(value, kind):
                 noun = {list: "an array", dict: "an object", str: "a string"}[kind]
                 raise ValueError(f"{key}: expected {noun}, got {value!r}")
+        if out == "":
+            raise ValueError("out_dir: expected a directory name, got ''")
         if not instances or not solvers:
             raise ValueError("need at least one instance and one solver")
         for k, s in enumerate(solvers):

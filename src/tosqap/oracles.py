@@ -94,8 +94,13 @@ def _theory_terms(t_total: int, g_f: float, l_g: float, l_h: float) -> tuple[flo
     """T^(2/3) and G_f + L_g + L_h of the theory step and batch rules as Python floats,
     each input checked: the sum must be finite and > 0; a fault raises ``ValueError`` naming it."""
     check_int(t_total, "t_total", 1)
-    s = check_real(check_real(g_f, "g_f", least=0) + check_real(l_g, "l_g", least=0)
-                   + check_real(l_h, "l_h", least=0), "g_f + l_g + l_h", above=0, finite=True)
+    for value, name in ((g_f, "g_f"), (l_g, "l_g"), (l_h, "l_h")):
+        check_real(value, name, least=0)
+    try:
+        s = g_f + l_g + l_h
+    except OverflowError:  # an int too large for a float met a float
+        s = math.inf
+    check_real(s, "g_f + l_g + l_h", above=0, finite=True)
     try:
         return float(t_total) ** (2.0 / 3.0), float(s)
     except OverflowError:

@@ -342,7 +342,7 @@ def relax_and_round(
     if tol is not None:
         check_real(tol, "tol", least=0)
     problem = build_problem(inst, split)
-    if config.step.kind == "inv_smoothness" and config.step.l_smooth == 0.0:
+    if config.step.kind == "inv_smoothness" and config.step.constant == 0.0:
         config = replace(config, step=StepRule.inv_smoothness(estimate_smoothness(inst)))
     if y1 is None:
         y1 = initial_point(inst.n, config.seed)

@@ -40,58 +40,53 @@ def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total:
 class StepRule:
     """Step-size policy for a solver run.
 
-    kind is one of 'theory' (``step_size_lipschitz`` on the problem's
-    d_g, g_f, l_g and l_h), 'fixed' (explicit gamma), or 'inv_smoothness'
-    (gamma = 1 / L with L the smoothness constant of f).  A field the kind
-    ignores must stay 0.
+    kind is one of 'theory' (``step_size_lipschitz`` on the problem's d_g
+    and g_f, with g and h indicators), 'fixed' (gamma = ``constant``), or
+    'inv_smoothness' (gamma = 1 / L with L = ``constant`` the smoothness
+    constant of f; 0 leaves it unset).  A theory rule's constant is 0.
     """
 
     kind: str
-    gamma: float = 0.0
-    l_smooth: float = 0.0
+    constant: float = 0.0
 
     def __post_init__(self):
         if self.kind == "fixed":
-            check_real(self.gamma, "gamma", above=0, finite=True)
+            check_real(self.constant, "gamma", above=0, finite=True)
         elif self.kind == "inv_smoothness":
-            check_real(self.l_smooth, "l_smooth", least=0, finite=True)  # 0: unset
+            check_real(self.constant, "l_smooth", least=0, finite=True)  # 0: unset
         elif self.kind != "theory":
             raise ValueError(f"step rule kind must be 'theory', 'fixed' or "
                              f"'inv_smoothness', got {self.kind!r}")
-        own = {"fixed": "gamma", "inv_smoothness": "l_smooth"}.get(self.kind)
-        for name in ("gamma", "l_smooth"):
-            if name != own and getattr(self, name) != 0.0:
-                raise ValueError(f"{name}: a {self.kind!r} step rule takes no {name}, "
-                                 f"got {getattr(self, name)!r}")
+        elif self.constant != 0.0:
+            raise ValueError(f"constant: a 'theory' step rule takes none, got {self.constant!r}")
 
     @staticmethod
     def fixed(gamma: float) -> "StepRule":
-        return StepRule(kind="fixed", gamma=gamma)
+        return StepRule(kind="fixed", constant=gamma)
 
     @staticmethod
     def inv_smoothness(l_smooth: float = 0.0) -> "StepRule":
         """Step 1/L. Leave ``l_smooth`` at 0 to have the pipeline estimate it."""
-        return StepRule(kind="inv_smoothness", l_smooth=l_smooth)
+        return StepRule(kind="inv_smoothness", constant=l_smooth)
 
     def resolve(self, problem: "CompositeProblem", t_total: int) -> float:
         if self.kind == "fixed":
-            return float(self.gamma)
+            return float(self.constant)
         if self.kind == "inv_smoothness":
-            if self.l_smooth == 0.0:
+            if self.constant == 0.0:
                 raise ValueError("step 1/L needs the smoothness constant L, which is unset")
-            return check_real(1.0 / float(self.l_smooth), "1/l_smooth", finite=True)
-        return step_size_lipschitz(problem.d_g, problem.g_f, problem.l_g, problem.l_h, t_total)
+            return check_real(1.0 / float(self.constant), "1/l_smooth", finite=True)
+        return step_size_lipschitz(problem.d_g, problem.g_f, 0.0, 0.0, t_total)
 
 
 @dataclass(frozen=True)
 class CompositeProblem:
     """Problem data for minimizing f(x) + g(x) + h(x).
 
-    The constants d_g (diameter of dom g), g_f (gradient bound on dom g)
-    and the Lipschitz constants l_g, l_h feed the theory step sizes; they
-    may be left at 0 when a fixed or 1/L step is used instead.  Each field
-    is checked when the problem is made; a fault raises ``ValueError``
-    naming it.
+    The constants d_g (diameter of dom g) and g_f (gradient bound on
+    dom g) feed the theory step size; they may be left at 0 when a fixed or
+    1/L step is used instead.  Each field is checked when the problem is
+    made; a fault raises ``ValueError`` naming it.
     """
 
     oracle: GradientOracle
@@ -100,8 +95,6 @@ class CompositeProblem:
     shape: tuple[int, ...]
     d_g: float = 0.0
     g_f: float = 0.0
-    l_g: float = 0.0
-    l_h: float = 0.0
     stochastic: Optional[StochasticGradientOracle] = None
     batch: int = 1
 
@@ -118,7 +111,7 @@ class CompositeProblem:
             raise ValueError(f"shape must be a tuple of integers >= 1, got {self.shape!r}")
         for k, size in enumerate(self.shape):
             check_int(size, f"shape[{k}]", 1)
-        for name in ("d_g", "g_f", "l_g", "l_h"):
+        for name in ("d_g", "g_f"):
             check_real(getattr(self, name), name, least=0)
         check_int(self.batch, "batch", 1)
 
@@ -313,7 +306,7 @@ def run_tos(
         stopped=stopped,
         checks=checks,
         gamma=gamma,
-        l_smooth=config.step.l_smooth if config.step.kind == "inv_smoothness" else None,
+        l_smooth=config.step.constant if config.step.kind == "inv_smoothness" else None,
     )
 
 

@@ -14,7 +14,7 @@ fails, naming the core.
 
 import pytest
 
-from tosqap.cli import _blas_core
+from tosqap.cli import environment
 
 #: Core types whose kernels gave another's value of every pinned output.
 SAME_AS = {"Katmai": "Nehalem"}
@@ -23,7 +23,7 @@ SAME_AS = {"Katmai": "Nehalem"}
 def on_core(**values):
     """``values[core]`` for the live OpenBLAS core type; fails the calling
     test when no value is pinned for it."""
-    core = _blas_core()
+    core = environment()["blas_core"]
     if SAME_AS.get(core, core) not in values:
         pytest.fail(f"no output pinned for OpenBLAS core type {core!r} (pinned for "
                     f"{', '.join(values)}, and Katmai as Nehalem; non-OpenBLAS builds and "

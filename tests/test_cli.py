@@ -154,6 +154,12 @@ class TestSolve:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    def test_empty_out_names_the_flag(self, tmp_path, capsys):
+        # Checked before the instance is read: this path does not exist.
+        rc = main(["solve", str(tmp_path / "missing.dat"), "--out", ""])
+        assert rc == 1
+        assert "error: --out: expected a directory name, got ''" in capsys.readouterr().err
+
     def test_infinite_tol_accepted(self, tmp_path):
         inst_path = tmp_path / "i.dat"
         write_instance(inst_path, 3, 0)
@@ -615,6 +621,16 @@ class TestBench:
             where, "an object")
         assert f"manifest error: {where}: expected {noun}, got " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_out_dir_is_manifest_error(self, tmp_path, capsys):
+        # Checked before any instance loads: the second path does not exist.
+        mp, _ = self.make_manifest(tmp_path, 2, ["fw"], iters=20)
+        manifest = json.loads(mp.read_text())
+        manifest["instances"][1]["path"] = str(tmp_path / "missing.dat")
+        mp.write_text(json.dumps({**manifest, "out_dir": ""}))
+        assert main(["bench", str(mp)]) == 2
+        assert ("manifest error: out_dir: expected a directory name, got ''"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("path", [0, None, ["x.dat"]], ids=["int", "null", "array"])
     def test_non_string_path_names_its_entry(self, tmp_path, capsys, path):

@@ -218,7 +218,9 @@ def test_batch_schedule_rejects_bad_constants():
     ((10**9, 1e-200, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
     ((10**9, 1e-160, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
     # An integer too large for a float is not finite.
-    ((8, 10**400, 0, 0), r"g_f \+ l_g \+ l_h")])
+    ((8, 10**400, 0, 0), r"g_f \+ l_g \+ l_h"),
+    # One that overflows on meeting a float: the sum is taken as inf.
+    ((8, 10**400, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

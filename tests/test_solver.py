@@ -98,20 +98,50 @@ class TestStepSizes:
         # A horizon whose T^(2/3) a float cannot hold.
         ((1.0, 1.0, 0.0, 0.0, 10**400), "t_total"),
         # Integers too large for a float are not finite.
-        ((10**400, 1.0, 0.0, 0.0, 8), "d_g"), ((1.0, 10**400, 0, 0, 8), r"g_f \+ l_g \+ l_h")])
+        ((10**400, 1.0, 0.0, 0.0, 8), "d_g"), ((1.0, 10**400, 0, 0, 8), r"g_f \+ l_g \+ l_h"),
+        # One that overflows on meeting a float: the sum is taken as inf.
+        ((1.0, 10**400, 0.0, 0.0, 8), r"g_f \+ l_g \+ l_h")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
 
     def test_theory_run_on_infinite_gradient_bound_named(self):
         # gradient_bound overflows to +inf on huge entries, which a problem
-        # accepts; a theory step from it would be 0.
+        # accepts; a theory step from it would be 0.  An integer bound too
+        # large for a float overflows as the rule adds 0.0 to it.
         rng = make_rng(3)
         inst = QapInstance("r4", rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
-        problem = dataclasses.replace(build_problem(inst, "split2"), g_f=math.inf)
-        with pytest.raises(ValueError, match=r"^g_f \+ l_g \+ l_h: expected a finite number"):
-            run_tos(problem, SolverConfig(iters=8, step=StepRule(kind="theory")),
-                    np.full((4, 4), 0.25))
+        for g_f in (math.inf, 10**400):
+            problem = dataclasses.replace(build_problem(inst, "split2"), g_f=g_f)
+            with pytest.raises(ValueError, match=r"^g_f \+ l_g \+ l_h: expected a finite "
+                                                 r"number > 0, got inf$"):
+                run_tos(problem, SolverConfig(iters=8, step=StepRule(kind="theory")),
+                        np.full((4, 4), 0.25))
+
+    def test_theory_rule_is_the_fixed_indicator_step(self):
+        # A theory rule runs step_size_lipschitz on the problem's d_g and g_f
+        # with g and h indicators (L_g = L_h = 0): bit for bit the fixed rule
+        # given that step.
+        inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
+        problem, t_total = build_problem(inst, "split1"), 64
+        fixed = StepRule.fixed(step_size_lipschitz(problem.d_g, problem.g_f, 0.0, 0.0, t_total))
+        runs = [run_tos(problem, SolverConfig(iters=t_total, step=rule, output="random", seed=2),
+                        initial_point(inst.n, 0), metric_fn=lambda z: (z[0, 0], z[1, 1]))
+                for rule in (StepRule(kind="theory"), fixed)]
+        assert runs[0].gamma == runs[1].gamma == fixed.constant
+        assert repr(runs[0].trace) == repr(runs[1].trace) and len(runs[0].trace) == 7
+        assert runs[0].z_out.tobytes() == runs[1].z_out.tobytes()
+
+    def test_lipschitz_g_and_h_run_as_a_fixed_step(self):
+        # A Lipschitz g or h has no theory rule of its own: its step goes in
+        # as a fixed one, which the run reports exactly.
+        problem = CompositeProblem(
+            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
+        gamma = step_size_lipschitz(2.0, 1.0, 0.5, 0.25, 16)
+        assert gamma != step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 16)
+        res = run_tos(problem, SolverConfig(iters=16, step=StepRule.fixed(gamma)),
+                      np.full((2, 2), 0.5))
+        assert res.gamma == gamma and res.l_smooth is None
 
     def test_overflowing_inverse_smoothness_named(self):
         problem = CompositeProblem(
@@ -125,28 +155,24 @@ class TestStepSizes:
             StepRule(kind="bogus")
 
     @pytest.mark.parametrize("fields, name", [
-        ({"kind": "fixed"}, "gamma"), ({"kind": "fixed", "gamma": -1.0}, "gamma"),
-        ({"kind": "fixed", "gamma": math.nan}, "gamma"),
-        ({"kind": "fixed", "gamma": math.inf}, "gamma"),
-        ({"kind": "inv_smoothness", "l_smooth": -1.0}, "l_smooth"),
-        ({"kind": "inv_smoothness", "l_smooth": math.nan}, "l_smooth"),
-        ({"kind": "theory", "gamma": 0.1}, "gamma"),
-        ({"kind": "theory", "l_smooth": 5.0}, "l_smooth"),
-        ({"kind": "fixed", "gamma": 0.1, "l_smooth": 5.0}, "l_smooth"),
-        ({"kind": "inv_smoothness", "gamma": 0.1}, "gamma"),
-        ({"kind": "fixed", "gamma": 10**400}, "gamma"),
-        ({"kind": "inv_smoothness", "l_smooth": 10**400}, "l_smooth")])
+        ({"kind": "fixed"}, "gamma"), ({"kind": "fixed", "constant": -1.0}, "gamma"),
+        ({"kind": "fixed", "constant": math.nan}, "gamma"),
+        ({"kind": "fixed", "constant": math.inf}, "gamma"),
+        ({"kind": "inv_smoothness", "constant": -1.0}, "l_smooth"),
+        ({"kind": "inv_smoothness", "constant": math.nan}, "l_smooth"),
+        ({"kind": "fixed", "constant": 10**400}, "gamma"),
+        ({"kind": "inv_smoothness", "constant": 10**400}, "l_smooth"),
+        ({"kind": "theory", "constant": 0.1}, "constant")])
     def test_rule_built_directly_checks_its_field(self, fields, name):
-        # A rule checks its own kind's field and rejects a value its kind ignores.
-        own = {"fixed": "gamma", "inv_smoothness": "l_smooth"}.get(fields["kind"])
-        pattern = ("expected a finite number" if name == own
-                   else f"a '{fields['kind']}' step rule takes no {name}, got {fields[name]!r}$")
+        # A rule checks its constant under its kind's name; a theory rule takes none.
+        pattern = ("a 'theory' step rule takes none, got 0.1$" if name == "constant"
+                   else "expected a finite number")
         with pytest.raises(ValueError, match=f"^{name}: {pattern}"):
             StepRule(**fields)
 
     def test_numpy_step_values_accepted(self):
-        assert StepRule.fixed(np.float32(0.5)).gamma == 0.5
-        assert StepRule.inv_smoothness(np.float64(2.0)).l_smooth == 2.0
+        assert StepRule.fixed(np.float32(0.5)).constant == 0.5
+        assert StepRule.inv_smoothness(np.float64(2.0)).constant == 2.0
 
     def test_numpy_scalars_resolve_to_python_floats(self):
         # A numpy constant must not set the step's precision: each rule
@@ -535,7 +561,7 @@ class TestCompositeProblem:
             CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
                              shape=(2, 2), batch=batch)
 
-    @pytest.mark.parametrize("name", ["d_g", "g_f", "l_g", "l_h"])
+    @pytest.mark.parametrize("name", ["d_g", "g_f"])
     @pytest.mark.parametrize("value", [math.nan, True])
     def test_constants_must_be_nonnegative_numbers(self, name, value):
         with pytest.raises(ValueError, match=f"^{name}: expected a number >= 0"):
@@ -547,7 +573,7 @@ class TestCompositeProblem:
         # reports the divergence itself.
         for value in (math.inf, np.float64(2.0), np.float32(0.5)):
             CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
-                             shape=(2, 2), d_g=value, g_f=value, l_g=value, l_h=value)
+                             shape=(2, 2), d_g=value, g_f=value)
 
     @pytest.mark.parametrize("name, kind", [("oracle", "GradientOracle"),
                                             ("prox_g", "ProxOperator"),
