@@ -160,6 +160,11 @@ class TestStepSizes:
         ({"kind": "fixed", "constant": math.inf}, "gamma"),
         ({"kind": "inv_smoothness", "constant": -1.0}, "l_smooth"),
         ({"kind": "inv_smoothness", "constant": math.nan}, "l_smooth"),
+        # A zero or infinite step, and a constant that is not a real number.
+        ({"kind": "fixed", "constant": 0.0}, "gamma"),
+        ({"kind": "inv_smoothness", "constant": math.inf}, "l_smooth"),
+        ({"kind": "inv_smoothness", "constant": True}, "l_smooth"),
+        ({"kind": "fixed", "constant": "0.1"}, "gamma"),
         ({"kind": "fixed", "constant": 10**400}, "gamma"),
         ({"kind": "inv_smoothness", "constant": 10**400}, "l_smooth"),
         ({"kind": "theory", "constant": 0.1}, "constant")])
