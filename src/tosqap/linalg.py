@@ -10,17 +10,23 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 
 import numpy as np
 
 
 def as_matrix(x, name: str, shape=None) -> np.ndarray:
     """Validate and return ``x`` as a C-contiguous float64 array: of exactly
-    ``shape`` when given (any ndim), else 2-D with positive dimensions, and
-    finite.  Each fault raises a ``ValueError`` naming ``name``."""
+    ``shape`` when given (any ndim), else 2-D with positive dimensions, real
+    and finite.  Each fault raises a ``ValueError`` naming ``name``."""
     try:
-        a = np.ascontiguousarray(x, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":  # bool, int or float
+            a = np.ascontiguousarray(x, dtype=np.float64)
+        else:  # numpy casts complex to real, a list's numpy scalars too, with only a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                a = np.ascontiguousarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning) as exc:
         raise ValueError(f"{name} must be an array of real numbers ({exc})") from None
     if shape is not None:
         _shaped(a, name, shape)

@@ -79,30 +79,23 @@ def minibatch_gradient(
     return acc / batch
 
 
-def batch_schedule_lipschitz(t_total: int, g_f: float, l_g: float, l_h: float) -> int:
-    """Batch size ceil(T^(2/3) / (2 (G_f + L_g + L_h)^2)), floored at 1."""
-    power, s = _theory_terms(t_total, g_f, l_g, l_h)
+def batch_schedule_lipschitz(t_total: int, g_f: float) -> int:
+    """Batch size ceil(T^(2/3) / (2 G^2)), at least 1, G = ``g_f`` as in ``step_size_lipschitz``."""
+    power, g_f = _theory_terms(t_total, g_f)
     try:
-        return max(1, math.ceil(power / (2.0 * s**2) - 1e-8))
+        return max(1, math.ceil(power / (2.0 * g_f**2) - 1e-8))
     except (OverflowError, ZeroDivisionError):
-        if s > 1.0:  # s**2 overflows, and the quotient is below 1
+        if g_f > 1.0:  # g_f**2 overflows, and the quotient is below 1
             return 1
-        raise ValueError(f"g_f + l_g + l_h: expected a sum with a finite batch, got {s!r}") from None
+        raise ValueError(f"g_f: expected a bound with a finite batch, got {g_f!r}") from None
 
 
-def _theory_terms(t_total: int, g_f: float, l_g: float, l_h: float) -> tuple[float, float]:
-    """T^(2/3) and G_f + L_g + L_h of the theory step and batch rules as Python floats,
-    each input checked: the sum must be finite and > 0; a fault raises ``ValueError`` naming it."""
-    check_int(t_total, "t_total", 1)
-    for value, name in ((g_f, "g_f"), (l_g, "l_g"), (l_h, "l_h")):
-        check_real(value, name, least=0)
+def _theory_terms(t_total: int, g_f: float) -> tuple[float, float]:
+    """T^(2/3) and G of the theory step and batch rules as Python floats, each
+    input checked (G finite and > 0); a fault raises ``ValueError`` naming it."""
+    g_f = float(check_real(g_f, "g_f", above=0, finite=True))
     try:
-        s = g_f + l_g + l_h
-    except OverflowError:  # an int too large for a float met a float
-        s = math.inf
-    check_real(s, "g_f + l_g + l_h", above=0, finite=True)
-    try:
-        return float(t_total) ** (2.0 / 3.0), float(s)
+        return float(check_int(t_total, "t_total", 1)) ** (2.0 / 3.0), g_f
     except OverflowError:
         raise ValueError(f"t_total: expected an integer a float can hold, got a "
                          f"{t_total.bit_length()}-bit integer") from None

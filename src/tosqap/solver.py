@@ -27,12 +27,11 @@ from .oracles import GradientOracle, StochasticGradientOracle, _theory_terms, mi
 from .prox import ProxOperator, product_space_prox
 
 
-def step_size_lipschitz(d_g: float, g_f: float, l_g: float, l_h: float, t_total: int) -> float:
-    """Fixed step D_g / (2 (G_f + L_g + L_h) T^(2/3)) of the paper's three
-    cases: g and h Lipschitz; g an indicator (l_g = 0); both indicators
-    (l_g = l_h = 0), with D_g the diameter of the set."""
+def step_size_lipschitz(d_g: float, g_f: float, t_total: int) -> float:
+    """The paper's fixed step D_g / (2 G T^(2/3)), D_g the diameter of dom g, G = ``g_f``:
+    G_f if g and h are indicators, else G_f + L_g + L_h, L their Lipschitz constants."""
     d_g = float(check_real(d_g, "d_g", above=0, finite=True))
-    power, bound = _theory_terms(t_total, g_f, l_g, l_h)
+    power, bound = _theory_terms(t_total, g_f)
     return check_real(d_g / (2.0 * bound * power), "theory step", above=0, finite=True)
 
 
@@ -41,9 +40,9 @@ class StepRule:
     """Step-size policy for a solver run.
 
     kind is one of 'theory' (``step_size_lipschitz`` on the problem's d_g
-    and g_f, with g and h indicators), 'fixed' (gamma = ``constant``), or
-    'inv_smoothness' (gamma = 1 / L with L = ``constant`` the smoothness
-    constant of f; 0 leaves it unset).  A theory rule's constant is 0.
+    and g_f), 'fixed' (gamma = ``constant``), or 'inv_smoothness' (gamma =
+    1 / L with L = ``constant`` the smoothness constant of f; 0 leaves it
+    unset).  A theory rule's constant is 0.
     """
 
     kind: str
@@ -76,17 +75,18 @@ class StepRule:
             if self.constant == 0.0:
                 raise ValueError("step 1/L needs the smoothness constant L, which is unset")
             return check_real(1.0 / float(self.constant), "1/l_smooth", finite=True)
-        return step_size_lipschitz(problem.d_g, problem.g_f, 0.0, 0.0, t_total)
+        return step_size_lipschitz(problem.d_g, problem.g_f, t_total)
 
 
 @dataclass(frozen=True)
 class CompositeProblem:
     """Problem data for minimizing f(x) + g(x) + h(x).
 
-    The constants d_g (diameter of dom g) and g_f (gradient bound on
-    dom g) feed the theory step size; they may be left at 0 when a fixed or
-    1/L step is used instead.  Each field is checked when the problem is
-    made; a fault raises ``ValueError`` naming it.
+    The constants d_g (diameter of dom g) and g_f (the bound G: G_f, the
+    gradient bound on dom g, plus L_g + L_h for a Lipschitz g or h) feed the
+    theory step size; they may be left at 0 when a fixed or 1/L step is
+    used.  Each field is checked when the problem is made; a fault raises
+    ``ValueError`` naming it.
     """
 
     oracle: GradientOracle

@@ -173,7 +173,7 @@ def test_criterion_1c_telescoped_bound_under_noise():
         for t_total, scale in itertools.product((8, 64, 512), (0.1, 1.0, 10.0)):
             sto = dataclasses.replace(
                 det, stochastic=gaussian_noise_oracle(det.oracle, scale * det.g_f),
-                batch=batch_schedule_lipschitz(t_total, det.g_f, 0.0, 0.0))
+                batch=batch_schedule_lipschitz(t_total, det.g_f))
             gammas, squares, inners = set(), [], []
             for t, gamma, u, z, x, y, y_next in iterations(
                     sto, SolverConfig(iters=t_total, step=StepRule(kind="theory"), seed=seed), y1):
@@ -380,7 +380,7 @@ def test_criterion_7_stochastic_deterministic_collapse():
     inst = random_uniform_instance(6, 707)
     det = build_problem(inst, SPLIT1)
     t_total = 64
-    batch = batch_schedule_lipschitz(t_total, det.g_f, 0.0, 0.0)
+    batch = batch_schedule_lipschitz(t_total, det.g_f)
     sto = CompositeProblem(
         oracle=det.oracle, prox_g=det.prox_g, prox_h=det.prox_h,
         shape=det.shape, d_g=det.d_g, g_f=det.g_f,

@@ -98,7 +98,8 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["permutation"] == [0]
 
     @pytest.mark.parametrize("step, message", [
-        ("invL", "all-zero"), ("theory", "g_f + l_g + l_h")], ids=["invL", "theory"])
+        ("invL", "all-zero"), ("theory", "g_f: expected a finite number > 0")],
+        ids=["invL", "theory"])
     def test_all_zero_a_names_the_fault(self, tmp_path, capsys, step, message):
         inst_path = tmp_path / "zero.dat"
         inst_path.write_text("2\n0 0\n0 0\n1 2\n3 4\n")
@@ -296,6 +297,25 @@ class TestSolve:
                                    "print(json.dumps(environment()['blas_core']))"],
             env=env, check=True, capture_output=True, text=True, timeout=60)
         assert json.loads(proc.stdout) in (None, "Haswell")
+
+    def test_numpy_is_the_only_runtime_dependency(self, tmp_path):
+        # A solve in a fresh interpreter loads none of the test extras.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "\n".join([
+            "import importlib.resources, json, sys",
+            "import tosqap",
+            "from tosqap import cli",
+            "dat = importlib.resources.files('tosqap') / 'data' / 'chr12a.dat'",
+            "rc = cli.main(['solve', str(dat), '--solver', 'tos-split2', '--iters', '8',",
+            "               '--out', sys.argv[1]])",
+            "extras = {'scipy', 'hypothesis', 'pytest'}",
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] in extras)]))"])
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                              env=env, check=True, capture_output=True, text=True, timeout=60)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert (tmp_path / "out" / "chr12a_tos-split2_seed0.summary.json").is_file()
 
     @pytest.mark.parametrize("cdll", [cannot_load, lambda path: object()],
                              ids=["unloadable", "no-openblas-symbol"])

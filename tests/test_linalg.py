@@ -145,7 +145,9 @@ def test_as_square_names_the_matrix():
     assert as_square([[1, 2], [3, 4]], "cost").dtype == np.float64
     with pytest.raises(ValueError, match=r"^cost must be square, got shape \(2, 3\)"):
         as_square(np.ones((2, 3)), "cost")
-    for bad in ([[object()]], [[1.0], [1.0, 2.0]], "abc", [[10 ** 400]]):
+    # numpy would cast complex entries to their real parts with only a warning.
+    for bad in ([[object()]], [[1.0], [1.0, 2.0]], "abc", [[10 ** 400]],
+                np.array([[1 + 5j, 2], [3, 4]]), [[np.complex128(1 + 5j), 2], [3, 4]]):
         with pytest.raises(ValueError, match="^A must be an array of real numbers"):
             as_square(bad, "A")
 

@@ -165,62 +165,59 @@ def test_variance_one_over_batch_law(exact):
 
 
 def test_batch_schedule_lipschitz_examples():
-    assert batch_schedule_lipschitz(8, 1.0, 0.0, 0.0) == 2
-    assert batch_schedule_lipschitz(1, 1.0, 0.0, 0.0) == 1
-    assert batch_schedule_lipschitz(1000, 2.0, 0.0, 0.0) == 13
+    assert batch_schedule_lipschitz(8, 1.0) == 2
+    assert batch_schedule_lipschitz(1, 1.0) == 1
+    assert batch_schedule_lipschitz(1000, 2.0) == 13
+    # A Lipschitz g or h enters only through the bound G = G_f + L_g + L_h.
+    assert batch_schedule_lipschitz(1000, 1.0 + 0.5 + 0.5) == 13
 
 
 def test_batch_schedule_indicator_examples():
-    # Both terms indicators: L_g = L_h = 0.
-    assert batch_schedule_lipschitz(8, 1.0, 0.0, 0.0) == 2
-    assert batch_schedule_lipschitz(8, 10.0, 0.0, 0.0) == 1
-    assert batch_schedule_lipschitz(10**6, 1.0, 0.0, 0.0) == 5000
+    # Both terms indicators: the bound is G_f.
+    assert batch_schedule_lipschitz(8, 1.0) == 2
+    assert batch_schedule_lipschitz(8, 10.0) == 1
+    assert batch_schedule_lipschitz(10**6, 1.0) == 5000
 
 
 def test_batch_schedule_floors_an_overflowing_square():
-    # (G_f + L_g + L_h)^2 overflows a float; the quotient is below 1.
-    assert batch_schedule_lipschitz(8, 1e200, 0.0, 0.0) == 1
-    assert batch_schedule_lipschitz(10**300, 1e200, 0.0, 0.0) == 1
+    # G^2 overflows a float; the quotient is below 1.
+    assert batch_schedule_lipschitz(8, 1e200) == 1
+    assert batch_schedule_lipschitz(10**300, 1e200) == 1
 
 
 def test_theory_terms_are_python_floats():
-    # Numpy constants would make the sum's square a numpy power, which warns
-    # on overflow instead of raising; the rules compute in Python floats.
-    assert batch_schedule_lipschitz(8, np.float64(1e200), 0.0, 0.0) == 1
-    assert batch_schedule_lipschitz(np.int64(1000), np.float32(2.0), 0.0, 0.0) == 13
-    power, s = _theory_terms(np.int64(8), np.float32(0.3), 0.0, np.float64(0.0))
-    assert (type(power), type(s)) == (float, float)
-    assert (power, s) == _theory_terms(8, float(np.float32(0.3)), 0.0, 0.0)
+    # A numpy bound would make its square a numpy power, which warns on
+    # overflow instead of raising; the rules compute in Python floats.
+    assert batch_schedule_lipschitz(8, np.float64(1e200)) == 1
+    assert batch_schedule_lipschitz(np.int64(1000), np.float32(2.0)) == 13
+    power, g_f = _theory_terms(np.int64(8), np.float32(0.3))
+    assert (type(power), type(g_f)) == (float, float)
+    assert (power, g_f) == _theory_terms(8, float(np.float32(0.3)))
 
 
 def test_batch_schedule_rejects_bad_constants():
     with pytest.raises(ValueError):
-        batch_schedule_lipschitz(10, 0.0, 0.0, 0.0)
+        batch_schedule_lipschitz(10, 0.0)
     with pytest.raises(ValueError):
-        batch_schedule_lipschitz(10, -1.0, 0.0, 0.0)
+        batch_schedule_lipschitz(10, -1.0)
 
 
 @pytest.mark.parametrize("args, name", [
-    ((2.5, 1.0, 0.0, 0.0), "t_total"), ((True, 1.0, 0.0, 0.0), "t_total"),
-    ((10, 1e308, 1e308, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((8, math.inf, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
-    # Each constant is checked before the sum: g_f = -1.0 would give the
-    # batch of the sum 1, and a string g_f a TypeError naming nothing.
-    ((8, -1.0, 2.0, 0.0), "g_f"), ((8, "1", 2.0, 0.0), "g_f"),
-    ((8, 1.0, math.nan, 0.0), "l_g"), ((8, 1.0, -1.0, 0.0), "l_g"),
-    ((8, 1.0, 2.0, True), "l_h"), ((8, 1.0, 2.0, -0.5), "l_h"),
-    # Each may be +inf; the sum refuses it.
-    ((8, 0.0, math.inf, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((8, 0.0, 0.0, math.inf), r"g_f \+ l_g \+ l_h"),
-    # A horizon whose T^(2/3) a float cannot hold; a sum whose square
+    ((2.5, 1.0), "t_total"), ((True, 1.0), "t_total"),
+    ((10, 0.0), "g_f"), ((8, math.inf), "g_f"),
+    # A negative bound would give the batch of its absolute value, and a
+    # string one a TypeError naming nothing; the rest are not finite numbers > 0.
+    ((8, -1.0), "g_f"), ((8, "1"), "g_f"),
+    ((8, math.nan), "g_f"), ((8, 0), "g_f"),
+    ((8, True), "g_f"), ((8, None), "g_f"),
+    ((8, -math.inf), "g_f"), ((8, np.float32(math.nan)), "g_f"),
+    # A horizon whose T^(2/3) a float cannot hold; a bound whose square
     # underflows to 0, or whose batch overflows a float.
-    ((10**400, 1.0, 0.0, 0.0), "t_total"),
-    ((10**9, 1e-200, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
-    ((10**9, 1e-160, 0.0, 0.0), r"g_f \+ l_g \+ l_h"),
+    ((10**400, 1.0), "t_total"),
+    ((10**9, 1e-200), "g_f"),
+    ((10**9, 1e-160), "g_f"),
     # An integer too large for a float is not finite.
-    ((8, 10**400, 0, 0), r"g_f \+ l_g \+ l_h"),
-    # One that overflows on meeting a float: the sum is taken as inf.
-    ((8, 10**400, 0.0, 0.0), r"g_f \+ l_g \+ l_h")])
+    ((8, 10**400), "g_f")])
 def test_batch_schedule_names_bad_argument(args, name):
     with pytest.raises(ValueError, match=f"^{name}: expected"):
         batch_schedule_lipschitz(*args)

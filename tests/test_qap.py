@@ -129,6 +129,8 @@ class TestParsing:
             QapInstance("bad", np.ones((2, 2)), np.ones((3, 3)))
         with pytest.raises(ValueError, match="^A must be an array of real numbers"):
             QapInstance("x", [["a"]], [[1.0]])
+        with pytest.raises(ValueError, match="^B must be an array of real numbers"):
+            QapInstance("x", np.eye(2), np.eye(2) * (1 + 1j))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "9552",
                                        pytest.param(10**400, id="int-beyond-a-float")])

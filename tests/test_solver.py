@@ -56,51 +56,48 @@ def scalar_problem(value, gradient, prox_g=None, prox_h=None, **kw):
 
 class TestStepSizes:
     def test_lipschitz_examples(self):
-        assert step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 1) == 1.0
-        assert step_size_lipschitz(2.0, 0.5, 0.25, 0.25, 8) == pytest.approx(0.25)
+        assert step_size_lipschitz(2.0, 1.0, 1) == 1.0
+        # A Lipschitz g or h enters only through the bound G = G_f + L_g + L_h.
+        assert (step_size_lipschitz(2.0, 0.5 + 0.25 + 0.25, 8) == step_size_lipschitz(2.0, 1.0, 8)
+                == pytest.approx(0.25))
 
     def test_lipschitz_homogeneous_in_diameter(self):
-        g1 = step_size_lipschitz(1.0, 2.0, 1.0, 1.0, 100)
-        g2 = step_size_lipschitz(2.0, 2.0, 1.0, 1.0, 100)
+        g1 = step_size_lipschitz(1.0, 2.0 + 1.0 + 1.0, 100)
+        g2 = step_size_lipschitz(2.0, 2.0 + 1.0 + 1.0, 100)
         assert g2 == pytest.approx(2 * g1)
 
     def test_indicators_examples(self):
-        assert step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8) == pytest.approx(0.25)
-        assert step_size_lipschitz(1.0, 1.0, 0.0, 0.0, 1) == pytest.approx(0.5)
+        assert step_size_lipschitz(2.0, 1.0, 8) == pytest.approx(0.25)
+        assert step_size_lipschitz(1.0, 1.0, 1) == pytest.approx(0.5)
 
     def test_indicators_decreasing_in_horizon(self):
-        gammas = [step_size_lipschitz(1.0, 1.0, 0.0, 0.0, t) for t in (1, 10, 100, 1000)]
+        gammas = [step_size_lipschitz(1.0, 1.0, t) for t in (1, 10, 100, 1000)]
         assert gammas == sorted(gammas, reverse=True)
         assert len(set(gammas)) == len(gammas)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            step_size_lipschitz(0.0, 1.0, 0.0, 0.0, 10)
+            step_size_lipschitz(0.0, 1.0, 10)
         with pytest.raises(ValueError):
-            step_size_lipschitz(1.0, -1.0, 0.0, 0.0, 10)
+            step_size_lipschitz(1.0, -1.0, 10)
 
     @pytest.mark.parametrize("args, name", [
-        ((1.0, 1.0, 0.0, 0.0, 2.5), "t_total"), ((1.0, 1.0, 0.0, 0.0, True), "t_total"),
-        # A sum that overflows, an infinite one, and a step that underflows
-        # to 0 or overflows.
-        ((1.0, 1e308, 1e308, 0.0, 10), r"g_f \+ l_g \+ l_h"),
-        ((1.0, math.inf, 0.0, 0.0, 8), r"g_f \+ l_g \+ l_h"),
-        ((1e-300, 1e300, 0.0, 0.0, 8), "theory step"),
-        ((1e300, 1e-300, 0.0, 0.0, 1), "theory step"),
-        # Each constant is checked before the sum: g_f = -1.0 would give the
-        # step of the sum 1, and a string g_f a TypeError naming nothing.
-        ((1.0, -1.0, 2.0, 0.0, 8), "g_f"), ((1.0, "1", 2.0, 0.0, 8), "g_f"),
-        ((1.0, 1.0, math.nan, 0.0, 8), "l_g"), ((1.0, 1.0, -1.0, 0.0, 8), "l_g"),
-        ((1.0, 1.0, 2.0, True, 8), "l_h"), ((1.0, 1.0, 2.0, -0.5, 8), "l_h"),
-        # Each may be +inf; the sum refuses it.
-        ((1.0, 0.0, math.inf, 0.0, 8), r"g_f \+ l_g \+ l_h"),
-        ((1.0, 0.0, 0.0, math.inf, 8), r"g_f \+ l_g \+ l_h"),
+        ((1.0, 1.0, 2.5), "t_total"), ((1.0, 1.0, True), "t_total"),
+        # A zero bound, an infinite one, and a step that underflows to 0 or
+        # overflows.
+        ((1.0, 0.0, 10), "g_f"), ((1.0, math.inf, 8), "g_f"),
+        ((1e-300, 1e300, 8), "theory step"),
+        ((1e300, 1e-300, 1), "theory step"),
+        # A negative bound would give a negative step, and a string one a
+        # TypeError naming nothing; the rest are not finite numbers > 0.
+        ((1.0, -1.0, 8), "g_f"), ((1.0, "1", 8), "g_f"),
+        ((1.0, math.nan, 8), "g_f"), ((1.0, 0, 8), "g_f"),
+        ((1.0, True, 8), "g_f"), ((1.0, None, 8), "g_f"),
+        ((1.0, -math.inf, 8), "g_f"), ((1.0, np.float32(math.nan), 8), "g_f"),
         # A horizon whose T^(2/3) a float cannot hold.
-        ((1.0, 1.0, 0.0, 0.0, 10**400), "t_total"),
+        ((1.0, 1.0, 10**400), "t_total"),
         # Integers too large for a float are not finite.
-        ((10**400, 1.0, 0.0, 0.0, 8), "d_g"), ((1.0, 10**400, 0, 0, 8), r"g_f \+ l_g \+ l_h"),
-        # One that overflows on meeting a float: the sum is taken as inf.
-        ((1.0, 10**400, 0.0, 0.0, 8), r"g_f \+ l_g \+ l_h")])
+        ((10**400, 1.0, 8), "d_g"), ((1.0, 10**400, 8), "g_f")])
     def test_bad_argument_named(self, args, name):
         with pytest.raises(ValueError, match=f"^{name}: expected"):
             step_size_lipschitz(*args)
@@ -108,23 +105,23 @@ class TestStepSizes:
     def test_theory_run_on_infinite_gradient_bound_named(self):
         # gradient_bound overflows to +inf on huge entries, which a problem
         # accepts; a theory step from it would be 0.  An integer bound too
-        # large for a float overflows as the rule adds 0.0 to it.
+        # large for a float is not finite either.
         rng = make_rng(3)
         inst = QapInstance("r4", rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
         for g_f in (math.inf, 10**400):
             problem = dataclasses.replace(build_problem(inst, "split2"), g_f=g_f)
-            with pytest.raises(ValueError, match=r"^g_f \+ l_g \+ l_h: expected a finite "
-                                                 r"number > 0, got inf$"):
+            with pytest.raises(ValueError, match=f"^g_f: expected a finite number > 0, "
+                                                 f"got {g_f!r}$"):
                 run_tos(problem, SolverConfig(iters=8, step=StepRule(kind="theory")),
                         np.full((4, 4), 0.25))
 
     def test_theory_rule_is_the_fixed_indicator_step(self):
-        # A theory rule runs step_size_lipschitz on the problem's d_g and g_f
-        # with g and h indicators (L_g = L_h = 0): bit for bit the fixed rule
+        # A theory rule runs step_size_lipschitz on the problem's d_g and g_f,
+        # the bound G_f of g and h indicators: bit for bit the fixed rule
         # given that step.
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
         problem, t_total = build_problem(inst, "split1"), 64
-        fixed = StepRule.fixed(step_size_lipschitz(problem.d_g, problem.g_f, 0.0, 0.0, t_total))
+        fixed = StepRule.fixed(step_size_lipschitz(problem.d_g, problem.g_f, t_total))
         runs = [run_tos(problem, SolverConfig(iters=t_total, step=rule, output="random", seed=2),
                         initial_point(inst.n, 0), metric_fn=lambda z: (z[0, 0], z[1, 1]))
                 for rule in (StepRule(kind="theory"), fixed)]
@@ -133,15 +130,21 @@ class TestStepSizes:
         assert runs[0].z_out.tobytes() == runs[1].z_out.tobytes()
 
     def test_lipschitz_g_and_h_run_as_a_fixed_step(self):
-        # A Lipschitz g or h has no theory rule of its own: its step goes in
-        # as a fixed one, which the run reports exactly.
+        # A Lipschitz g or h runs under the theory rule with g_f set to
+        # G_f + L_g + L_h: bit for bit the fixed rule given that step.
+        y1, t_total = np.full((2, 2), 0.5), 16
         problem = CompositeProblem(
-            oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2))
-        gamma = step_size_lipschitz(2.0, 1.0, 0.5, 0.25, 16)
-        assert gamma != step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 16)
-        res = run_tos(problem, SolverConfig(iters=16, step=StepRule.fixed(gamma)),
-                      np.full((2, 2), 0.5))
-        assert res.gamma == gamma and res.l_smooth is None
+            oracle=GradientOracle(value=lambda x: float(np.sum(x * x)), gradient=lambda x: 2.0 * x),
+            prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2), d_g=2.0, g_f=1.0 + 0.5 + 0.25)
+        gamma = step_size_lipschitz(problem.d_g, problem.g_f, t_total)
+        assert gamma != step_size_lipschitz(2.0, 1.0, t_total)
+        runs = [run_tos(problem, SolverConfig(iters=t_total, step=rule, output="random", seed=1),
+                        y1, metric_fn=lambda z: (z[0, 0], z[1, 1]))
+                for rule in (StepRule(kind="theory"), StepRule.fixed(gamma))]
+        assert runs[0].gamma == runs[1].gamma == gamma
+        assert runs[0].l_smooth is runs[1].l_smooth is None
+        assert repr(runs[0].trace) == repr(runs[1].trace)
+        assert runs[0].z_out.tobytes() == runs[1].z_out.tobytes()
 
     def test_overflowing_inverse_smoothness_named(self):
         problem = CompositeProblem(
@@ -182,17 +185,17 @@ class TestStepSizes:
     def test_numpy_scalars_resolve_to_python_floats(self):
         # A numpy constant must not set the step's precision: each rule
         # computes in Python floats from the values of its inputs.
-        gamma = step_size_lipschitz(1.0, np.float32(0.3), 0.0, 0.0, 7)
+        gamma = step_size_lipschitz(1.0, np.float32(0.3), 7)
         assert type(gamma) is float
-        assert gamma == step_size_lipschitz(1.0, float(np.float32(0.3)), 0.0, 0.0, 7)
-        gamma = step_size_lipschitz(np.float32(2.0), 1.0, np.float64(0.0), 0.0, np.int64(8))
-        assert type(gamma) is float and gamma == step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8)
+        assert gamma == step_size_lipschitz(1.0, float(np.float32(0.3)), 7)
+        gamma = step_size_lipschitz(np.float32(2.0), np.float64(1.0), np.int64(8))
+        assert type(gamma) is float and gamma == step_size_lipschitz(2.0, 1.0, 8)
         problem = CompositeProblem(
             oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(), shape=(2, 2),
             d_g=np.float32(2.0), g_f=np.float32(1.0))
         for rule, expected in ((StepRule.fixed(np.float32(1e-5)), float(np.float32(1e-5))),
                                (StepRule.inv_smoothness(np.float32(3.0)), 1.0 / 3.0),
-                               (StepRule(kind="theory"), step_size_lipschitz(2.0, 1.0, 0.0, 0.0, 8))):
+                               (StepRule(kind="theory"), step_size_lipschitz(2.0, 1.0, 8))):
             resolved = rule.resolve(problem, 8)
             assert type(resolved) is float and resolved == expected
             res = run_tos(problem, SolverConfig(iters=8, step=rule), np.full((2, 2), 0.5))
