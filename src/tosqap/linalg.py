@@ -22,10 +22,12 @@ def as_matrix(x, name: str, shape=None) -> np.ndarray:
     try:
         if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":  # bool, int or float
             a = np.ascontiguousarray(x, dtype=np.float64)
-        else:  # numpy casts complex to real, a list's numpy scalars too, with only a warning
+        else:  # numpy only warns casting complex, a list's numpy scalars too; None is NaN
             with warnings.catch_warnings():
                 warnings.simplefilter("error", np.exceptions.ComplexWarning)
                 a = np.ascontiguousarray(x, dtype=np.float64)
+            if np.isnan(a).any() and any(v is None for v in np.asarray(x, dtype=object).flat):
+                raise TypeError("None is not a number")
     except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning) as exc:
         raise ValueError(f"{name} must be an array of real numbers ({exc})") from None
     if shape is not None:

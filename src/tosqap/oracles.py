@@ -80,22 +80,33 @@ def minibatch_gradient(
 
 
 def batch_schedule_lipschitz(t_total: int, g_f: float) -> int:
-    """Batch size ceil(T^(2/3) / (2 G^2)), at least 1, G = ``g_f`` as in ``step_size_lipschitz``."""
+    """Batch size ceil(T^(2/3) / (2 G^2)), G = ``g_f`` as in ``step_size_lipschitz``:
+    the least b >= 1 with 8 G^6 b^3 >= T^2, found in exact arithmetic."""
     power, g_f = _theory_terms(t_total, g_f)
     try:
-        return max(1, math.ceil(power / (2.0 * g_f**2) - 1e-8))
+        b = 2 * math.ceil(power / (2.0 * g_f**2)) + 1  # twice the float batch: above it
     except (OverflowError, ZeroDivisionError):
         if g_f > 1.0:  # g_f**2 overflows, and the quotient is below 1
             return 1
         raise ValueError(f"g_f: expected a bound with a finite batch, got {g_f!r}") from None
+    # With G = p / q exactly, an integer b has b^3 >= T^2 / (8 G^6) iff b^3 >= n,
+    # its ceiling.  Newton's method from above stops at n's cube root rounded down.
+    p, q = g_f.as_integer_ratio()
+    n = -(-(int(t_total) ** 2 * q**6) // (8 * p**6))
+    while (c := (2 * b + n // (b * b)) // 3) < b:
+        b = c
+    return b + (b**3 < n)
 
 
 def _theory_terms(t_total: int, g_f: float) -> tuple[float, float]:
     """T^(2/3) and G of the theory step and batch rules as Python floats, each
-    input checked (G finite and > 0); a fault raises ``ValueError`` naming it."""
+    input checked (G finite and > 0); a fault raises ``ValueError`` naming it.
+    T^(2/3) is the cube root of T^2: exact on cubes, within an ulp elsewhere."""
     g_f = float(check_real(g_f, "g_f", above=0, finite=True))
     try:
-        return float(check_int(t_total, "t_total", 1)) ** (2.0 / 3.0), g_f
+        t = float(check_int(t_total, "t_total", 1))
     except OverflowError:
         raise ValueError(f"t_total: expected an integer a float can hold, got a "
                          f"{t_total.bit_length()}-bit integer") from None
+    k = 0 if t < 2.0**512 else 344  # past 2^512 T^2 overflows: scale it by 2^(-3k)
+    return math.ldexp(float(np.cbrt(math.ldexp(t, -3 * k) * t)), k), g_f

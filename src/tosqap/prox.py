@@ -4,22 +4,12 @@ The projections here are the building blocks of the two Birkhoff-polytope
 splittings used by the assignment solvers: row/column simplex projections
 on one hand, and box truncation plus the closed-form projection onto the
 doubly stochastic affine subspace on the other.
-
-``product_space_prox`` builds the blockwise prox of the consensus
-splitting.  The row and column operators are one class keyed by the axis
-they project along, so it turns every simplex block so that axis is last
-and projects all blocks whose rows then have equal length (at n x n, the
-row and the column block alike) in one ``project_simplex`` call.  At
-n = 12 the fixed cost of a numpy call dominates: on a shared 2-core x86
-VM with one BLAS thread, one 12 x 12 call takes 12-13 us and one call on
-the row and column blocks stacked 14-15 us.  Each row is projected on its
-own, so the bytes are those of one call per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -77,10 +67,9 @@ def project_box01(x: np.ndarray) -> np.ndarray:
 
 
 class _SimplexProjection(ProxOperator):
-    """Projection of each line along ``axis`` onto the unit simplex, which
-    ``product_space_prox`` batches with others.  ``axis`` is a plain
-    attribute; a dataclass field would add about 0.5 ms to the package's
-    import."""
+    """Projection of each line along ``axis`` onto the unit simplex.  ``axis``
+    is a plain attribute; a dataclass field would add about 0.5 ms to the
+    package's import."""
 
     def __init__(self, axis: int):
         super().__init__(lambda p, scale: project_simplex(p.swapaxes(axis, -1)).swapaxes(axis, -1))
@@ -171,39 +160,3 @@ def prox_affine_doubly_stochastic() -> ProxOperator:
     """A matrix, or each matrix of a (k, n, n) stack."""
     return ProxOperator(lambda p, scale: _affine_closed_form(p))
 
-
-def product_space_prox(prox_list: Sequence[ProxOperator]) -> ProxOperator:
-    """Prox of h(x_0, ..., x_m) = sum_i h_i(x_i) on a stack of m + 1 blocks:
-    the identity on block 0 and ``prox_list[i - 1]`` on block i.
-
-    Each simplex block is swapped so that its projected axis is last; the
-    blocks whose rows then have equal length are projected in one
-    ``project_simplex`` call on their stack and swapped back.  Every other
-    block calls its own operator.
-    """
-    if len(prox_list) == 0:
-        raise ValueError("prox_list must contain at least one operator")
-    simplex, others = [], []  # (block, axis) and (block, operator)
-    for i, prox in enumerate(prox_list, 1):
-        if isinstance(prox, _SimplexProjection):
-            simplex.append((i, prox.axis))
-        elif isinstance(prox, ProxOperator):
-            others.append((i, prox))
-        else:
-            raise ValueError(f"prox_list[{i - 1}] must be a ProxOperator, got {prox!r}")
-
-    def apply(p, scale):
-        out = [p[0]] + [None] * len(prox_list)
-        for i, prox in others:
-            out[i] = prox(p[i], scale)
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for i, axis in simplex:
-            groups.setdefault(p.shape[axis], []).append((i, axis))
-        for group in groups.values():
-            done = project_simplex(np.array([p[i].swapaxes(axis, -1) for i, axis in group]))
-            for (i, axis), block in zip(group, done):
-                out[i] = block.swapaxes(axis, -1)
-        return np.array(out)
-
-    return ProxOperator(apply, lambda x: sum(
-        prox.value(x[i]) for i, prox in enumerate(prox_list, 1)))

@@ -145,9 +145,11 @@ def test_as_square_names_the_matrix():
     assert as_square([[1, 2], [3, 4]], "cost").dtype == np.float64
     with pytest.raises(ValueError, match=r"^cost must be square, got shape \(2, 3\)"):
         as_square(np.ones((2, 3)), "cost")
-    # numpy would cast complex entries to their real parts with only a warning.
+    # numpy would cast complex entries to their real parts with only a warning,
+    # and None to NaN.
     for bad in ([[object()]], [[1.0], [1.0, 2.0]], "abc", [[10 ** 400]],
-                np.array([[1 + 5j, 2], [3, 4]]), [[np.complex128(1 + 5j), 2], [3, 4]]):
+                np.array([[1 + 5j, 2], [3, 4]]), [[np.complex128(1 + 5j), 2], [3, 4]],
+                [[1, None], [3, 4]], np.array([[1.0, None], [3, 4]], dtype=object)):
         with pytest.raises(ValueError, match="^A must be an array of real numbers"):
             as_square(bad, "A")
 

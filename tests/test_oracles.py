@@ -1,7 +1,11 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tosqap import (
     GradientOracle,
@@ -11,6 +15,7 @@ from tosqap import (
     gaussian_noise_oracle,
     make_rng,
     minibatch_gradient,
+    step_size_lipschitz,
 )
 from tosqap.oracles import _theory_terms
 
@@ -170,6 +175,8 @@ def test_batch_schedule_lipschitz_examples():
     assert batch_schedule_lipschitz(1000, 2.0) == 13
     # A Lipschitz g or h enters only through the bound G = G_f + L_g + L_h.
     assert batch_schedule_lipschitz(1000, 1.0 + 0.5 + 0.5) == 13
+    # The quotient is 2.000000005: its ceiling is 3, not 2.
+    assert batch_schedule_lipschitz(8, math.sqrt(1.0 / (1.0 + 2.5e-9))) == 3
 
 
 def test_batch_schedule_indicator_examples():
@@ -193,6 +200,39 @@ def test_theory_terms_are_python_floats():
     power, g_f = _theory_terms(np.int64(8), np.float32(0.3))
     assert (type(power), type(g_f)) == (float, float)
     assert (power, g_f) == _theory_terms(8, float(np.float32(0.3)))
+
+
+@pytest.mark.parametrize("t_total, power", [(8, 4.0), (27, 9.0), (4096, 256.0),
+                                             (10**6, 10_000.0), (2**600, 2.0**400),
+                                             (10**300, 1e200)],
+                         ids=["8", "27", "4096", "1e6", "2^600", "1e300"])
+def test_theory_power_exact_on_cubes(t_total, power):
+    # float(T) ** (2/3) misses every cube: 8 gave 3.9999999999999996.  The
+    # last two are past 2^512, where T^2 overflows a float.
+    assert _theory_terms(t_total, 1.0)[0] == power
+    assert step_size_lipschitz(2.0, 1.0, t_total) == 1.0 / power
+
+
+def test_theory_power_within_an_ulp():
+    # Against T^(2/3) in 40-digit decimal arithmetic, rounded once to a float.
+    rng = make_rng(9)
+    sample = [int(t) for t in rng.integers(1, 10**9, 2000)] + list(range(1, 1001))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for t_total in sample:
+            want = float((Decimal(t_total) ** 2) ** (Decimal(1) / 3))
+            assert abs(_theory_terms(t_total, 1.0)[0] - want) <= math.ulp(want), t_total
+
+
+@given(st.integers(1, 10**9), st.floats(1e-3, 1e3))
+@example(8, math.sqrt(1.0 / (1.0 + 2.5e-9)))  # ceil(2.000000005) = 3; the rule gave 2
+def test_batch_schedule_exact(t_total, g_f):
+    # ceil(T^(2/3) / (2 G^2)) is the least b with 2 G^2 b >= T^(2/3), that is
+    # with 8 G^6 b^3 >= T^2, here in exact arithmetic.
+    b = batch_schedule_lipschitz(t_total, g_f)
+    g6 = 8 * Fraction(g_f) ** 6
+    assert g6 * b**3 >= t_total**2
+    assert b == 1 or g6 * (b - 1) ** 3 < t_total**2
 
 
 def test_batch_schedule_rejects_bad_constants():
