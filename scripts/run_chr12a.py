@@ -4,7 +4,8 @@
 Runs both splitting decompositions (step size 1/L) and the Frank-Wolfe
 baseline from the same initial point, each as the cell that ``tosqap solve``
 and ``tosqap bench`` run, then reports relaxed value, rounded value, error
-metrics, and wall time per solver.
+metrics, and wall time per solver; a solver that fails prints its error, and
+the script then exits 1.
 """
 
 import argparse
@@ -32,10 +33,13 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for r in rows:
+        if "error" in r:
+            print(f"{r['solver']:<12}error: {r['error']}")
+            continue
         print(f"{r['solver']:<12}{r['iterations']:>8}{r['relaxed_value']:>12.2f}"
               f"{r['rounded_value']:>10.0f}{r['infeasibility']:>11.2e}"
               f"{r['nonstationarity']:>11.2e}{r['assignment_error']:>12.4f}{r['wall_time']:>10.2f}")
-    return 0
+    return 1 if any("error" in r for r in rows) else 0
 
 
 if __name__ == "__main__":

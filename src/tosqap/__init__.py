@@ -1,14 +1,8 @@
 """Nonconvex three-operator splitting and relax-and-round QAP solvers."""
 
 from .fw import FwConfig, FwResult, run_fw
-from .lap import (
-    LapSolution,
-    Permutation,
-    permutation_to_matrix,
-    solve_lap_max,
-    solve_lap_min,
-)
-from .linalg import draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
+from .lap import LapSolution, Permutation, permutation_to_matrix, solve_lap_min
+from .linalg import frobenius_inner, frobenius_norm, make_rng
 from .oracles import (
     GradientOracle,
     StochasticGradientOracle,

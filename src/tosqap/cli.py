@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``solve``   -- run one solver on one instance, writing a CSV trace and
-  a JSON summary;
+* ``solve``   -- run one solver on one instance, writing a CSV trace, the
+  relaxed iterate and a JSON summary; a run that fails writes its summary
+  alone, with the error, and exits 1;
 * ``bench``   -- run a manifest of (instance, solver) cells one after
   another in manifest order, all solvers sharing the per-instance initial
   point, and tally pairwise wins.
@@ -112,14 +113,23 @@ def _resolve_best_known(inst: qap.QapInstance, override):
 
 
 def _run_cell(inst: qap.QapInstance, solver: str, iters: int, step: StepRule, tol, y1):
-    if solver == "fw":
-        res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
-        run, iterate, gamma, l_smooth = res, res.iterate, None, None
-    else:
-        config = SolverConfig(iters=iters, step=step)
-        res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
-        run, iterate = res.run, res.relaxed_iterate
-        gamma, l_smooth = run.gamma, run.l_smooth
+    """One solver's run from ``y1``: (summary row, trace, relaxed iterate).  A
+    failed run's row holds its ``error`` (and, on divergence, where), with no
+    trace or iterate."""
+    try:
+        if solver == "fw":
+            res = run_fw(inst, y1, FwConfig(max_iters=iters, gap_tolerance=tol or 0.0))
+            run, iterate, gamma, l_smooth = res, res.iterate, None, None
+        else:
+            config = SolverConfig(iters=iters, step=step)
+            res = qap.relax_and_round(inst, solver.split("-", 1)[1], config, tol=tol, y1=y1)
+            run, iterate = res.run, res.relaxed_iterate
+            gamma, l_smooth = run.gamma, run.l_smooth
+    except Exception as exc:  # the failure is the cell's record
+        row = {"solver": solver, "instance": inst.name, "error": str(exc)}
+        if isinstance(exc, DivergenceError):
+            row.update(stopped_by="divergence", iterations=exc.iteration)
+        return row, None, None
     return {
         "solver": solver,
         "instance": inst.name,
@@ -155,13 +165,18 @@ def cmd_solve(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     y1 = qap.initial_point(inst.n, args.seed)
     summary, trace, iterate = _run_cell(inst, args.solver, args.iters, step, args.tol, y1)
-    summary["env"] = environment()
+    summary.update(env=environment(), iters=args.iters, tol=args.tol, step=args.step,
+                   seed=args.seed)
     stem = f"{inst.name}_{args.solver}_seed{args.seed}"
-    write_trace(os.path.join(args.out, stem + ".trace.csv"), trace)
-    np.savetxt(os.path.join(args.out, stem + ".iterate.txt"), iterate, fmt="%.17g")
+    if trace is not None:
+        write_trace(os.path.join(args.out, stem + ".trace.csv"), trace)
+        np.savetxt(os.path.join(args.out, stem + ".iterate.txt"), iterate, fmt="%.17g")
     with open(os.path.join(args.out, stem + ".summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     print(json.dumps(summary, indent=2, sort_keys=True))
+    if "error" in summary:
+        print(f"error: {summary['error']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -234,18 +249,14 @@ def cmd_bench(args) -> int:
     rows = []
     for inst, y1 in cells:
         for solver in solvers:
-            try:
-                summary, trace, _ = _run_cell(inst, solver, iters, step, tol, y1)
+            summary, trace, _ = _run_cell(inst, solver, iters, step, tol, y1)
+            if trace is not None:
                 write_trace(os.path.join(out, f"{inst.name}_{solver}_seed{seed}.trace.csv"), trace)
-                rows.append(summary)
-            except Exception as exc:  # cell failures are recorded, the sweep continues
-                row = {"solver": solver, "instance": inst.name, "error": str(exc)}
-                if isinstance(exc, DivergenceError):
-                    row.update(stopped_by="divergence", iterations=exc.iteration)
-                rows.append(row)
+            rows.append(summary)
 
     tally = pairwise_tally(rows, solvers)
-    report = {"rows": rows, "tally": tally, "env": environment()}
+    config = {"iters": iters, "tol": tol, "step": cfg.get("step", "invL"), "seed": seed}
+    report = {"rows": rows, "tally": tally, "env": environment(), "config": config}
     with open(os.path.join(out, "bench_summary.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     print(json.dumps(report, indent=2, sort_keys=True))

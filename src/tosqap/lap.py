@@ -70,17 +70,6 @@ def solve_lap_min(cost: np.ndarray, warm: LapSolution | None = None) -> LapSolut
     return _hungarian(c, None if warm is None else warm.dual_col)
 
 
-def solve_lap_max(profit: np.ndarray) -> LapSolution:
-    """Maximize sum_i profit[i, pi(i)]; solved as minimization on -profit."""
-    sol = _hungarian(-as_square(profit, "profit"))
-    return LapSolution(
-        permutation=sol.permutation,
-        value=-sol.value,
-        dual_row=-sol.dual_row,
-        dual_col=-sol.dual_col,
-    )
-
-
 def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
     """Minimum-cost assignment of a checked square cost matrix, warm-started
     from the column duals ``dual_col`` of an earlier solution when given."""

@@ -102,9 +102,3 @@ def frobenius_norm(x: np.ndarray) -> float:
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the single entropy source of the package."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def draw_uniform_index(rng: np.random.Generator, t_max: int) -> int:
-    """Draw an index uniformly from {1, ..., t_max}, advancing ``rng``."""
-    check_int(t_max, "t_max", 1)
-    return int(rng.integers(1, t_max + 1))

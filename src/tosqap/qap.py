@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lap import Permutation, permutation_to_matrix, solve_lap_max, solve_lap_min
+from .lap import Permutation, permutation_to_matrix, solve_lap_min
 from .linalg import _shaped, as_matrix, as_square, check_int, check_real, frobenius_norm, make_rng
 from .oracles import GradientOracle
 from .prox import (
@@ -246,7 +246,7 @@ def nonstationarity_error(inst: QapInstance, x: np.ndarray) -> float:
 
 def round_to_permutation(x: np.ndarray) -> Permutation:
     """Frobenius-nearest permutation matrix, via maximizing <X, P>."""
-    return solve_lap_max(as_square(x, "x")).permutation
+    return solve_lap_min(-as_square(x, "x")).permutation
 
 
 def assignment_error(rounded_value: float, best_known: Optional[float]) -> Optional[float]:

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, check_int, check_real, draw_uniform_index
+from .linalg import as_matrix, check_int, check_real
 from .linalg import _inner, _shaped, frobenius_inner, frobenius_norm, make_rng
 from .oracles import GradientOracle, StochasticGradientOracle, _theory_terms, minibatch_gradient
 from . import prox
@@ -291,7 +291,7 @@ def run_tos(
 
     tau: Optional[int] = None
     if marks is not None:
-        tau = draw_uniform_index(rng, t)
+        tau = int(rng.integers(1, t + 1))
         # Replay z = z_tau from the last mark s <= tau, the generator restored
         # to its state there, so iterations s..tau repeat bit for bit.
         y_s, rng.bit_generator.state = marks[(tau - 1) // stride]

@@ -108,14 +108,66 @@ class TestSolve:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    @staticmethod
+    def failed_summary(tmp_path, capsys, argv, stem):
+        """Run ``solve`` with ``argv``, which must fail, and return its
+        summary after checking that it is the only file written and is the
+        JSON printed, and that stderr names its error."""
+        out = tmp_path / "out"
+        assert main(["solve", *argv, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == [f"{stem}.summary.json"]
+        summary = json.loads((out / f"{stem}.summary.json").read_text())
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == summary
+        assert captured.err == f"error: {summary['error']}\n"
+        assert summary.pop("env") == environment()
+        return summary
+
     def test_all_zero_hessian_map_names_the_fault(self, tmp_path, capsys):
         # A antisymmetric and B = I: the Hessian map is zero although A is not.
+        # The run fails before its first step and writes its summary alone.
         inst_path = tmp_path / "antisym.dat"
         inst_path.write_text("3\n0 1 2\n-1 0 3\n-2 -3 0\n1 0 0\n0 1 0\n0 0 1\n")
-        rc = main(["solve", str(inst_path), "--step", "invL", "--iters", "20",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert "all-zero" in capsys.readouterr().err
+        summary = self.failed_summary(tmp_path, capsys, [str(inst_path), "--step", "invL",
+                                                         "--iters", "20"],
+                                      "antisym_tos-split2_seed0")
+        assert "all-zero" in summary.pop("error")
+        assert summary == {"solver": "tos-split2", "instance": "antisym", "iters": 20,
+                           "tol": None, "step": "invL", "seed": 0}
+
+    def test_diverged_run_says_so(self, tmp_path, capsys):
+        # TestBench.test_diverged_cell_says_so's split1 cell, run by solve.
+        inst_path = tmp_path / "inst0.dat"
+        write_instance(inst_path, 4, 10)
+        with np.errstate(all="ignore"):
+            summary = self.failed_summary(
+                tmp_path, capsys, [str(inst_path), "--solver", "tos-split1", "--step",
+                                   "fixed:1e300", "--iters", "150"],
+                "inst0_tos-split1_seed0")
+        assert summary == {"solver": "tos-split1", "instance": "inst0",
+                           "error": "non-finite iterate at iteration 2",
+                           "stopped_by": "divergence", "iterations": 2, "iters": 150,
+                           "tol": None, "step": "fixed:1e300", "seed": 0}
+
+    def test_summary_names_the_settings(self, tmp_path):
+        # On chr12a split2 stops on tol below both caps (at 2560 iterations
+        # on SkylakeX kernels), so the trace and iterate are the same bytes;
+        # the summary tells the two runs apart.
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        stem = "chr12a_tos-split2_seed0"
+        summaries, artifacts = [], []
+        for iters in ("5000", "9000"):
+            out = tmp_path / iters
+            assert main(["solve", str(chr12a), "--solver", "tos-split2", "--tol", "1e-5",
+                         "--iters", iters, "--out", str(out)]) == 0
+            summaries.append(json.loads((out / f"{stem}.summary.json").read_text()))
+            artifacts.append([(out / f"{stem}.{kind}").read_bytes()
+                              for kind in ("trace.csv", "iterate.txt")])
+        assert artifacts[0] == artifacts[1]
+        assert summaries[0]["iterations"] == summaries[1]["iterations"] < 5000
+        assert summaries[0]["stopped_by"] == summaries[1]["stopped_by"] == "tol"
+        assert [{k: s[k] for k in ("iters", "tol", "step", "seed")} for s in summaries] == [
+            {"iters": iters, "tol": 1e-5, "step": "invL", "seed": 0} for iters in (5000, 9000)]
 
     @pytest.mark.parametrize("spec", ["fixed:abc", "fixed:nan", "fixed:inf", "fixed:0", "bogus"])
     def test_bad_step_names_the_flag(self, tmp_path, capsys, spec):
@@ -532,6 +584,22 @@ class TestBench:
         assert report["env"]["OMP_NUM_THREADS"] == "2"
         assert report["env"]["numpy"] == np.__version__
         assert "env" not in report["rows"][0]  # one record per report, not per row
+
+    @pytest.mark.parametrize("config, want", [
+        ({"iters": 20, "seed": 3, "tol": 0.5, "step": "fixed:0.01"},
+         {"iters": 20, "seed": 3, "tol": 0.5, "step": "fixed:0.01"}),
+        ({}, {"iters": 1000, "seed": 0, "tol": None, "step": "invL"})], ids=["given", "defaults"])
+    def test_report_names_the_settings(self, tmp_path, config, want):
+        # One config object per report, the defaults filled in; rows are unchanged.
+        p = tmp_path / "inst.dat"
+        write_instance(p, 4, 10)
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"instances": [{"path": str(p)}], "solvers": ["fw"],
+                                  "config": config, "out_dir": str(tmp_path / "out")}))
+        assert main(["bench", str(mp)]) == 0
+        report = json.loads((tmp_path / "out" / "bench_summary.json").read_text())
+        assert report["config"] == want
+        assert not {"config", "iters", "tol", "step", "seed"} & set(report["rows"][0])
 
     def test_out_dir_defaults_to_runs(self, tmp_path, monkeypatch):
         # The manifest's out_dir is the one way to set the directory.

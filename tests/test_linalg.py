@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import math
 
-from tosqap import draw_uniform_index, frobenius_inner, frobenius_norm, make_rng
+from tosqap import frobenius_inner, frobenius_norm, make_rng
 from tosqap.linalg import as_matrix, as_square, check_int, check_real
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -76,33 +76,19 @@ def test_cosine_rule(x, y):
 
 def test_rng_golden_stream():
     # Pins the PCG64 output so a platform or numpy change that altered the
-    # stream is caught loudly.
+    # stream is caught loudly.  run_tos draws its random iterate's index
+    # with this call.
     rng = make_rng(12345)
-    draws = [draw_uniform_index(rng, 1000) for _ in range(8)]
+    draws = [int(rng.integers(1, 1001)) for _ in range(8)]
     assert draws == [700, 228, 789, 317, 205, 798, 643, 677]
 
 
 def test_rng_seed_determinism():
     a = make_rng(7)
     b = make_rng(7)
-    assert [draw_uniform_index(a, 10) for _ in range(20)] == [
-        draw_uniform_index(b, 10) for _ in range(20)
+    assert [int(a.integers(1, 11)) for _ in range(20)] == [
+        int(b.integers(1, 11)) for _ in range(20)
     ]
-
-
-def test_draw_single_outcome():
-    assert draw_uniform_index(make_rng(0), 1) == 1
-
-
-def test_draw_rejects_zero():
-    with pytest.raises(ValueError):
-        draw_uniform_index(make_rng(0), 0)
-
-
-@pytest.mark.parametrize("t_max", [2.5, True])
-def test_draw_rejects_non_integer(t_max):
-    with pytest.raises(ValueError, match="^t_max: expected an integer >= 1"):
-        draw_uniform_index(make_rng(0), t_max)
 
 
 @pytest.mark.parametrize("value", [0, 2.5, True, "3", np.float64(3.0), None])
@@ -163,14 +149,3 @@ def test_as_matrix_shape_form():
     stack[1, 2, 0] = np.inf
     with pytest.raises(ValueError, match="^y1 contains non-finite entries"):
         as_matrix(stack, "y1", (2, 3, 3))
-
-
-def test_draw_uniform_frequencies():
-    rng = make_rng(99)
-    n_draws = 100_000
-    counts = np.zeros(4)
-    for _ in range(n_draws):
-        counts[draw_uniform_index(rng, 4) - 1] += 1
-    p = 0.25
-    sigma = np.sqrt(n_draws * p * (1 - p))
-    assert np.all(np.abs(counts - n_draws * p) <= 3 * sigma)

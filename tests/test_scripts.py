@@ -33,6 +33,16 @@ def test_run_chr12a_prints_one_row_per_solver(tmp_path):
     assert all(len(line) == 86 for line in lines[1:])
 
 
+def test_run_chr12a_prints_a_failed_row(tmp_path):
+    # Each cell refuses a negative tolerance; the row says so and the script exits 1.
+    proc = run_script("run_chr12a.py", "--iters", "8", "--tol", "-1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[3:] == [
+        "tos-split1  error: tol: expected a number >= 0, got -1.0",
+        "tos-split2  error: tol: expected a number >= 0, got -1.0",
+        "fw          error: gap_tolerance: expected a number >= 0, got -1.0"]
+
+
 def test_run_bench_prints_the_tally(tmp_path):
     out = tmp_path / "bench"
     proc = run_script("run_bench.py", "--instances", "1", "--size", "5", "--iters", "32",

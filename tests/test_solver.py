@@ -458,6 +458,23 @@ class TestRunTos:
         zs = {t: z for t, _, _, z, *_ in iterations(problem, cfg, np.array([[0.5]]))}
         np.testing.assert_array_equal(res.z_out, zs[res.tau])
 
+    @pytest.mark.parametrize("t_total", [1, 4])
+    def test_random_tau_is_uniform(self, t_total):
+        # tau is uniform on 1..T over seeds: each count lies within three
+        # standard deviations of n/T, which at T = 1 means every draw is 1.
+        # At T = 4 the first 4000 seeds draw tau = 1 3.5 deviations too
+        # rarely, a fluctuation: over 100 000 seeds every count is within 1.7.
+        identity = ProxOperator(lambda p, s: p)
+        problem = CompositeProblem(oracle=zero_oracle(), prox_g=identity, prox_h=identity,
+                                   shape=(1, 1))
+        n_seeds = 20_000
+        counts = np.zeros(t_total)
+        for seed in range(n_seeds):
+            cfg = SolverConfig(iters=t_total, step=StepRule.fixed(1.0), output="random", seed=seed)
+            counts[run_tos(problem, cfg, np.zeros((1, 1))).tau - 1] += 1
+        p = 1 / t_total
+        assert np.all(np.abs(counts - n_seeds * p) <= 3 * np.sqrt(n_seeds * p * (1 - p)))
+
     @staticmethod
     def noisy_random_run(iters, seed, stop_when=None):
         """A noisy 2 x 2 run under output="random": (result, {t: z_t bytes}
