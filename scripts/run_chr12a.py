@@ -21,8 +21,8 @@ def main() -> int:
     ap.add_argument("--tol", type=float, default=1e-5)
     args = ap.parse_args()
 
-    inst = cli._resolve_best_known(
-        load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat"), None)
+    inst, _ = cli._resolve_best_known(
+        load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat"))
     y1 = initial_point(inst.n, args.seed)
     rows = [cli._run_cell(inst, solver, args.iters, StepRule.inv_smoothness(), args.tol, y1)[0]
             for solver in cli.SOLVERS]

@@ -27,7 +27,6 @@ from .qap import (
     assignment_error,
     build_problem,
     estimate_smoothness,
-    gradient_bound,
     infeasibility_error,
     initial_point,
     load_instance,
@@ -38,8 +37,6 @@ from .qap import (
     qap_objective,
     relax_and_round,
     round_to_permutation,
-    split_diameter,
-    split_proxes,
 )
 from .solver import (
     CompositeProblem,

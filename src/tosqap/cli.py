@@ -19,6 +19,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -107,9 +108,16 @@ class ManifestError(ValueError):
 BEST_KNOWN = {"chr12a": 9552.0}
 
 
-def _resolve_best_known(inst: qap.QapInstance, override):
-    best = BEST_KNOWN.get(inst.name) if override is None else float(override)
-    return inst if best is None else replace(inst, best_known=best)
+def _resolve_best_known(inst: qap.QapInstance, override=None, source=None):
+    """``inst`` with its reference value, ``override`` (from ``source``, "flag"
+    or "manifest") or else the bundled one, and the summary keys that name
+    both: a sha256 of A's then B's float64 bytes, the value and its source."""
+    best, source = (BEST_KNOWN.get(inst.name), "bundled") if override is None else (
+        float(override), source)
+    digest = hashlib.sha256(inst.a.tobytes() + inst.b.tobytes()).hexdigest()[:16]
+    inputs = {"instance_sha256": digest, "best_known": best,
+              "best_known_from": None if best is None else source}
+    return (inst if best is None else replace(inst, best_known=best)), inputs
 
 
 def _run_cell(inst: qap.QapInstance, solver: str, iters: int, step: StepRule, tol, y1):
@@ -160,13 +168,13 @@ def cmd_solve(args) -> int:
         check_real(args.best_known, "--best-known", finite=True)
     if args.out == "":
         raise ValueError("--out: expected a directory name, got ''")
-    inst = qap.load_instance(args.instance)
-    inst = _resolve_best_known(inst, args.best_known)
+    inst, inputs = _resolve_best_known(qap.load_instance(args.instance), args.best_known, "flag")
     os.makedirs(args.out, exist_ok=True)
     y1 = qap.initial_point(inst.n, args.seed)
     summary, trace, iterate = _run_cell(inst, args.solver, args.iters, step, args.tol, y1)
-    summary.update(env=environment(), iters=args.iters, tol=args.tol, step=args.step,
-                   seed=args.seed)
+    # JSON has no infinity: an infinite tol is written as the string "inf".
+    summary.update(inputs, env=environment(), iters=args.iters, step=args.step, seed=args.seed,
+                   tol="inf" if args.tol == math.inf else args.tol)
     stem = f"{inst.name}_{args.solver}_seed{args.seed}"
     if trace is not None:
         write_trace(os.path.join(args.out, stem + ".trace.csv"), trace)
@@ -242,20 +250,21 @@ def cmd_bench(args) -> int:
             raise ManifestError(f"duplicate instance name {inst.name!r} "
                                 f"({paths[inst.name]} and {entry['path']})")
         paths[inst.name] = entry["path"]
-        cells.append((_resolve_best_known(inst, entry.get("best_known")),
+        cells.append((*_resolve_best_known(inst, entry.get("best_known"), "manifest"),
                       qap.initial_point(inst.n, seed)))
     os.makedirs(out, exist_ok=True)
 
     rows = []
-    for inst, y1 in cells:
+    for inst, inputs, y1 in cells:
         for solver in solvers:
             summary, trace, _ = _run_cell(inst, solver, iters, step, tol, y1)
             if trace is not None:
                 write_trace(os.path.join(out, f"{inst.name}_{solver}_seed{seed}.trace.csv"), trace)
-            rows.append(summary)
+            rows.append({**summary, **inputs})
 
     tally = pairwise_tally(rows, solvers)
-    config = {"iters": iters, "tol": tol, "step": cfg.get("step", "invL"), "seed": seed}
+    config = {"iters": iters, "tol": "inf" if tol == math.inf else tol,
+              "step": cfg.get("step", "invL"), "seed": seed}
     report = {"rows": rows, "tally": tally, "env": environment(), "config": config}
     with open(os.path.join(out, "bench_summary.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)

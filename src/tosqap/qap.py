@@ -191,44 +191,18 @@ def estimate_smoothness(inst: QapInstance) -> float:
     return lam
 
 
-def split_diameter(n: int, split: str) -> float:
-    """Euclidean diameter of the split's first set.
-
-    Rows of the row-stochastic set move independently inside unit
-    simplices of diameter sqrt(2), so split1 has diameter sqrt(2 n); the
-    [0, 1] box of split2 has diameter n.
-    """
-    _check_split(split)
-    if split == SPLIT1:
-        return math.sqrt(2.0 * n)
-    return float(n)
-
-
-def gradient_bound(inst: QapInstance, split: str) -> float:
-    """Upper bound on ||grad f|| over the split's first set.
-
-    ||A X B^T + A^T X B||_F <= 2 ||A||_2 ||B||_2 ||X||_F, and ||X||_F is
-    at most sqrt(n) on the row-stochastic set (rows in the simplex have
-    norm <= 1) and at most n on the box.
-    """
-    _check_split(split)
-    na = float(np.linalg.norm(inst.a, 2))
-    nb = float(np.linalg.norm(inst.b, 2))
-    x_norm = math.sqrt(inst.n) if split == SPLIT1 else float(inst.n)
-    return 2.0 * na * nb * x_norm
-
-
-def split_proxes(split: str):
+def _split_proxes(split: str):
     """(prox_g, prox_h) pair for the chosen decomposition."""
-    _check_split(split)
     if split == SPLIT1:
         return prox_row_stochastic(), prox_col_stochastic()
-    return prox_box01(), prox_affine_doubly_stochastic()
+    if split == SPLIT2:
+        return prox_box01(), prox_affine_doubly_stochastic()
+    raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
 
 
 def infeasibility_error(x: np.ndarray, split: str) -> float:
     """dist(X, second set of the split, onto which its ``prox_h`` projects) / sqrt(n)."""
-    prox_h = split_proxes(split)[1]
+    prox_h = _split_proxes(split)[1]
     x = as_square(x, "x")
     return frobenius_norm(x - prox_h(x)) / math.sqrt(x.shape[0])
 
@@ -274,15 +248,23 @@ def initial_point(n: int, seed: int) -> np.ndarray:
 
 
 def build_problem(inst: QapInstance, split: str) -> CompositeProblem:
-    prox_g, prox_h = split_proxes(split)
-    return CompositeProblem(
-        oracle=qap_oracle(inst),
-        prox_g=prox_g,
-        prox_h=prox_h,
-        shape=(inst.n, inst.n),
-        d_g=split_diameter(inst.n, split),
-        g_f=gradient_bound(inst, split),
-    )
+    """The relaxation under ``split``, with the constants of the theory step.
+
+    ``d_g`` is the Euclidean diameter of the split's first set.  Rows of the
+    row-stochastic set move independently inside unit simplices of diameter
+    sqrt(2), so split1 has diameter sqrt(2 n); the [0, 1] box of split2 has
+    diameter n.  ``g_f`` bounds ||grad f|| over that set:
+    ||A X B^T + A^T X B||_F <= 2 ||A||_2 ||B||_2 ||X||_F, and ||X||_F is at
+    most sqrt(n) on the row-stochastic set (rows in the simplex have norm
+    <= 1) and at most n on the box.
+    """
+    prox_g, prox_h = _split_proxes(split)
+    n = inst.n
+    d_g, x_norm = (math.sqrt(2.0 * n), math.sqrt(n)) if split == SPLIT1 else (float(n), float(n))
+    na = float(np.linalg.norm(inst.a, 2))
+    nb = float(np.linalg.norm(inst.b, 2))
+    return CompositeProblem(oracle=qap_oracle(inst), prox_g=prox_g, prox_h=prox_h, shape=(n, n),
+                            d_g=d_g, g_f=2.0 * na * nb * x_norm)
 
 
 @dataclass
@@ -354,8 +336,3 @@ def relax_and_round(
     run = run_tos(problem, config, y1, metric_fn=metrics, stop_when=stop)
     return QapResult(**_report(inst, run.z_out, run.trace[-1], "tol" if run.stopped else "cap",
                                run.checks), relaxed_iterate=run.z_out, run=run)
-
-
-def _check_split(split: str) -> None:
-    if split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")

@@ -24,6 +24,7 @@ import dataclasses
 import importlib.resources
 import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -42,7 +43,6 @@ from tosqap import (
     frobenius_inner,
     frobenius_norm,
     gaussian_noise_oracle,
-    gradient_bound,
     load_instance,
     make_rng,
     minibatch_gradient,
@@ -54,7 +54,6 @@ from tosqap import (
     relax_and_round,
     round_to_permutation,
     solve_lap_min,
-    split_diameter,
     stationarity_gap,
 )
 from tosqap.cli import main as cli_main
@@ -90,7 +89,7 @@ def test_criterion_1_averaged_stationarity_bound():
     for seed in range(5):
         inst = random_uniform_instance(8, seed)
         problem = build_problem(inst, SPLIT1)
-        d_g = split_diameter(8, SPLIT1)
+        d_g = problem.d_g
         for t_total in (8, 64, 512):
             gaps, grad_norms = [], []
             for t, gamma, u, z, x, y, y_next in iterations(
@@ -117,8 +116,8 @@ def test_criterion_1b_averaged_infeasibility_bound():
     # x_ref = y_1 = J/8 in both, criterion 2's certificate times 2 gamma,
     # summed over t = 1..T, telescopes in ||y_t - x_ref||^2 and leaves
     #     sum ||x_t - z_t||^2 <= ||y_1 - x_ref||^2 + 2 gamma sum <u_t, x_ref - x_t>.
-    # z_t is row-stochastic, so ||u_t|| <= G_f = gradient_bound; x_t and x_ref
-    # are column-stochastic, so ||x_ref - x_t|| <= D_h = sqrt(2 n).  The theory
+    # z_t is row-stochastic, so ||u_t|| <= G_f = problem.g_f; x_t and x_ref are
+    # column-stochastic, so ||x_ref - x_t|| <= D_h = sqrt(2 n) = D_g.  The theory
     # step gamma = D_g / (2 G_f T^(2/3)) then gives
     #     mean ||x_t - z_t||^2 <= ||y_1 - x_ref||^2 / T + D_g D_h / T^(2/3),
     # a bound on the infeasibility, as dist(z_t, second set) <= ||x_t - z_t||.
@@ -128,13 +127,14 @@ def test_criterion_1b_averaged_infeasibility_bound():
     n = 8
     y1 = np.full((n, n), 1.0 / n)
     x_ref = y1
-    d_g = d_h = split_diameter(n, SPLIT1)
     worst_sum = worst_mean = 0.0
     ok = True
     for seed in range(5):
         inst = random_uniform_instance(n, seed)
         problem = build_problem(inst, SPLIT1)
-        assert problem.g_f == gradient_bound(inst, SPLIT1)
+        d_g = d_h = problem.d_g
+        assert problem.g_f == 2.0 * float(np.linalg.norm(inst.a, 2)) * float(
+            np.linalg.norm(inst.b, 2)) * math.sqrt(n)
         for t_total in (8, 64, 512):
             gammas, squares, inners = set(), [], []
             for t, gamma, u, z, x, y, y_next in iterations(

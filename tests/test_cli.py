@@ -31,6 +31,17 @@ def write_instance(path, n, seed):
     return QapInstance(path.stem, a.astype(float), b.astype(float))
 
 
+def instance_keys(path, best_known=None, source=None):
+    """The summary keys that name the instance at ``path`` and its reference value."""
+    inst = qap.load_instance(path)
+    digest = hashlib.sha256(inst.a.tobytes() + inst.b.tobytes()).hexdigest()[:16]
+    return {"instance_sha256": digest, "best_known": best_known, "best_known_from": source}
+
+
+def raise_on_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
 def cannot_load(path):
     raise OSError(f"{path}: cannot open shared object file")
 
@@ -133,7 +144,7 @@ class TestSolve:
                                       "antisym_tos-split2_seed0")
         assert "all-zero" in summary.pop("error")
         assert summary == {"solver": "tos-split2", "instance": "antisym", "iters": 20,
-                           "tol": None, "step": "invL", "seed": 0}
+                           "tol": None, "step": "invL", "seed": 0, **instance_keys(inst_path)}
 
     def test_diverged_run_says_so(self, tmp_path, capsys):
         # TestBench.test_diverged_cell_says_so's split1 cell, run by solve.
@@ -147,7 +158,8 @@ class TestSolve:
         assert summary == {"solver": "tos-split1", "instance": "inst0",
                            "error": "non-finite iterate at iteration 2",
                            "stopped_by": "divergence", "iterations": 2, "iters": 150,
-                           "tol": None, "step": "fixed:1e300", "seed": 0}
+                           "tol": None, "step": "fixed:1e300", "seed": 0,
+                           **instance_keys(inst_path)}
 
     def test_summary_names_the_settings(self, tmp_path):
         # On chr12a split2 stops on tol below both caps (at 2560 iterations
@@ -168,6 +180,38 @@ class TestSolve:
         assert summaries[0]["stopped_by"] == summaries[1]["stopped_by"] == "tol"
         assert [{k: s[k] for k in ("iters", "tol", "step", "seed")} for s in summaries] == [
             {"iters": iters, "tol": 1e-5, "step": "invL", "seed": 0} for iters in (5000, 9000)]
+
+    def test_summary_names_the_reference_value(self, tmp_path):
+        # Two FW runs on chr12a that differ only in --best-known: their
+        # summaries differ in the value and in what it moves.
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        summaries = []
+        for best in ("9552", "9000"):
+            out = tmp_path / best
+            assert main(["solve", str(chr12a), "--solver", "fw", "--iters", "64",
+                         "--best-known", best, "--out", str(out)]) == 0
+            summaries.append(json.loads((out / "chr12a_fw_seed0.summary.json").read_text()))
+        first, second = summaries
+        assert {k for k in first if first[k] != second[k]} == {
+            "best_known", "assignment_error", "wall_time"}
+        assert (first["best_known"], second["best_known"]) == (9552.0, 9000.0)
+        assert first["best_known_from"] == second["best_known_from"] == "flag"
+        assert first["instance_sha256"] == "53207a53965780bc"
+
+    def test_summary_names_a_bundled_or_missing_reference(self, tmp_path):
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        inst_path = tmp_path / "plain.dat"
+        write_instance(inst_path, 3, 0)
+        keys = []
+        for path in (chr12a, inst_path):
+            out = tmp_path / Path(path).stem
+            assert main(["solve", str(path), "--solver", "fw", "--iters", "4",
+                         "--out", str(out)]) == 0
+            (summary_path,) = out.glob("*.summary.json")
+            summary = json.loads(summary_path.read_text())
+            keys.append({k: summary[k] for k in ("instance_sha256", "best_known",
+                                                 "best_known_from")})
+        assert keys == [instance_keys(chr12a, 9552.0, "bundled"), instance_keys(inst_path)]
 
     @pytest.mark.parametrize("spec", ["fixed:abc", "fixed:nan", "fixed:inf", "fixed:0", "bogus"])
     def test_bad_step_names_the_flag(self, tmp_path, capsys, spec):
@@ -218,6 +262,25 @@ class TestSolve:
         write_instance(inst_path, 3, 0)
         assert main(["solve", str(inst_path), "--tol", "inf", "--iters", "20",
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_infinite_tol_is_written_as_json(self, tmp_path):
+        # JSON has no infinity, so neither the solve summary nor the bench
+        # report may hold the token Infinity, which Python's json reads.
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        out = tmp_path / "solve"
+        assert main(["solve", str(chr12a), "--solver", "fw", "--iters", "4", "--tol", "inf",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "chr12a_fw_seed0.summary.json").read_text(),
+                             parse_constant=raise_on_constant)
+        assert summary["tol"] == "inf"
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({"instances": [{"path": str(chr12a)}], "solvers": ["fw"],
+                                  "config": {"iters": 4, "tol": math.inf},
+                                  "out_dir": str(tmp_path / "bench")}))  # writes Infinity
+        assert main(["bench", str(mp)]) == 0
+        report = json.loads((tmp_path / "bench" / "bench_summary.json").read_text(),
+                            parse_constant=raise_on_constant)
+        assert report["config"]["tol"] == "inf"
 
     # The summary's gamma is the step the run took: the fixed value, 1/L of
     # the instance's estimated L, or the theory step for the split and cap.
@@ -625,7 +688,8 @@ class TestBench:
         rows = json.loads((out / "bench_summary.json").read_text())["rows"]
         assert rows[0] == {"solver": "tos-split1", "instance": "inst0",
                            "error": "non-finite iterate at iteration 2",
-                           "stopped_by": "divergence", "iterations": 2}
+                           "stopped_by": "divergence", "iterations": 2,
+                           **instance_keys(tmp_path / "inst0.dat")}
         assert (rows[1]["stopped_by"], rows[1]["iterations"]) == ("cap", 150)
 
     def test_diverged_fw_cell_says_so(self, tmp_path):
@@ -640,7 +704,29 @@ class TestBench:
         rows = json.loads((tmp_path / "bench_out" / "bench_summary.json").read_text())["rows"]
         assert rows == [{"solver": "fw", "instance": "big",
                          "error": "non-finite gradient at iteration 0",
-                         "stopped_by": "divergence", "iterations": 0}]
+                         "stopped_by": "divergence", "iterations": 0, **instance_keys(p)}]
+
+    def test_rows_name_the_instance_and_reference(self, tmp_path):
+        # Each row names its instance and reference value, failed rows too:
+        # the manifest's value, the bundled one, or none.
+        chr12a = importlib.resources.files("tosqap") / "data" / "chr12a.dat"
+        paths = [tmp_path / "given.dat", chr12a, tmp_path / "plain.dat"]
+        write_instance(paths[0], 4, 10)
+        write_instance(paths[2], 4, 11)
+        mp = tmp_path / "manifest.json"
+        mp.write_text(json.dumps({
+            "instances": [{"path": str(paths[0]), "best_known": 100}, {"path": str(chr12a)},
+                          {"path": str(paths[2])}],
+            "solvers": ["tos-split1", "fw"], "out_dir": str(tmp_path / "out"),
+            "config": {"iters": 8, "step": "fixed:1e300"}}))
+        with np.errstate(all="ignore"):
+            assert main(["bench", str(mp)]) == 0
+        rows = json.loads((tmp_path / "out" / "bench_summary.json").read_text())["rows"]
+        assert "error" in rows[0] and "error" not in rows[1]
+        want = [instance_keys(paths[0], 100.0, "manifest"),
+                instance_keys(chr12a, 9552.0, "bundled"), instance_keys(paths[2])]
+        assert [{k: r[k] for k in ("instance_sha256", "best_known", "best_known_from")}
+                for r in rows] == [key for key in want for _ in range(2)]
 
     def test_five_instances_tally_sums(self, tmp_path):
         mp, out = self.make_manifest(tmp_path, 5, ["tos-split2", "fw"], iters=100)

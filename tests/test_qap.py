@@ -17,7 +17,6 @@ from tosqap import (
     assignment_error,
     estimate_smoothness,
     frobenius_norm,
-    gradient_bound,
     infeasibility_error,
     initial_point,
     load_instance,
@@ -30,11 +29,10 @@ from tosqap import (
     qap_objective,
     relax_and_round,
     round_to_permutation,
-    split_diameter,
 )
 from tosqap import cli, fw, lap, linalg, oracles, prox, qap, solver
 from tosqap.lap import Permutation
-from tosqap.qap import SPLIT1, SPLIT2, SPLITS, build_problem, qap_oracle, split_proxes
+from tosqap.qap import SPLIT1, SPLIT2, SPLITS, build_problem, qap_oracle
 
 from pins import on_core
 
@@ -351,10 +349,12 @@ class TestSmoothness:
 
 
 class TestSplitGeometry:
+    # build_problem holds each split's geometry: the diameter d_g of its first
+    # set, the gradient bound g_f over that set, and its two proxes.
     def test_diameters(self):
-        assert split_diameter(2, SPLIT1) == pytest.approx(2.0)
-        assert split_diameter(8, SPLIT1) == pytest.approx(4.0)
-        assert split_diameter(3, SPLIT2) == 3.0
+        assert build_problem(random_instance(2, 0), SPLIT1).d_g == pytest.approx(2.0)
+        assert build_problem(random_instance(8, 0), SPLIT1).d_g == pytest.approx(4.0)
+        assert build_problem(random_instance(3, 0), SPLIT2).d_g == 3.0
 
     def test_diameter_is_achieved_split1(self):
         # Two row-stochastic matrices at distance sqrt(2 n): opposite
@@ -364,36 +364,43 @@ class TestSplitGeometry:
         y = np.zeros((n, n))
         x[:, 0] = 1.0
         y[:, 1] = 1.0
-        assert frobenius_norm(x - y) == pytest.approx(split_diameter(n, SPLIT1))
+        d_g = build_problem(random_instance(n, 0), SPLIT1).d_g
+        assert frobenius_norm(x - y) == pytest.approx(d_g)
 
     def test_diameter_is_achieved_split2(self):
         n = 4
-        assert frobenius_norm(np.ones((n, n)) - np.zeros((n, n))) == split_diameter(n, SPLIT2)
+        d_g = build_problem(random_instance(n, 0), SPLIT2).d_g
+        assert frobenius_norm(np.ones((n, n)) - np.zeros((n, n))) == d_g
 
     def test_gradient_bound_dominates_samples(self):
         inst = random_instance(4, 10)
         rng = make_rng(11)
         for split, feas in ((SPLIT1, lambda: rng.dirichlet(np.ones(4), size=4)),
                             (SPLIT2, lambda: rng.uniform(0, 1, (4, 4)))):
-            bound = gradient_bound(inst, split)
+            bound = build_problem(inst, split).g_f
             for _ in range(50):
                 assert frobenius_norm(qap_gradient(inst, feas())) <= bound + 1e-9
 
     def test_split_proxes_tags(self):
         # The two splittings project onto different sets: a fixed matrix
         # goes to the row- and column-stochastic sets under split1, to the
-        # box and the affine subspace under split2.
+        # box and the affine subspace under split2.  Any other name is
+        # refused, by build_problem and by infeasibility_error.
         x = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [-2.0, 0.5, 0.25]])
-        g1, h1 = split_proxes(SPLIT1)
-        g2, h2 = split_proxes(SPLIT2)
+        inst = random_instance(3, 0)
+        p1, p2 = build_problem(inst, SPLIT1), build_problem(inst, SPLIT2)
+        g1, h1, g2, h2 = p1.prox_g, p1.prox_h, p2.prox_g, p2.prox_h
         np.testing.assert_allclose(g1(x).sum(axis=1), 1.0)
         np.testing.assert_allclose(h1(x).sum(axis=0), 1.0)
         np.testing.assert_array_equal(g2(x), np.clip(x, 0.0, 1.0))
         np.testing.assert_allclose(h2(x).sum(axis=0), 1.0)
         assert not np.allclose(g1(x), g2(x))
         assert not np.allclose(h1(x), h2(x))
-        with pytest.raises(ValueError):
-            split_proxes("split3")
+        message = r"^split must be one of \('split1', 'split2'\), got 'split3'$"
+        with pytest.raises(ValueError, match=message):
+            build_problem(inst, "split3")
+        with pytest.raises(ValueError, match=message):
+            infeasibility_error(x, "split3")
 
 
 class TestErrors:
@@ -543,8 +550,9 @@ class TestPipeline:
         inst = random_instance(4, 16)
         prob = build_problem(inst, SPLIT1)
         assert prob.shape == (4, 4)
-        assert prob.d_g == pytest.approx(split_diameter(4, SPLIT1))
-        assert prob.g_f == pytest.approx(gradient_bound(inst, SPLIT1))
+        assert prob.d_g == math.sqrt(8)
+        assert prob.g_f == 2.0 * float(np.linalg.norm(inst.a, 2)) * float(
+            np.linalg.norm(inst.b, 2)) * math.sqrt(4)
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, True])
     def test_bad_tol_named(self, tol):

@@ -1,7 +1,9 @@
-"""Smoke tests of the scripts in ``scripts/``, each run as a subprocess."""
+"""Smoke tests of the scripts in ``scripts/`` and of the README's Quick
+start, each run as a subprocess."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,11 +12,25 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args, cwd):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_script(name, *args, cwd):
+    return run_python([str(ROOT / "scripts" / name), *args], cwd)
+
+
+def test_readme_quick_start_runs_as_written(tmp_path):
+    # The README's one Python block, as a reader would paste it: split2 on
+    # chr12a stops on tol and rounds to 10782, (10782 - 9552) / 9552 above
+    # the best known value.
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    proc = run_python(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"10782.0 {(10782 - 9552) / 9552!r}\n"
 
 
 def test_run_chr12a_prints_one_row_per_solver(tmp_path):

@@ -103,9 +103,9 @@ class TestStepSizes:
             step_size_lipschitz(*args)
 
     def test_theory_run_on_infinite_gradient_bound_named(self):
-        # gradient_bound overflows to +inf on huge entries, which a problem
-        # accepts; a theory step from it would be 0.  An integer bound too
-        # large for a float is not finite either.
+        # build_problem's g_f overflows to +inf on huge entries, which a
+        # problem accepts; a theory step from it would be 0.  An integer
+        # bound too large for a float is not finite either.
         rng = make_rng(3)
         inst = QapInstance("r4", rng.uniform(0, 1, (4, 4)), rng.uniform(0, 1, (4, 4)))
         for g_f in (math.inf, 10**400):
@@ -594,7 +594,7 @@ class TestCompositeProblem:
                              shape=(2, 2), **{name: value})
 
     def test_infinite_and_numpy_constants_accepted(self):
-        # gradient_bound overflows to +inf on huge entries; the run then
+        # build_problem's g_f overflows to +inf on huge entries; the run then
         # reports the divergence itself.
         for value in (math.inf, np.float64(2.0), np.float32(0.5)):
             CompositeProblem(oracle=zero_oracle(), prox_g=prox_box01(), prox_h=prox_box01(),
