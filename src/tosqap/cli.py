@@ -65,16 +65,34 @@ def _openblas(name: str):
     return None
 
 
+def source_digest() -> str:
+    """sha256 over the relative path and bytes of every file of the package,
+    ``__pycache__`` skipped: the recipe of perfbench's ``source_digest``, so
+    that a CLI artifact and a benchmark record of one source tree match."""
+    h = hashlib.sha256()
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    for base, dirs, files in os.walk(pkg):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            path = os.path.join(base, name)
+            h.update(os.path.relpath(path, pkg).encode() + b"\0")
+            with open(path, "rb") as f:
+                h.update(f.read())
+    return h.hexdigest()
+
+
 def environment() -> dict:
-    """What besides the seed decides a run's bytes: interpreter and numpy
-    versions, the BLAS library numpy was built with, CPU count, the live
-    BLAS thread count and core type (``OPENBLAS_CORETYPE`` forces one), and
-    the thread variables (None when unset)."""
+    """What besides the seed decides a run's bytes: the package sources
+    (``source_digest``), interpreter and numpy versions, the BLAS library
+    numpy was built with, CPU count, the live BLAS thread count and core type
+    (``OPENBLAS_CORETYPE`` forces one), and the thread variables (None when
+    unset)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     threads, core = _openblas("get_num_threads"), _openblas("get_corename")
     if core is not None:
         core.restype = ctypes.c_char_p
     return {
+        "source_sha256": source_digest(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},

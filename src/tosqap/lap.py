@@ -67,12 +67,21 @@ def solve_lap_min(cost: np.ndarray, warm: LapSolution | None = None) -> LapSolut
     c = as_square(cost, "cost")
     if warm is not None and not (isinstance(warm, LapSolution) and warm.permutation.n == len(c)):
         raise ValueError(f"warm must be a LapSolution of size {len(c)}, got {warm!r:.60}")
-    return _hungarian(c, None if warm is None else warm.dual_col)
+    mapping, dual_row, dual_col = _hungarian(c, None if warm is None else warm.dual_col)
+    # Every row is matched to exactly one column, so the mapping is a
+    # bijection of Python ints by construction and skips the check.
+    n = len(mapping)
+    value = float(sum(c[range(n), mapping].tolist()))
+    return _unchecked(LapSolution, permutation=_unchecked(Permutation, n=n, mapping=tuple(mapping)),
+                      value=value, dual_row=np.array(dual_row), dual_col=dual_col)
 
 
-def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution:
-    """Minimum-cost assignment of a checked square cost matrix, warm-started
-    from the column duals ``dual_col`` of an earlier solution when given."""
+def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None):
+    """The loop kernel of ``solve_lap_min``: a minimum-cost assignment of a
+    square float64 cost matrix of finite entries, unchecked, warm-started
+    from the column duals ``dual_col`` of an earlier solve when given.
+    Returns the mapping row -> column (a list of Python ints), the row duals
+    (a list) and the column duals (an array, which a next warm start reads)."""
     n = c.shape[0]
     # Python floats and lists, not numpy arrays: indexing an array boxes a
     # scalar on every access.  Each step is one IEEE double operation in a
@@ -140,14 +149,10 @@ def _hungarian(c: np.ndarray, dual_col: np.ndarray | None = None) -> LapSolution
             p[j0] = p[j1]
             j0 = j1
 
-    # Every row is matched to exactly one column, so the mapping is a
-    # bijection of Python ints by construction and skips the check.
     mapping = [0] * n
     for j in range(n):
         mapping[p[j]] = j
-    value = float(sum([row[j] for row, j in zip(rows, mapping)]))
-    return _unchecked(LapSolution, permutation=_unchecked(Permutation, n=n, mapping=tuple(mapping)),
-                      value=value, dual_row=np.array(u), dual_col=np.array(v[:n]))
+    return mapping, u, np.array(v[:n])
 
 
 def _unchecked(cls, **fields):

@@ -59,10 +59,7 @@ def as_square(x, name: str) -> np.ndarray:
 def check_int(value, name: str, least: int):
     """Return ``value`` if it is an integer (a ``numbers.Integral``, not a
     bool) >= ``least``; otherwise raise a ``ValueError`` naming ``name``."""
-    # A plain int skips the slower ABC test: minibatch_gradient checks its
-    # batch on every iteration.
-    if (type(value) is int or isinstance(value, numbers.Integral)
-            and not isinstance(value, bool)) and value >= least:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
         return value
     raise ValueError(f"{name}: expected an integer >= {least}, got {value!r}")
 

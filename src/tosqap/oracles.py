@@ -65,7 +65,12 @@ def minibatch_gradient(
     order 1, 2, ..., batch before the division.  Draws are i.i.d.
     conditioned on ``x`` and consume entropy only from ``rng``.
     """
-    check_int(batch, "batch", 1)
+    return _minibatch(oracle, x, check_int(batch, "batch", 1), rng)
+
+
+def _minibatch(oracle: StochasticGradientOracle, x: np.ndarray, batch: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """``minibatch_gradient`` with ``batch`` unchecked: a loop kernel."""
     g = oracle.gradient(x)
     if oracle.sigma == 0.0:
         # All draws coincide; the exact gradient equals the batch mean exactly,

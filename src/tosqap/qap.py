@@ -114,14 +114,22 @@ def load_instance(path, best_known: Optional[float] = None) -> QapInstance:
 
 def qap_objective(inst: QapInstance, x: np.ndarray) -> float:
     """trace(A X B^T X^T)."""
-    x = _shaped(x, "x", (inst.n, inst.n))
+    return _objective(inst, _shaped(x, "x", (inst.n, inst.n)))
+
+
+def _objective(inst: QapInstance, x: np.ndarray) -> float:
+    """``qap_objective`` of an n x n float64 array, unchecked: a loop kernel."""
     return float(np.trace(inst.a @ x @ inst.b.T @ x.T))
 
 
 def qap_gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
     """Gradient A X B^T + A^T X B of the quadratic objective: 4 matrix
     products, or 2 on a symmetric instance, where it equals 2 A X B."""
-    x = _shaped(x, "x", (inst.n, inst.n))
+    return _gradient(inst, _shaped(x, "x", (inst.n, inst.n)))
+
+
+def _gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
+    """``qap_gradient`` of an n x n float64 array, unchecked: a loop kernel."""
     if inst.symmetric:
         h = inst.a @ x @ inst.b
         return h + h
@@ -129,9 +137,11 @@ def qap_gradient(inst: QapInstance, x: np.ndarray) -> np.ndarray:
 
 
 def qap_oracle(inst: QapInstance) -> GradientOracle:
+    """``qap_objective`` and ``qap_gradient`` of ``inst`` as their loop kernels,
+    which take the solver's own n x n float64 iterates unchecked."""
     return GradientOracle(
-        value=lambda x: qap_objective(inst, x),
-        gradient=lambda x: qap_gradient(inst, x),
+        value=lambda x: _objective(inst, x),
+        gradient=lambda x: _gradient(inst, x),
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import as_matrix, check_int, check_real
 from .linalg import _inner, _shaped, frobenius_inner, frobenius_norm, make_rng
-from .oracles import GradientOracle, StochasticGradientOracle, _theory_terms, minibatch_gradient
+from .oracles import GradientOracle, StochasticGradientOracle, _minibatch, _theory_terms
 from . import prox
 from .prox import ProxOperator, _SimplexProjection
 
@@ -318,7 +318,7 @@ def _steps(problem, gamma, y, rng, count):
     for t in range(1, count + 1):
         z = problem.prox_g(y, gamma)
         if problem.stochastic is not None:
-            u = minibatch_gradient(problem.stochastic, z, problem.batch, rng)
+            u = _minibatch(problem.stochastic, z, problem.batch, rng)  # batch checked by the problem
         else:
             u = problem.oracle.gradient(z)
         x = problem.prox_h(2.0 * z - y - gamma * u, gamma)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tosqap import initial_point, make_rng, qap, qap_objective
-from tosqap.cli import environment, main, pairwise_tally, write_trace
+from tosqap.cli import environment, main, pairwise_tally, source_digest, write_trace
 from tosqap.qap import QapInstance, build_problem, estimate_smoothness
 from tosqap.solver import StepRule, TraceRecord
 
@@ -379,6 +379,7 @@ class TestSolve:
         core = summary["env"].pop("blas_core")
         assert core is None or (isinstance(core, str) and core)
         assert summary["env"] == {
+            "source_sha256": source_digest(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
@@ -389,6 +390,39 @@ class TestSolve:
         }
         header = (out / "env_tos-split2_seed0.trace.csv").read_text().splitlines()[0]
         assert header == "t,f,coupling,certificate,infeasibility,nonstationarity"
+
+    def test_source_digest_is_perfbench_recipe(self, monkeypatch):
+        # A CLI artifact and a perfbench run record of one checkout name the
+        # same sources.
+        import importlib.util
+
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        spec = importlib.util.spec_from_file_location("perfbench_run", perfbench / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert source_digest() == bench.source_digest()
+
+    def test_source_digest_follows_one_byte(self, tmp_path):
+        # A copy of the package elsewhere has the checkout's digest; one
+        # byte changed in one source file changes it.
+        import shutil
+
+        pkg = Path(__file__).resolve().parents[1] / "src" / "tosqap"
+        shutil.copytree(pkg, tmp_path / "tosqap", ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        code = "from tosqap.cli import source_digest; print(source_digest())"
+
+        def digest():
+            return subprocess.run([sys.executable, "-B", "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=60).stdout.strip()
+
+        assert digest() == source_digest()
+        path = tmp_path / "tosqap" / "linalg.py"
+        text = path.read_bytes()
+        assert text.startswith(b'"""Dense')
+        path.write_bytes(b'"""dense' + text[len(b'"""Dense'):])
+        assert digest() not in ("", source_digest())
 
     def test_environment_records_the_live_blas_thread_count(self):
         # In a fresh interpreter OpenBLAS reads the variable when it loads.

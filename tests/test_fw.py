@@ -22,7 +22,7 @@ from tosqap import (
 )
 from tosqap import fw, solver
 from tosqap.fw import FwConfig, exact_line_step, run_fw
-from tosqap.lap import Permutation
+from tosqap.lap import Permutation, _hungarian
 
 from pins import on_core
 
@@ -224,7 +224,8 @@ class TestRun:
     # A step takes one gradient, of its direction.  Each trace row, and a
     # stop the carried values call between rows, first refreshes the
     # gradient and the objective exactly; a stop between rows solves its LAP
-    # twice.  The rounding's objective, in qap, is not counted.
+    # twice.  The loop calls the kernels; the rounding's LAP and objective,
+    # in qap, are not counted.
     # random_instance(6, 11) from the uniform start: gap <= 0 after 3 steps,
     # at the trace point of a cap of 3 too (rows 0, 1, 2, 3).  chr12a from
     # initial_point(12, 0): the 64 cap (rows 0, 1, ..., 64) and the 1e-3 gap
@@ -235,7 +236,7 @@ class TestRun:
         ids=["gap", "cap", "chr12a-cap", "chr12a-tol"])
     def test_one_gradient_per_iteration(self, monkeypatch, chr12a, max_iters, tol, steps, rows,
                                         laps):
-        calls = {"qap_gradient": 0, "qap_objective": 0, "solve_lap_min": 0}
+        calls = {"_gradient": 0, "_objective": 0, "_hungarian": 0}
 
         def counting(name):
             original = getattr(fw, name)
@@ -254,8 +255,7 @@ class TestRun:
             inst, y1 = random_instance(6, 11), uniform_start(6)
         res = run_fw(inst, y1, FwConfig(max_iters=max_iters, gap_tolerance=tol))
         assert (res.iterations_run, len(res.trace)) == (steps, rows)
-        assert calls == {"qap_gradient": steps + rows, "qap_objective": rows,
-                         "solve_lap_min": laps}
+        assert calls == {"_gradient": steps + rows, "_objective": rows, "_hungarian": laps}
 
     # chr12a from initial_point(12, 0): the 64-iteration cap and the 1e-3
     # gap exit after 462 steps, between powers of two.
@@ -382,8 +382,8 @@ class TestRun:
         ks = [k for k in range(1, 1024) if k not in schedule
               and exact[k] < (1 - 1e-5) * min(exact[:k])]
         laps = []
-        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, warm: laps.append(1) or
-                            solve_lap_min(cost, warm))
+        monkeypatch.setattr(fw, "_hungarian", lambda cost, dual: laps.append(1) or
+                            _hungarian(cost, dual))
         for k in ks[::len(ks) // 6]:
             for tol in (exact[k] * (1 + 1e-6), exact[k] * (1 - 1e-6)):
                 stop = next((j for j, v in enumerate(exact) if v < tol), 1024)
@@ -399,8 +399,13 @@ class TestRun:
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
         config = FwConfig(max_iters=1024, gap_tolerance=1e-5)
         warm = run_fw(inst, initial_point(12, start), config)
-        monkeypatch.setattr(fw, "solve_lap_min", lambda cost, warm=None: solve_lap_min(cost))
+        colds = []
+        monkeypatch.setattr(fw, "_hungarian", lambda cost, dual: colds.append(dual is not None)
+                            or _hungarian(cost))
         cold = run_fw(inst, initial_point(12, start), config)
+        # The second run solved every LAP through the kernel, cold: the first
+        # had no duals, and each later one dropped the duals it was handed.
+        assert len(colds) > cold.iterations_run and colds[0] is False and all(colds[1:])
         assert warm.iterations_run == cold.iterations_run
         assert warm.iterate.tobytes() == cold.iterate.tobytes()
         assert warm.trace == cold.trace
@@ -408,13 +413,13 @@ class TestRun:
     def test_each_lap_starts_from_the_previous_duals(self, monkeypatch):
         passed, returned = [], []
 
-        def spy(cost, warm=None):
-            sol = solve_lap_min(cost, warm)
-            passed.append(warm)
-            returned.append(sol)
-            return sol
+        def spy(cost, dual):
+            out = _hungarian(cost, dual)
+            passed.append(dual)
+            returned.append(out[2])
+            return out
 
-        monkeypatch.setattr(fw, "solve_lap_min", spy)
+        monkeypatch.setattr(fw, "_hungarian", spy)
         run_fw(random_instance(6, 7), uniform_start(6), FwConfig(max_iters=20))
         assert passed[0] is None and len(passed) > 2
         assert all(p is r for p, r in zip(passed[1:], returned))

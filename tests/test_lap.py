@@ -17,7 +17,7 @@ from tosqap import (
     run_fw,
     solve_lap_min,
 )
-from tosqap.lap import LapSolution, Permutation
+from tosqap.lap import LapSolution, Permutation, _hungarian
 
 
 def brute_force_min(cost):
@@ -185,21 +185,26 @@ class TestWarmStart:
 
     def test_fw_chain_same_bytes(self, monkeypatch):
         # The warm solves of a chr12a Frank-Wolfe run, each from the previous
-        # solve's duals, as run_fw makes them.
+        # solve's column duals, as run_fw makes them with the kernel; the
+        # checked solve from the same duals gives the same bytes.
         calls = []
 
-        def recording(cost, warm=None):
-            sol = solve_lap_min(cost, warm)
-            calls.append((cost.copy(), warm, sol))
-            return sol
+        def recording(cost, dual):
+            out = _hungarian(cost, dual)
+            calls.append((cost.copy(), dual, out))
+            return out
 
-        monkeypatch.setattr(tosqap.fw, "solve_lap_min", recording)
+        monkeypatch.setattr(tosqap.fw, "_hungarian", recording)
         inst = load_instance(importlib.resources.files("tosqap") / "data" / "chr12a.dat")
         run_fw(inst, initial_point(12, 0), FwConfig(max_iters=64))
         assert len(calls) > 64 and calls[0][1] is None
-        assert all(warm is earlier[2] for earlier, (_, warm, _) in zip(calls, calls[1:]))
-        for cost, warm, sol in calls:
-            assert_same_bytes(sol, reference_lap_min(cost, warm and warm.dual_col))
+        assert all(dual is earlier[2][2] for earlier, (_, dual, _) in zip(calls, calls[1:]))
+        for cost, dual, (mapping, dual_row, dual_col) in calls:
+            reference = reference_lap_min(cost, dual)
+            sol = solve_lap_min(cost, None if dual is None else carrying(dual))
+            assert_same_bytes(sol, reference)
+            assert (tuple(mapping), np.array(dual_row).tobytes(), dual_col.tobytes()) == (
+                sol.permutation.mapping, sol.dual_row.tobytes(), sol.dual_col.tobytes())
 
     @pytest.mark.parametrize("warm", [
         np.zeros((3, 1)), np.zeros(2), np.array([0.0, np.nan, 0.0]),

@@ -198,11 +198,15 @@ class TestObjectiveGradient:
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
     def test_oracle_wraps_instance(self):
-        inst = random_instance(3, 5)
-        oracle = qap_oracle(inst)
-        x = make_rng(6).standard_normal((3, 3))
-        assert oracle.value(x) == qap_objective(inst, x)
-        np.testing.assert_array_equal(oracle.gradient(x), qap_gradient(inst, x))
+        # The oracle binds the unchecked kernels, which give the checked
+        # functions' bytes on the symmetric branch and the asymmetric one.
+        for inst in (random_instance(3, 5), load_instance(chr12a_path()),
+                     *asymmetric_instances()):
+            oracle = qap_oracle(inst)
+            for seed in range(3):
+                x = make_rng(6 + seed).standard_normal((inst.n, inst.n))
+                assert oracle.value(x).hex() == qap_objective(inst, x).hex()
+                assert oracle.gradient(x).tobytes() == qap_gradient(inst, x).tobytes()
 
     def test_shape_check(self):
         inst = random_instance(3, 7)
